@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the compiled enumeration kernels against the pure fallback.
 
-Runs the three box-scan kernels on corpus-sized problems with both
+Runs the two box-scan kernels on corpus-sized problems with both
 implementations, checks they return identical results, and prints a
 timing table.  Usage: python benchmarks/bench_kernels.py
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from singlab import _kernels_py
-from singlab.corpus import brell3, fig244, fig2312
+from singlab.corpus import fig244, fig2312
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.elliptic import elliptic_sequence
 
@@ -34,12 +34,6 @@ def cases():
     cm = seq.partial_sum(seq.m)
     yield ("antinef_in_box", "fig244(4), box [0, C_m]",
            (g.matrix, cm.coeffs))
-
-    g = brell3(4)
-    ze = fundamental_cycle(g)
-    bounds = tuple(2 * c for c in ze.coeffs)
-    yield ("chi_zeros_in_box", "brell3(4), box [0, 2 Z_E]",
-           (g.matrix, adjunction_vector(g), bounds))
 
     g = fig2312(5)
     ze = fundamental_cycle(g)

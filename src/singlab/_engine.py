@@ -72,9 +72,5 @@ def antinef_in_box(matrix, bounds):
     return _dispatch("antinef_in_box", matrix, bounds)
 
 
-def chi_zeros_in_box(matrix, adj, bounds):
-    return _dispatch("chi_zeros_in_box", matrix, adj, bounds)
-
-
 def min_twochi_in_box(matrix, adj, bounds):
     return _dispatch("min_twochi_in_box", matrix, adj, bounds)

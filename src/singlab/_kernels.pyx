@@ -133,24 +133,6 @@ def antinef_in_box(matrix, bounds):
         _scan_free(&sc)
 
 
-def chi_zeros_in_box(matrix, adj, bounds):
-    """All D != 0 in the box with D.M.D + adj.D == 0."""
-    _guard(matrix, adj, bounds)
-    cdef Scan sc
-    _scan_init(&sc, matrix, adj, bounds)
-    cdef bint first = True
-    out = []
-    try:
-        while True:
-            if not first and sc.q + sc.bd == 0:
-                out.append(_current(&sc))
-            first = False
-            if not _scan_step(&sc):
-                return out
-    finally:
-        _scan_free(&sc)
-
-
 def min_twochi_in_box(matrix, adj, bounds):
     """(min of -(D.M.D + adj.D) over D != 0, witness tuple)."""
     _guard(matrix, adj, bounds)

@@ -6,7 +6,7 @@ s = M.D, q = D.M.D and b.D incrementally.  Arbitrary-precision Python ints
 keep the arithmetic exact for any input size; ``singlab._kernels`` is the
 compiled twin for the ranges where 64-bit arithmetic is provably safe.
 
-All three functions scan in the same deterministic order, so the two
+Both functions scan in the same deterministic order, so the two
 implementations are interchangeable.
 """
 
@@ -38,41 +38,6 @@ def antinef_in_box(matrix, bounds):
         if j == n:
             return out
         col = cols[j]
-        d[j] += 1
-        for i in range(n):
-            s[i] += col[i]
-
-
-def chi_zeros_in_box(matrix, adj, bounds):
-    """All D != 0 in the box with D.M.D + adj.D == 0 (twice the negated
-    Euler characteristic)."""
-    n = len(bounds)
-    cols = _columns(matrix, n)
-    d = [0] * n
-    s = [0] * n
-    q = 0
-    bd = 0
-    out = []
-    first = True
-    while True:
-        if not first and q + bd == 0:
-            out.append(tuple(d))
-        first = False
-        j = 0
-        while j < n and d[j] == bounds[j]:
-            k = d[j]
-            col = cols[j]
-            q += -2 * k * s[j] + k * k * col[j]
-            bd -= k * adj[j]
-            for i in range(n):
-                s[i] -= k * col[i]
-            d[j] = 0
-            j += 1
-        if j == n:
-            return out
-        col = cols[j]
-        q += 2 * s[j] + col[j]
-        bd += adj[j]
         d[j] += 1
         for i in range(n):
             s[i] += col[i]

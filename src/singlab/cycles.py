@@ -34,18 +34,28 @@ def adjunction_vector(g: DualGraph) -> tuple[int, ...]:
     return tuple(2 * v.genus - 2 - v.self_int for v in g.vertices)
 
 
-def _connected(g: DualGraph, indices: set[int]) -> bool:
-    start = next(iter(indices))
-    seen = {start}
-    stack = [start]
-    m = g.matrix
-    while stack:
-        i = stack.pop()
-        for j in indices:
-            if j not in seen and m[i][j] != 0:
-                seen.add(j)
-                stack.append(j)
-    return seen == indices
+def connected_components(g: DualGraph, indices) -> list[set[int]]:
+    """Connected components of the subgraph induced on the vertex indices
+    ``indices``, each grown from its smallest index."""
+    nbrs = g._cache.get("neighbours")
+    if nbrs is None:
+        m = g.matrix
+        nbrs = [[j for j in range(len(g)) if j != i and m[i][j] != 0] for i in range(len(g))]
+        g._cache["neighbours"] = nbrs
+    out = []
+    left = set(indices)
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            for j in nbrs[stack.pop()]:
+                if j in left and j not in comp:
+                    comp.add(j)
+                    stack.append(j)
+        left -= comp
+        out.append(comp)
+    return out
 
 
 def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
@@ -62,7 +72,7 @@ def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
         idxs = sorted({g.index_of(v) for v in support})
         if not idxs:
             raise InputError("support must be non-empty")
-        if not _connected(g, set(idxs)):
+        if len(connected_components(g, idxs)) != 1:
             raise InputError("support must be connected")
 
     m = g.matrix

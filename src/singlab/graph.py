@@ -366,6 +366,13 @@ def intersection_matrix(g: DualGraph) -> list[list[int]]:
     return [list(row) for row in g.matrix]
 
 
+def mat_vec(g: DualGraph, coeffs) -> list:
+    """M . D for the coefficient vector of D: the list of D . E_i."""
+    m = g.matrix
+    n = len(g)
+    return [sum(m[i][j] * coeffs[j] for j in range(n)) for i in range(n)]
+
+
 def pairing(g: DualGraph, d1, d2):
     """Exact intersection number D1 . D2 (int for integer cycles,
     Fraction as soon as one side is rational)."""
@@ -374,11 +381,7 @@ def pairing(g: DualGraph, d1, d2):
             raise InputError("pairing expects cycles")
         if d.graph != g:
             raise InputError("cycle does not live on this graph")
-    m = g.matrix
-    n = len(g)
-    b = d2.coeffs
-    mb = [sum(m[i][j] * b[j] for j in range(n)) for i in range(n)]
-    return sum(d1.coeffs[i] * mb[i] for i in range(n))
+    return sum(a * b for a, b in zip(d1.coeffs, mat_vec(g, d2.coeffs)))
 
 
 def is_negative_definite(g: DualGraph) -> bool:
@@ -394,6 +397,4 @@ def is_anti_nef(g: DualGraph, d: Cycle) -> bool:
     """True when D meets every curve non-positively (D . E_i <= 0 for all i)."""
     if not isinstance(d, Cycle) or d.graph != g:
         raise InputError("cycle does not live on this graph")
-    m = g.matrix
-    n = len(g)
-    return all(sum(m[i][j] * d.coeffs[j] for j in range(n)) <= 0 for i in range(n))
+    return all(x <= 0 for x in mat_vec(g, d.coeffs))

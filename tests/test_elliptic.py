@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from oracles import antinef_in_box, chi_zero_in_box
@@ -18,8 +20,10 @@ from singlab import (
     minimally_elliptic_cycle,
     pairing,
 )
-from singlab.cycles import adjunction_vector
+from singlab import _engine
+from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.corpus import brell3, fig244, fig2312
+from singlab.graph import is_negative_definite
 
 
 def single(self_int, genus=0):
@@ -49,13 +53,80 @@ def test_minimally_elliptic_cycle_requires_elliptic():
         minimally_elliptic_cycle(single(-2))
 
 
+# -- graphs beyond the corpus chains for the E_min brute-force check -----
+
+
+def cusp(selfs):
+    """Cycle of rational curves C_0 - C_1 - ... - C_{k-1} - C_0."""
+    k = len(selfs)
+    return DualGraph(
+        [Vertex(f"C{i}", s) for i, s in enumerate(selfs)],
+        [(f"C{i}", f"C{(i + 1) % k}", 1) for i in range(k)],
+    )
+
+
+def star(center, genus, arms):
+    """Centre O with rational chains A{a}_0 - A{a}_1 - ... hanging off it."""
+    vertices = [Vertex("O", center, genus)]
+    edges = []
+    for a, arm in enumerate(arms):
+        prev = "O"
+        for k, s in enumerate(arm):
+            vid = f"A{a}_{k}"
+            vertices.append(Vertex(vid, s))
+            edges.append((prev, vid, 1))
+            prev = vid
+    return DualGraph(vertices, edges)
+
+
+def genus_one_tree(seed, n):
+    """Random tree with one genus-1 vertex and |E_i^2| >= deg E_i."""
+    rng = random.Random(seed)
+    parent = [None] + [rng.randrange(i) for i in range(1, n)]
+    deg = [0] * n
+    for i in range(1, n):
+        deg[i] += 1
+        deg[parent[i]] += 1
+    special = rng.randrange(n)
+    vertices = []
+    for i in range(n):
+        floor = max(deg[i], 1) if i == special else max(deg[i], 2)
+        vertices.append(Vertex(f"T{i}", -floor - rng.choice((0, 0, 1)), int(i == special)))
+    return DualGraph(vertices, [(f"T{parent[i]}", f"T{i}", 1) for i in range(1, n)])
+
+
+EMIN_CASES = {
+    "cusp-3222": cusp([-3, -2, -2, -2]),
+    "cusp-333": cusp([-3, -3, -3]),
+    "cusp-23232": cusp([-2, -3, -2, -3, -2]),
+    "cusp-2232223": cusp([-2, -2, -3, -2, -2, -2, -3]),
+    "star3-full": star(-2, 0, [[-2, -3], [-2, -2], [-2, -2]]),
+    "star3-partial": star(-2, 0, [[-2, -3, -2], [-2, -2], [-2, -2]]),
+    "star3-genus1": star(-3, 1, [[-3], [-2], [-2]]),
+    "star4-full": star(-2, 0, [[-2], [-2], [-2], [-3]]),
+    "star4-partial": star(-2, 0, [[-2], [-3], [-2, -2], [-3]]),
+    "star5-full": star(-3, 0, [[-2]] * 5),
+    "star5-partial": star(-3, 0, [[-2], [-2], [-2], [-2, -2], [-2]]),
+}
+for _seed, _n in [(1, 4), (4, 7)]:
+    EMIN_CASES[f"tree{_n}-seed{_seed}"] = genus_one_tree(_seed, _n)
+
+
 def test_minimally_elliptic_agrees_with_brute_force():
-    for g in [fig2312(2), fig244(2), brell3(2)]:
+    cases = {"fig2312-2": fig2312(2), "fig244-2": fig244(2), "brell3-2": brell3(2), **EMIN_CASES}
+    support = {}
+    for name, g in cases.items():
+        assert is_negative_definite(g) and is_elliptic(g), name
         emin = minimally_elliptic_cycle(g)
-        ze = [c for c in [1] * len(g)]
-        zeros = chi_zero_in_box(g.matrix, adjunction_vector(g), tuple(ze))
-        assert emin.coeffs in zeros
-        assert all(all(a <= b for a, b in zip(emin.coeffs, d)) for d in zeros)
+        ze = fundamental_cycle(g).coeffs
+        zeros = chi_zero_in_box(g.matrix, adjunction_vector(g), ze)
+        assert emin.coeffs in zeros, name
+        assert all(all(a <= b for a, b in zip(emin.coeffs, d)) for d in zeros), name
+        support[name] = len(emin.support())
+    # E_min with full support, with partial support, and on a single vertex
+    assert support["cusp-2232223"] == 7 and support["star5-full"] == 6
+    assert support["star4-partial"] == 5
+    assert support["star3-genus1"] == 1 and support["tree7-seed4"] == 1
 
 
 def test_elliptic_sequence_fig2312():
@@ -194,3 +265,28 @@ def test_chi_sweep_exhaustive_and_sampled():
     assert sampled.min_chi >= 0
     with pytest.raises(InputError, match="sweep mode"):
         chi_nonnegative_check(g, mode="everything")
+
+
+def test_elliptic_sequence_beyond_the_old_box_budget():
+    # Z_E spans 2^25 and 2^31 candidates, past the default budget of the
+    # exhaustive search that E_min used to be
+    n = 12
+    g = fig2312(n)
+    assert _engine.box_size(fundamental_cycle(g).coeffs) > _engine.DEFAULT_MAX_ENUM
+    seq = elliptic_sequence(g)
+    assert seq.m == 2 * n
+    for i, z in enumerate(seq.cycles):
+        assert z.coeffs == tuple(1 if j >= i else 0 for j in range(2 * n + 1))
+        assert pairing(g, z, z) == -1
+
+    m = 10
+    g = brell3(m)
+    assert _engine.box_size(fundamental_cycle(g).coeffs) > _engine.DEFAULT_MAX_ENUM
+    seq = elliptic_sequence(g)
+    assert seq.m == m
+    assert seq.e_min == Cycle.unit(g, "E")
+    for i, z in enumerate(seq.cycles):
+        expected = {"E": 1}
+        expected.update({f"E{j}_{s}": 1 for j in range(i, m) for s in (1, 2, 3)})
+        assert z == Cycle.from_map(g, expected)
+    assert pairing(g, seq.e_min, seq.e_min) == -3

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from oracles import antinef_in_box as oracle_antinef
-from oracles import chi_zero_in_box as oracle_zeros
 from oracles import two_chi as oracle_two_chi
 from singlab import _engine, _kernels_py
 from singlab.corpus import brell3, fig244, fig2312
@@ -30,9 +29,6 @@ def test_pure_kernels_match_oracles(case):
     assert sorted(_kernels_py.antinef_in_box(matrix, bounds)) == sorted(
         oracle_antinef(matrix, bounds)
     )
-    assert sorted(_kernels_py.chi_zeros_in_box(matrix, adj, bounds)) == sorted(
-        oracle_zeros(matrix, adj, bounds)
-    )
     best, witness = _kernels_py.min_twochi_in_box(matrix, adj, bounds)
     # recompute the minimum against the plain oracle scan
     from itertools import product
@@ -52,9 +48,6 @@ def test_compiled_kernels_match_pure(case):
     matrix, adj, bounds = CASES[case]
     assert compiled.antinef_in_box(matrix, bounds) == _kernels_py.antinef_in_box(
         matrix, bounds
-    )
-    assert compiled.chi_zeros_in_box(matrix, adj, bounds) == _kernels_py.chi_zeros_in_box(
-        matrix, adj, bounds
     )
     assert compiled.min_twochi_in_box(matrix, adj, bounds) == _kernels_py.min_twochi_in_box(
         matrix, adj, bounds
