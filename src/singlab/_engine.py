@@ -1,12 +1,11 @@
-"""Kernel selection and enumeration budgets.
+"""Lattice-box scans and their enumeration budget.
 
-At import time this module picks the compiled scan kernels when they were
-built and the environment does not say otherwise; every call still falls
-back to the exact pure-Python kernels when the compiled guard finds the
-input outside its safe 64-bit range, so results are identical either way.
+The scan kernels walk every integer vector D with 0 <= D <= bounds
+(mixed-radix odometer, index 0 fastest) while maintaining s = M.D,
+q = D.M.D and b.D incrementally.  Python ints keep the arithmetic exact
+for any input size.  Callers size a scan with ``check_budget`` first.
 
 Environment variables:
-    SINGLAB_PURE      non-empty: never use the compiled kernels.
     SINGLAB_MAX_ENUM  candidate budget for exhaustive scans (default 10**7).
 """
 
@@ -15,20 +14,12 @@ from __future__ import annotations
 import os
 from math import prod
 
-from . import _kernels_py
 from .errors import EnumerationLimitError, InputError
 
 DEFAULT_MAX_ENUM = 10**7
 
-if os.environ.get("SINGLAB_PURE"):
-    _fast = None
-else:
-    try:
-        from . import _kernels as _fast  # type: ignore[attr-defined]
-    except ImportError:
-        _fast = None
-
-USING_COMPILED = _fast is not None
+# Read by perfbench's meta line; the package has no compiled kernels.
+USING_COMPILED = False
 
 
 def max_enum() -> int:
@@ -59,18 +50,73 @@ def check_budget(bounds, limit: int | None = None, what: str = "enumeration") ->
     return size
 
 
-def _dispatch(name, *args):
-    if _fast is not None:
-        try:
-            return getattr(_fast, name)(*args)
-        except OverflowError:
-            pass  # outside the compiled 64-bit range; use exact fallback
-    return getattr(_kernels_py, name)(*args)
+def _columns(matrix, n):
+    return [tuple(matrix[i][j] for i in range(n)) for j in range(n)]
 
 
 def antinef_in_box(matrix, bounds):
-    return _dispatch("antinef_in_box", matrix, bounds)
+    """All D in the box with M.D <= 0 componentwise (includes D = 0)."""
+    n = len(bounds)
+    cols = _columns(matrix, n)
+    d = [0] * n
+    s = [0] * n
+    out = []
+    while True:
+        if all(x <= 0 for x in s):
+            out.append(tuple(d))
+        j = 0
+        while j < n and d[j] == bounds[j]:
+            k = d[j]
+            col = cols[j]
+            for i in range(n):
+                s[i] -= k * col[i]
+            d[j] = 0
+            j += 1
+        if j == n:
+            return out
+        col = cols[j]
+        d[j] += 1
+        for i in range(n):
+            s[i] += col[i]
 
 
 def min_twochi_in_box(matrix, adj, bounds):
-    return _dispatch("min_twochi_in_box", matrix, adj, bounds)
+    """Minimum of -(D.M.D + adj.D) over D != 0 in the box, with a witness.
+
+    Returns (min_value, witness_tuple); the value is twice the minimal
+    Euler characteristic.
+    """
+    n = len(bounds)
+    cols = _columns(matrix, n)
+    d = [0] * n
+    s = [0] * n
+    q = 0
+    bd = 0
+    best = None
+    witness = None
+    first = True
+    while True:
+        if not first:
+            val = -(q + bd)
+            if best is None or val < best:
+                best = val
+                witness = tuple(d)
+        first = False
+        j = 0
+        while j < n and d[j] == bounds[j]:
+            k = d[j]
+            col = cols[j]
+            q += -2 * k * s[j] + k * k * col[j]
+            bd -= k * adj[j]
+            for i in range(n):
+                s[i] -= k * col[i]
+            d[j] = 0
+            j += 1
+        if j == n:
+            return best, witness
+        col = cols[j]
+        q += 2 * s[j] + col[j]
+        bd += adj[j]
+        d[j] += 1
+        for i in range(n):
+            s[i] += col[i]

@@ -44,7 +44,7 @@ class DualGraph:
         for v in vertices:
             if not isinstance(v, Vertex):
                 v = Vertex(*v)
-            if not _ID_RE.match(v.id):
+            if not isinstance(v.id, str) or not _ID_RE.match(v.id):
                 raise InputError(f"invalid vertex id {v.id!r}")
             if v.genus < 0:
                 raise InputError(f"vertex {v.id}: genus must be >= 0")
@@ -288,6 +288,11 @@ _VERTEX_KEYS = {"id", "self", "genus"}
 _EDGE_KEYS = {"ends", "mult"}
 
 
+def _is_int(x) -> bool:
+    # JSON true/false decode to bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(doc) -> DualGraph:
     """Build a graph from the decoded document; structural errors only."""
     if not isinstance(doc, dict) or set(doc) - {"vertices", "edges"}:
@@ -301,20 +306,26 @@ def graph_from_json(doc) -> DualGraph:
             raise InputError(f"bad vertex entry {entry!r}")
         if "id" not in entry or "self" not in entry:
             raise InputError(f'vertex entry {entry!r} needs "id" and "self"')
-        if not isinstance(entry["self"], int) or not isinstance(entry.get("genus", 0), int):
-            raise InputError(f"vertex {entry.get('id')!r}: weights must be integers")
-        vertices.append(Vertex(str(entry["id"]), entry["self"], entry.get("genus", 0)))
+        if not isinstance(entry["id"], str):
+            raise InputError(f"vertex id {entry['id']!r} must be a string")
+        if not _is_int(entry["self"]) or not _is_int(entry.get("genus", 0)):
+            raise InputError(f"vertex {entry['id']!r}: weights must be integers")
+        vertices.append(Vertex(entry["id"], entry["self"], entry.get("genus", 0)))
+    raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise InputError('"edges" must be a list')
     edges = []
-    for entry in doc.get("edges", []):
+    for entry in raw_edges:
         if not isinstance(entry, dict) or not _EDGE_KEYS >= set(entry):
             raise InputError(f"bad edge entry {entry!r}")
         ends = entry.get("ends")
-        if not (isinstance(ends, list) and len(ends) == 2):
-            raise InputError(f'edge entry {entry!r} needs "ends": [a, b]')
+        if not (isinstance(ends, list) and len(ends) == 2
+                and all(isinstance(e, str) for e in ends)):
+            raise InputError(f'edge entry {entry!r} needs "ends": [a, b] with string ids')
         m = entry.get("mult", 1)
-        if not isinstance(m, int):
+        if not _is_int(m):
             raise InputError(f"edge {ends!r}: multiplicity must be an integer")
-        edges.append((str(ends[0]), str(ends[1]), m))
+        edges.append((ends[0], ends[1], m))
     return DualGraph(vertices, edges)
 
 
@@ -327,7 +338,7 @@ def parse_graph(text: str) -> DualGraph:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise InputError(f"graph document is not valid JSON: {exc}") from None
     g = graph_from_json(doc)
     if not is_negative_definite(g):

@@ -12,6 +12,8 @@ from __future__ import annotations
 from .errors import ParseError
 
 _VARS = {"x": 0, "y": 1, "z": 2}
+# ASCII only: str.isdigit also accepts digits such as "²" that int() rejects.
+_DIGITS = frozenset("0123456789")
 
 Term = tuple[tuple[int, int, int], int]
 
@@ -44,11 +46,14 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # beyond the interpreter's int-string limit
+            raise ParseError("integer too long", self.text, start) from None
 
 
 def _factor(sc: _Scanner, exps: list[int]):
@@ -67,7 +72,7 @@ def _term(sc: _Scanner, sign: int) -> Term:
     coeff = 1
     exps = [0, 0, 0]
     ch = sc.peek()
-    if ch is not None and ch.isdigit():
+    if ch in _DIGITS:
         coeff = sc.integer()
         if sc.peek() == "*":
             sc.take()

@@ -131,6 +131,16 @@ def test_bad_graph_file_reports_input_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_overlong_integer_literal_is_an_input_error(capsys):
+    poly = "x^" + "9" * 5000 + "+y"
+    code, _, err = run(capsys, "artinian", "colength", "--poly", poly, "--ideal", "x^3,y^3,z^3")
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: integer too long at position 2"
+    ]
+    assert "Traceback" not in err
+
+
 def test_verify_paper_command(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0

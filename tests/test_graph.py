@@ -77,6 +77,28 @@ def test_parse_rejects_bad_json_and_schema():
         parse_graph(json.dumps({"vertices": [{"id": "A", "self": -2, "extra": 1}]}))
     with pytest.raises(InputError, match="unknown vertex"):
         parse_graph(doc([{"id": "A", "self": -2}], [{"ends": ["A", "B"]}]))
+    # JSON booleans are not integers
+    with pytest.raises(InputError, match="integers"):
+        parse_graph(doc([{"id": "A", "self": True}]))
+    with pytest.raises(InputError, match="integers"):
+        parse_graph(doc([{"id": "A", "self": -2, "genus": False}]))
+    pair = [{"id": "A", "self": -2}, {"id": "B", "self": -2}]
+    with pytest.raises(InputError, match="multiplicity"):
+        parse_graph(doc(pair, [{"ends": ["A", "B"], "mult": True}]))
+    # ids and edge ends must be JSON strings, never stringified
+    with pytest.raises(InputError, match="string"):
+        parse_graph(doc([{"id": None, "self": -2}]))
+    with pytest.raises(InputError, match="string"):
+        parse_graph(doc([{"id": 1, "self": -2}]))
+    with pytest.raises(InputError, match="string"):
+        parse_graph(doc(pair, [{"ends": ["A", 1]}]))
+    with pytest.raises(InputError, match="JSON"):
+        parse_graph('{"vertices": [{"id": "A", "self": -' + "9" * 5000 + "}]}")
+    with pytest.raises(InputError, match='"edges"'):
+        parse_graph(json.dumps({"vertices": pair, "edges": None}))
+    # the id invariant holds for hand-built graphs too
+    with pytest.raises(InputError, match="invalid vertex id"):
+        DualGraph([Vertex(1, -2)], [])
 
 
 def test_multiplicity_two_edge_is_not_negative_definite():

@@ -49,6 +49,17 @@ def test_error_positions():
     assert err.value.pos == 0
     with pytest.raises(ParseError):
         parse_polynomial("x^2+z*(z^6+y^4)")  # parentheses are not supported
+    # only ASCII digits: str.isdigit would accept the superscript
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x^²+y")
+    assert err.value.pos == 2
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x+²y")
+    assert err.value.pos == 2
+    # a literal beyond the interpreter's int-string limit
+    with pytest.raises(ParseError, match="integer too long") as err:
+        parse_polynomial("x^" + "9" * 5000 + "+y")
+    assert err.value.pos == 2
 
 
 def test_caret_rendering():
