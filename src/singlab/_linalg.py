@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here is fraction-free Gaussian elimination in the style of
-Bareiss: integer determinants and leading principal minors, linear solves
-with rational back substitution, and ranks of rational matrices after
-clearing denominators.  No floating point anywhere.
+Everything here is one fraction-free Gaussian elimination in the style of
+Bareiss, ``eliminate``: ranks of rational matrices after clearing
+denominators, linear solves with rational back substitution, and the
+negative-definiteness test, which reads Sylvester's criterion off the
+pivots of a single pass.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,66 +21,68 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def det(matrix) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
+def eliminate(a, ncols: int) -> tuple[list[int], bool]:
+    """Fraction-free forward elimination of the integer rows ``a``, in place.
+
+    Pivots are taken in the first ``ncols`` columns; any later columns (a
+    right-hand side, say) are carried along.  Returns the pivots in order
+    and whether the elimination was regular: no row swap and no skipped
+    column.  When it is regular, the k-th pivot is the k-th leading
+    principal minor (Sylvester's identity).
+    """
+    nrows = len(a)
+    width = len(a[0]) if a else 0
+    pivots = []
+    regular = True
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _exact_div(row_i[j] * pivot - factor * row_k[j], prev)
-            row_i[k] = 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            regular = False
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            regular = False
+        row_r = a[r]
+        pivot = row_r[c]
+        for i in range(r + 1, nrows):
+            row_i = a[i]
+            factor = row_i[c]
+            for j in range(c + 1, width):
+                row_i[j] = _exact_div(row_i[j] * pivot - factor * row_r[j], prev)
+            row_i[c] = 0
+        pivots.append(pivot)
         prev = pivot
-    return sign * a[n - 1][n - 1]
+        r += 1
+    return pivots, regular
 
 
-def leading_principal_minors(matrix) -> list[int]:
-    """[det M_1, ..., det M_n] over the leading k-by-k corners."""
+def negative_definite(matrix) -> bool:
+    """Sylvester's criterion for a symmetric integer matrix: the k-th
+    leading principal minor has sign (-1)^k.
+
+    A regular elimination yields exactly those minors as its pivots, and an
+    irregular one means some minor vanishes, so one O(n^3) pass decides.
+    """
     n = len(matrix)
-    return [det([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
+    pivots, regular = eliminate([list(row) for row in matrix], n)
+    return regular and len(pivots) == n and all(
+        (p < 0) if k % 2 == 0 else (p > 0) for k, p in enumerate(pivots)
+    )
 
 
 def solve(matrix, rhs) -> list[Fraction]:
     """Solve M x = b exactly for square integer M and integer b.
 
-    Fraction-free forward elimination, rational back substitution.
-    Raises ValueError when M is singular.
+    Fraction-free forward elimination of [M | b], rational back
+    substitution.  Raises ValueError when M is singular.
     """
     n = len(matrix)
     a = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    break
-            else:
-                raise ValueError("singular matrix")
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            factor = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = _exact_div(row_i[j] * pivot - factor * row_k[j], prev)
-            row_i[k] = 0
-        prev = pivot
-    if a[n - 1][n - 1] == 0:
+    if len(eliminate(a, n)[0]) < n:
         raise ValueError("singular matrix")
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
@@ -99,33 +102,4 @@ def rank(rows) -> int:
         fracs = [Fraction(x) for x in row]
         mult = lcm(*(f.denominator for f in fracs))
         cleared.append([int(f * mult) for f in fracs])
-    return _rank_int(cleared)
-
-
-def _rank_int(a) -> int:
-    a = [row[:] for row in a]
-    nrows = len(a)
-    ncols = len(a[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, nrows):
-            row_i, row_r = a[i], a[r]
-            factor = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = _exact_div(row_i[j] * pivot - factor * row_r[j], prev)
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(eliminate(cleared, len(cleared[0]))[0])

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InputError
-from .graph import DualGraph, Vertex, is_negative_definite
+from .graph import DualGraph, Vertex
 
 __all__ = [
     "fig2312",
@@ -36,12 +36,6 @@ __all__ = [
 ]
 
 
-def _validated(g: DualGraph) -> DualGraph:
-    if not is_negative_definite(g):
-        raise InputError("generated graph is not negative definite")
-    return g
-
-
 @lru_cache(maxsize=None)
 def fig2312(n: int) -> DualGraph:
     """Chain of 2n (-2)-curves ending in a genus-1 (-1)-curve."""
@@ -50,7 +44,7 @@ def fig2312(n: int) -> DualGraph:
     vertices = [Vertex(f"E{i}", -2, 0) for i in range(2 * n)]
     vertices.append(Vertex(f"E{2 * n}", -1, 1))
     edges = [(f"E{i}", f"E{i + 1}", 1) for i in range(2 * n)]
-    return _validated(DualGraph(vertices, edges))
+    return DualGraph(vertices, edges)
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +55,7 @@ def fig244(m: int) -> DualGraph:
     names = [f"E{j}_1" for j in range(m)] + ["Em"] + [f"E{j}_2" for j in reversed(range(m))]
     vertices = [Vertex(name, -2, 1 if name == "Em" else 0) for name in names]
     edges = [(names[i], names[i + 1], 1) for i in range(len(names) - 1)]
-    return _validated(DualGraph(vertices, edges))
+    return DualGraph(vertices, edges)
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +72,7 @@ def brell3(m: int) -> DualGraph:
             edges.append(("E", f"E{m - 1}_{s}", 1))
             for j in range(m - 1):
                 edges.append((f"E{j}_{s}", f"E{j + 1}_{s}", 1))
-    return _validated(DualGraph(vertices, edges))
+    return DualGraph(vertices, edges)
 
 
 CORPUS = {"fig2312": fig2312, "fig244": fig244, "brell3": brell3}

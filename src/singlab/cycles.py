@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ._linalg import solve
 from .errors import InputError, InternalCheckError
-from .graph import Cycle, DualGraph, QCycle, pairing
+from .graph import Cycle, DualGraph, QCycle, connected_components, mat_vec, pairing
 
 __all__ = [
     "adjunction_vector",
@@ -32,30 +32,6 @@ def adjunction_vector(g: DualGraph) -> tuple[int, ...]:
     solving for K, which keeps Euler characteristics in pure integers.
     """
     return tuple(2 * v.genus - 2 - v.self_int for v in g.vertices)
-
-
-def connected_components(g: DualGraph, indices) -> list[set[int]]:
-    """Connected components of the subgraph induced on the vertex indices
-    ``indices``, each grown from its smallest index."""
-    nbrs = g._cache.get("neighbours")
-    if nbrs is None:
-        m = g.matrix
-        nbrs = [[j for j in range(len(g)) if j != i and m[i][j] != 0] for i in range(len(g))]
-        g._cache["neighbours"] = nbrs
-    out = []
-    left = set(indices)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for j in nbrs[stack.pop()]:
-                if j in left and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        left -= comp
-        out.append(comp)
-    return out
 
 
 def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
@@ -110,16 +86,11 @@ def canonical_cycle(g: DualGraph) -> QCycle:
     if cached is not None:
         return cached
     rhs = adjunction_vector(g)
-    try:
-        coeffs = solve([list(row) for row in g.matrix], list(rhs))
-    except ValueError:
-        raise InputError(
-            "intersection matrix is singular; not a valid resolution graph"
-        ) from None
+    # a negative definite form (a DualGraph invariant) is never singular
+    coeffs = solve(g.matrix, rhs)
     k = QCycle(g, coeffs)
     # re-substitution check, always on
-    for i in range(len(g)):
-        acc = sum(g.matrix[i][j] * coeffs[j] for j in range(len(g)))
+    for i, acc in enumerate(mat_vec(g, coeffs)):
         if acc != rhs[i]:
             raise InternalCheckError(
                 "canonical-cycle-resubstitution",

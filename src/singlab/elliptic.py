@@ -383,7 +383,7 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
 
     j0 = js[0]
     adj = adjunction_vector(g)
-    cm = seq.partial_sum(m)
+    cm_dot = mat_vec(g, seq.partial_sum(m).coeffs)  # C_m . E_i for every i
     f: dict[int, int] = {}  # t -> vertex index of F_t
     for t in range(j0, m):
         z = seq.cycles[t]
@@ -418,8 +418,7 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
                 "minus-one-chain-structure",
                 f"chain break between {v.id} and {g.vertices[f[t + 1]].id}",
             )
-        unit = Cycle.unit(g, v.id)
-        if pairing(g, cm, unit) != 0 or adj[f[t]] != 0:
+        if cm_dot[f[t]] != 0 or adj[f[t]] != 0:
             raise InternalCheckError(
                 "minus-one-chain-structure",
                 f"total cycle or canonical cycle meets {v.id}",

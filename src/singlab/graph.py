@@ -4,8 +4,10 @@ A graph records the irreducible exceptional curves of a resolution of a
 normal surface singularity: each vertex carries a self-intersection number
 and a genus, each edge an intersection multiplicity.  The graph is a valid
 resolution graph exactly when its intersection matrix is negative
-definite, which is decided by exact integer arithmetic (leading principal
-minors); no floating point is used anywhere in this package.
+definite.  That is an invariant of every ``DualGraph``, however it was
+built: the constructor decides it by one fraction-free elimination
+(Sylvester's criterion on its pivots) and raises InputError otherwise; no
+floating point is used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -15,10 +17,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import leading_principal_minors
+from ._linalg import negative_definite
 from .errors import InputError
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+
+
+def _is_int(x) -> bool:
+    # bools (JSON true/false among them) count as ints in Python; not here
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -29,23 +36,32 @@ class Vertex:
 
 
 class DualGraph:
-    """Immutable weighted dual graph.
+    """Immutable weighted dual graph with a negative definite intersection form.
 
     ``vertices`` keeps document order (all reports refer to vertices by id,
     never by index).  ``edges`` is normalized to ``(id_a, id_b, mult)``
     with ``a`` preceding ``b`` in vertex order and one entry per pair;
     duplicate pairs in the input have their multiplicities summed.
+    ``neighbours[i]`` lists the indices adjacent to vertex ``i``, ascending.
+    The constructor rejects with InputError anything that is not a
+    connected resolution graph, a form that is not negative definite
+    included.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_matrix", "_cache")
+    __slots__ = ("vertices", "edges", "neighbours", "_index", "_matrix", "_cache")
 
     def __init__(self, vertices, edges):
         verts = []
         for v in vertices:
             if not isinstance(v, Vertex):
-                v = Vertex(*v)
+                try:
+                    v = Vertex(*v)
+                except TypeError:
+                    raise InputError(f"bad vertex {v!r}") from None
             if not isinstance(v.id, str) or not _ID_RE.match(v.id):
                 raise InputError(f"invalid vertex id {v.id!r}")
+            if not _is_int(v.self_int) or not _is_int(v.genus):
+                raise InputError(f"vertex {v.id!r}: weights must be integers")
             if v.genus < 0:
                 raise InputError(f"vertex {v.id}: genus must be >= 0")
             verts.append(v)
@@ -58,12 +74,19 @@ class DualGraph:
             index[v.id] = i
 
         mult = {}
-        for a, b, m in edges:
+        for e in edges:
+            if not isinstance(e, (tuple, list)) or len(e) != 3:
+                raise InputError(f"edge {e!r} must be (id_a, id_b, multiplicity)")
+            a, b, m = e
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise InputError(f"edge {e!r}: ends must be string vertex ids")
             if a not in index or b not in index:
                 missing = a if a not in index else b
                 raise InputError(f"edge references unknown vertex {missing!r}")
             if a == b:
                 raise InputError(f"loop edge at vertex {a!r} is not allowed")
+            if not _is_int(m):
+                raise InputError(f"edge {a}-{b}: multiplicity must be an integer")
             if m < 1:
                 raise InputError(f"edge {a}-{b}: multiplicity must be >= 1")
             key = (min(index[a], index[b]), max(index[a], index[b]))
@@ -71,32 +94,30 @@ class DualGraph:
 
         n = len(verts)
         matrix = [[0] * n for _ in range(n)]
+        nbrs = [[] for _ in range(n)]
         for i, v in enumerate(verts):
             matrix[i][i] = v.self_int
-        for (i, j), m in mult.items():
+        for (i, j), m in sorted(mult.items()):
             matrix[i][j] = m
             matrix[j][i] = m
-
-        # connectivity
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j != i and matrix[i][j] != 0 and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != n:
-            missing = next(verts[i].id for i in range(n) if i not in seen)
-            raise InputError(f"graph is disconnected (vertex {missing!r} unreachable)")
+            nbrs[i].append(j)
+            nbrs[j].append(i)
 
         self.vertices = tuple(verts)
         self.edges = tuple(
             (verts[i].id, verts[j].id, mult[(i, j)]) for (i, j) in sorted(mult)
         )
+        self.neighbours = tuple(tuple(row) for row in nbrs)
         self._index = index
         self._matrix = tuple(tuple(row) for row in matrix)
         self._cache = {}
+
+        components = connected_components(self, range(n))
+        if len(components) != 1:
+            missing = verts[min(components[1])].id
+            raise InputError(f"graph is disconnected (vertex {missing!r} unreachable)")
+        if not is_negative_definite(self):
+            raise InputError("intersection matrix is not negative definite")
 
     # -- basic accessors -------------------------------------------------
 
@@ -288,11 +309,6 @@ _VERTEX_KEYS = {"id", "self", "genus"}
 _EDGE_KEYS = {"ends", "mult"}
 
 
-def _is_int(x) -> bool:
-    # JSON true/false decode to bools, which Python counts as ints
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def graph_from_json(doc) -> DualGraph:
     """Build a graph from the decoded document; structural errors only."""
     if not isinstance(doc, dict) or set(doc) - {"vertices", "edges"}:
@@ -333,17 +349,15 @@ def parse_graph(text: str) -> DualGraph:
     """Parse and fully validate a graph document.
 
     Rejects, with a message naming the violated invariant: JSON syntax
-    errors, duplicate ids, loop edges, disconnected graphs, and graphs
-    whose intersection matrix is not negative definite.
+    errors, schema errors, and everything the ``DualGraph`` constructor
+    refuses (duplicate ids, loop edges, disconnected graphs, and graphs
+    whose intersection matrix is not negative definite).
     """
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise InputError(f"graph document is not valid JSON: {exc}") from None
-    g = graph_from_json(doc)
-    if not is_negative_definite(g):
-        raise InputError("intersection matrix is not negative definite")
-    return g
+    return graph_from_json(doc)
 
 
 def graph_to_json(g: DualGraph) -> dict:
@@ -396,12 +410,31 @@ def pairing(g: DualGraph, d1, d2):
 
 
 def is_negative_definite(g: DualGraph) -> bool:
-    """Exact test: the k-th leading principal minor must have sign (-1)^k."""
-    minors = leading_principal_minors(g.matrix)
-    return all(
-        (minor > 0) if k % 2 == 0 else (minor < 0)
-        for k, minor in enumerate(minors, start=1)
-    )
+    """Exact test by Sylvester's criterion on one fraction-free elimination.
+
+    The constructor already holds every graph to it, so on a built
+    ``DualGraph`` this is always True.
+    """
+    return negative_definite(g.matrix)
+
+
+def connected_components(g: DualGraph, indices) -> list[set[int]]:
+    """Connected components of the subgraph induced on the vertex indices
+    ``indices``, each grown from its smallest index."""
+    out = []
+    left = set(indices)
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            for j in g.neighbours[stack.pop()]:
+                if j in left and j not in comp:
+                    comp.add(j)
+                    stack.append(j)
+        left -= comp
+        out.append(comp)
+    return out
 
 
 def is_anti_nef(g: DualGraph, d: Cycle) -> bool:

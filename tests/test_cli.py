@@ -131,6 +131,18 @@ def test_bad_graph_file_reports_input_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_graph_analyze_rejects_non_definite_forms(tmp_path, capsys):
+    cusp = {"vertices": [{"id": f"C{i}", "self": -2} for i in range(3)],
+            "edges": [{"ends": ["C0", "C1"]}, {"ends": ["C1", "C2"]}, {"ends": ["C2", "C0"]}]}
+    zero = {"vertices": [{"id": "A", "self": 0}], "edges": []}
+    for doc in (cusp, zero):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "graph", "analyze", str(path), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == "error: intersection matrix is not negative definite\n"
+
+
 def test_overlong_integer_literal_is_an_input_error(capsys):
     poly = "x^" + "9" * 5000 + "+y"
     code, _, err = run(capsys, "artinian", "colength", "--poly", poly, "--ideal", "x^3,y^3,z^3")

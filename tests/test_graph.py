@@ -96,18 +96,42 @@ def test_parse_rejects_bad_json_and_schema():
         parse_graph('{"vertices": [{"id": "A", "self": -' + "9" * 5000 + "}]}")
     with pytest.raises(InputError, match='"edges"'):
         parse_graph(json.dumps({"vertices": pair, "edges": None}))
-    # the id invariant holds for hand-built graphs too
+    # the same invariants hold for hand-built graphs
     with pytest.raises(InputError, match="invalid vertex id"):
         DualGraph([Vertex(1, -2)], [])
+    with pytest.raises(InputError, match="bad vertex"):
+        DualGraph([("A",)], [])
+    for bad in (Vertex("A", "-2"), Vertex("A", True), Vertex("A", -2, None)):
+        with pytest.raises(InputError, match="integers"):
+            DualGraph([bad], [])
+    pair_v = [Vertex("A", -2), Vertex("B", -2)]
+    with pytest.raises(InputError, match="multiplicity"):
+        DualGraph(pair_v, [("A", "B", True)])
+    with pytest.raises(InputError, match="string vertex ids"):
+        DualGraph(pair_v, [(["A"], "B", 1)])
+    for edge in (("A", "B"), ("A", "B", 1, 1), "AB1"):
+        with pytest.raises(InputError, match="must be"):
+            DualGraph(pair_v, [edge])
+    # accepted forms are unchanged: tuples, lists, and (id, self, genus) rows
+    assert DualGraph([("A", -2, 0), ("B", -2)], [["A", "B", 1]]) == DualGraph(
+        pair_v, [("A", "B", 1)]
+    )
 
 
 def test_multiplicity_two_edge_is_not_negative_definite():
-    g = DualGraph(
-        [Vertex("A", -2), Vertex("B", -2)],
-        [("A", "B", 2)],
-    )
-    assert intersection_matrix(g) == [[-2, 2], [2, -2]]
-    assert not is_negative_definite(g)
+    with pytest.raises(InputError, match="not negative definite"):
+        DualGraph([Vertex("A", -2), Vertex("B", -2)], [("A", "B", 2)])
+
+
+def test_semidefinite_and_zero_forms_are_rejected_at_construction():
+    # a cycle of three (-2)-curves: M . (1, 1, 1) = 0
+    with pytest.raises(InputError, match="not negative definite"):
+        DualGraph(
+            [Vertex("C0", -2), Vertex("C1", -2), Vertex("C2", -2)],
+            [("C0", "C1", 1), ("C1", "C2", 1), ("C2", "C0", 1)],
+        )
+    with pytest.raises(InputError, match="not negative definite"):
+        DualGraph([Vertex("A", 0)], [])
 
 
 def test_duplicate_edge_entries_merge():

@@ -6,28 +6,52 @@ from fractions import Fraction
 import pytest
 
 from oracles import fraction_det, fraction_rank
-from singlab._linalg import det, leading_principal_minors, rank, solve
-
-
-def test_det_small_cases():
-    assert det([[-2]]) == -2
-    assert det([[-2, 2], [2, -2]]) == 0
-    assert det([[-2, 1], [1, -2]]) == 3
-    assert det([]) == 1
+from singlab._linalg import eliminate, negative_definite, rank, solve
 
 
 def test_leading_principal_minors_chain():
     # tridiagonal chain of (-2)s: minors alternate as (-1)^k (k+1)
     m = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
-    assert leading_principal_minors(m) == [-2, 3, -4]
+    assert eliminate([row[:] for row in m], 3) == ([-2, 3, -4], True)
+    assert negative_definite(m)
 
 
-def test_det_matches_fraction_oracle():
-    rng = random.Random(7)
-    for _ in range(200):
+def random_symmetric(rng, n):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-5, 5)
+    return m
+
+
+def test_pivots_are_leading_minors_and_decide_definiteness():
+    rng = random.Random(17)
+    cases = [random_symmetric(rng, rng.randint(1, 6)) for _ in range(400)]
+    # a zero leading minor with a nonzero determinant, and singular forms
+    cases += [
+        [[0, 1], [1, 0]],
+        [[-2, 1, 0], [1, 0, 1], [0, 1, -2]],
+        [[-2, 2], [2, -2]],
+        [[-2, 1, 1], [1, -2, 1], [1, 1, -2]],
+        [[0]],
+    ]
+    for _ in range(100):  # negative definite: -(A^T A + I)
         n = rng.randint(1, 6)
-        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det(m) == fraction_det(m)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        cases.append([[-sum(a[k][i] * a[k][j] for k in range(n)) - (i == j)
+                       for j in range(n)] for i in range(n)])
+    verdicts = set()
+    for m in cases:
+        n = len(m)
+        minors = [fraction_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        pivots, regular = eliminate([row[:] for row in m], n)
+        first_zero = minors.index(0) if 0 in minors else n
+        assert regular == (first_zero == n), m
+        assert pivots[:first_zero] == minors[:first_zero], m
+        sylvester = all((d < 0) if k % 2 else (d > 0) for k, d in enumerate(minors, 1))
+        assert negative_definite(m) == sylvester, m
+        verdicts.add(sylvester)
+    assert verdicts == {True, False}
 
 
 def test_solve_resubstitutes():
