@@ -1,9 +1,14 @@
 """Lattice-box scans and their enumeration budget.
 
-The scan kernels walk every integer vector D with 0 <= D <= bounds
-(mixed-radix odometer, index 0 fastest) while maintaining s = M.D,
-q = D.M.D and b.D incrementally.  Python ints keep the arithmetic exact
-for any input size.  Callers size a scan with ``check_budget`` first.
+Both kernels cover every integer vector D with 0 <= D <= bounds in
+mixed-radix odometer order, index 0 fastest, keeping M.D and the other
+running sums up to date incrementally.  ``antinef_in_box`` visits each
+candidate.  ``min_twochi_in_box`` steps the odometer over axes 1..n-1
+only, updating along the sparse columns of M (O(degree) per step), and
+settles each row along axis 0 in closed form; every candidate of the
+box is still certified, since the closed form is the exact minimum of
+its row.  Python ints keep the arithmetic exact for any input size.
+Callers size a scan with ``check_budget`` first.
 
 Environment variables:
     SINGLAB_MAX_ENUM  candidate budget for exhaustive scans (default 10**7).
@@ -40,6 +45,9 @@ def box_size(bounds) -> int:
 
 
 def check_budget(bounds, limit: int | None = None, what: str = "enumeration") -> int:
+    """The box size, after rejecting a negative bound or a box above the budget."""
+    if any(b < 0 for b in bounds):
+        raise InputError(f"{what} needs non-negative bounds, got {tuple(bounds)}")
     size = box_size(bounds)
     cap = max_enum() if limit is None else limit
     if size > cap:
@@ -83,40 +91,65 @@ def antinef_in_box(matrix, bounds):
 def min_twochi_in_box(matrix, adj, bounds):
     """Minimum of -(D.M.D + adj.D) over D != 0 in the box, with a witness.
 
-    Returns (min_value, witness_tuple); the value is twice the minimal
-    Euler characteristic.
+    Returns (min_value, witness_tuple), or (None, None) when the box holds
+    only D = 0; the value is twice the minimal Euler characteristic.  The
+    witness is the first minimiser in odometer order, index 0 fastest.
+
+    The odometer runs over axes 1..n-1, and each row of the box along
+    axis 0 is settled in closed form: with the other entries fixed,
+    2chi = c - beta*x + a*x^2 in x = d_0, where a = -m_00 must be
+    positive (as on every negative definite form), so the row minimum
+    lies at floor(beta / 2a) or one above it, clamped to the row.
     """
     n = len(bounds)
-    cols = _columns(matrix, n)
+    if n == 0:
+        return None, None
+    a = -matrix[0][0]
+    if a <= 0:
+        raise InputError("min_twochi_in_box needs a negative first diagonal entry")
+    b0 = bounds[0]
+    adj0 = adj[0]
+    # sparse columns: the nonzero (i, m_ij) of column j
+    cols = [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(n)]
+    # 2chi(D + e_j) - 2chi(D) = -(2 s_j + m_jj + adj_j)
+    step = [matrix[j][j] + adj[j] for j in range(n)]
     d = [0] * n
-    s = [0] * n
-    q = 0
-    bd = 0
-    best = None
-    witness = None
-    first = True
+    s = [0] * n  # M.D, with d_0 held at 0
+    c = 0  # 2chi(D), with d_0 held at 0
+    best = witness = None
+    lo = 1  # the first row is the one through D = 0, which is skipped
     while True:
-        if not first:
-            val = -(q + bd)
+        if lo <= b0:
+            beta = 2 * s[0] + adj0
+            x = beta // (2 * a)
+            if x < lo:
+                x = lo
+            elif x > b0:
+                x = b0
+            val = (a * x - beta) * x
+            if x < b0:
+                # f(x+1) - f(x) = a(2x+1) - beta; a tie keeps the smaller x
+                up = a * (2 * x + 1) - beta
+                if up < 0:
+                    x += 1
+                    val += up
+            val += c
             if best is None or val < best:
                 best = val
-                witness = tuple(d)
-        first = False
-        j = 0
+                witness = (x, *d[1:])
+        lo = 0
+        j = 1
         while j < n and d[j] == bounds[j]:
             k = d[j]
-            col = cols[j]
-            q += -2 * k * s[j] + k * k * col[j]
-            bd -= k * adj[j]
-            for i in range(n):
-                s[i] -= k * col[i]
-            d[j] = 0
+            if k:
+                c += k * (2 * s[j] - k * matrix[j][j] + adj[j])
+                for i, m in cols[j]:
+                    s[i] -= k * m
+                d[j] = 0
             j += 1
         if j == n:
             return best, witness
-        col = cols[j]
-        q += 2 * s[j] + col[j]
-        bd += adj[j]
+        c -= 2 * s[j] + step[j]
         d[j] += 1
-        for i in range(n):
-            s[i] += col[i]
+        for i, m in cols[j]:
+            s[i] += m

@@ -35,7 +35,7 @@ from .cycles import (
     is_numerically_gorenstein,
 )
 from .errors import InputError, InternalCheckError
-from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, mat_vec, pairing
+from .graph import Cycle, DualGraph, _is_int, cycle_to_json, is_anti_nef, mat_vec, pairing
 
 __all__ = [
     "EllipticSequence",
@@ -129,17 +129,23 @@ def chi_nonnegative_check(g: DualGraph, factor: int = 2, mode: str = "auto",
     """Check chi(D) >= 0 for 0 < D <= factor * Z_E.
 
     ``mode`` is "exhaustive", "sample", or "auto" (exhaustive when the box
-    has at most 200k candidates).  Raises InternalCheckError with a witness
+    has at most 200k candidates).  ``checked`` counts the nonzero
+    candidates certified: every one of the box when exhaustive, the
+    nonzero draws when sampled.  Raises InternalCheckError with a witness
     if a negative Euler characteristic shows up; for a valid elliptic graph
-    none exists.
+    none exists.  ``factor`` and ``samples`` must be non-negative integers.
     """
+    if mode not in ("auto", "exhaustive", "sample"):
+        raise InputError(f"unknown sweep mode {mode!r}")
+    if not _is_int(factor) or factor < 0:
+        raise InputError(f"sweep factor must be a non-negative integer, got {factor!r}")
+    if not _is_int(samples) or samples < 0:
+        raise InputError(f"sweep samples must be a non-negative integer, got {samples!r}")
     ze = fundamental_cycle(g)
     bounds = tuple(factor * c for c in ze.coeffs)
     matrix = g.matrix
     adj = adjunction_vector(g)
     size = _engine.box_size(bounds)
-    if mode not in ("auto", "exhaustive", "sample"):
-        raise InputError(f"unknown sweep mode {mode!r}")
     if mode == "auto":
         mode = "exhaustive" if size <= _AUTO_SWEEP_CAP else "sample"
 

@@ -59,7 +59,9 @@ class DualGraph:
                 except TypeError:
                     raise InputError(f"bad vertex {v!r}") from None
             if not isinstance(v.id, str) or not _ID_RE.match(v.id):
-                raise InputError(f"invalid vertex id {v.id!r}")
+                raise InputError(
+                    f"invalid vertex id {v.id!r}: must be a string of letters, digits and _"
+                )
             if not _is_int(v.self_int) or not _is_int(v.genus):
                 raise InputError(f"vertex {v.id!r}: weights must be integers")
             if v.genus < 0:
@@ -310,7 +312,10 @@ _EDGE_KEYS = {"ends", "mult"}
 
 
 def graph_from_json(doc) -> DualGraph:
-    """Build a graph from the decoded document; structural errors only."""
+    """Build a graph from the decoded document.
+
+    Checks the shape of the document only; the ``DualGraph`` constructor
+    checks the values (ids, weights, multiplicities) and the form."""
     if not isinstance(doc, dict) or set(doc) - {"vertices", "edges"}:
         raise InputError('graph document must be {"vertices": [...], "edges": [...]}')
     raw_vertices = doc.get("vertices")
@@ -322,10 +327,6 @@ def graph_from_json(doc) -> DualGraph:
             raise InputError(f"bad vertex entry {entry!r}")
         if "id" not in entry or "self" not in entry:
             raise InputError(f'vertex entry {entry!r} needs "id" and "self"')
-        if not isinstance(entry["id"], str):
-            raise InputError(f"vertex id {entry['id']!r} must be a string")
-        if not _is_int(entry["self"]) or not _is_int(entry.get("genus", 0)):
-            raise InputError(f"vertex {entry['id']!r}: weights must be integers")
         vertices.append(Vertex(entry["id"], entry["self"], entry.get("genus", 0)))
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -338,10 +339,7 @@ def graph_from_json(doc) -> DualGraph:
         if not (isinstance(ends, list) and len(ends) == 2
                 and all(isinstance(e, str) for e in ends)):
             raise InputError(f'edge entry {entry!r} needs "ends": [a, b] with string ids')
-        m = entry.get("mult", 1)
-        if not _is_int(m):
-            raise InputError(f"edge {ends!r}: multiplicity must be an integer")
-        edges.append((ends[0], ends[1], m))
+        edges.append((ends[0], ends[1], entry.get("mult", 1)))
     return DualGraph(vertices, edges)
 
 

@@ -26,6 +26,19 @@ def two_chi(matrix, adj, vec):
     return -(quad(matrix, vec) + sum(a * v for a, v in zip(adj, vec)))
 
 
+def first_min_two_chi(matrix, adj, bounds):
+    """(min, witness) of two_chi over D != 0 in the box: the first minimum
+    met when the box is scanned index 0 fastest, or (None, None)."""
+    best = witness = None
+    for rev in product(*(range(b + 1) for b in reversed(bounds))):
+        d = rev[::-1]
+        if any(d):
+            value = two_chi(matrix, adj, list(d))
+            if best is None or value < best:
+                best, witness = value, d
+    return best, witness
+
+
 def is_antinef(matrix, vec):
     return all(s <= 0 for s in mat_vec(matrix, vec))
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -265,6 +267,38 @@ def test_chi_sweep_exhaustive_and_sampled():
     assert sampled.min_chi >= 0
     with pytest.raises(InputError, match="sweep mode"):
         chi_nonnegative_check(g, mode="everything")
+
+
+@contextmanager
+def _at_once(seconds=5):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample", "auto"])
+def test_chi_sweep_rejects_bad_factor_and_samples_at_once(mode):
+    # a negative factor would make negative bounds, which the exhaustive
+    # odometer never reaches and randint refuses with a bare ValueError
+    g = fig2312(1)
+    for factor in (-1, -3, True, 1.5, "2", None):
+        with _at_once(), pytest.raises(InputError, match="sweep factor"):
+            chi_nonnegative_check(g, factor=factor, mode=mode)
+    for samples in (-1, False, 2.0):
+        with _at_once(), pytest.raises(InputError, match="sweep samples"):
+            chi_nonnegative_check(g, mode=mode, samples=samples)
+    # factor 0 leaves only D = 0: nothing to certify
+    with _at_once():
+        assert chi_nonnegative_check(g, factor=0, mode=mode).checked == 0
 
 
 def test_elliptic_sequence_beyond_the_old_box_budget():

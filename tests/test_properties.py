@@ -1,12 +1,15 @@
-"""Exhaustive structural property sweeps on the corpus graphs."""
+"""Exhaustive structural property sweeps on the corpus graphs, and the
+chi-sweep kernel against its oracle on random small forms."""
 
 from __future__ import annotations
 
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import connected_subsets
+from oracles import connected_subsets, first_min_two_chi
 from singlab import (
     Cycle,
     chi,
@@ -15,6 +18,7 @@ from singlab import (
     minimally_elliptic_cycle,
     pairing,
 )
+from singlab import _engine
 from singlab.corpus import brell3, fig244, fig2312
 
 GRAPHS = [fig2312(1), fig2312(2), fig244(1), fig244(2), brell3(1), brell3(2)]
@@ -73,3 +77,28 @@ def test_sequence_supports_shrink_by_inclusion():
         for a, b in zip(seq.supports, seq.supports[1:]):
             assert set(b) < set(a)
         assert seq.cycles[-1] == minimally_elliptic_cycle(g)
+
+
+@st.composite
+def small_forms(draw):
+    """(matrix, adj, bounds): a symmetric, strictly diagonally dominant
+    (so negative definite) form on 1 to 4 vertices and a box below it."""
+    n = draw(st.integers(1, 4))
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = draw(st.integers(0, 2))
+    for i in range(n):
+        matrix[i][i] = -(sum(matrix[i]) + draw(st.integers(1, 3)))
+    adj = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    bounds = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return tuple(map(tuple, matrix)), tuple(adj), tuple(bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_forms())
+def test_row_kernel_is_the_first_odometer_minimum(form):
+    matrix, adj, bounds = form
+    assert _engine.min_twochi_in_box(matrix, adj, bounds) == first_min_two_chi(
+        matrix, adj, bounds
+    )
