@@ -1,4 +1,4 @@
-"""Lattice-box scans and their enumeration budget.
+"""Lattice-box scans and the enumeration budget.
 
 Both kernels cover every integer vector D with 0 <= D <= bounds in
 mixed-radix odometer order, index 0 fastest, keeping M.D and the other
@@ -8,10 +8,11 @@ only, updating along the sparse columns of M (O(degree) per step), and
 settles each row along axis 0 in closed form; every candidate of the
 box is still certified, since the closed form is the exact minimum of
 its row.  Python ints keep the arithmetic exact for any input size.
-Callers size a scan with ``check_budget`` first.
+``check_budget`` guards the scans whose length the caller's numbers pick:
+the anti-nef enumeration and the p_g lattice count of ``singlab.wh``.
 
 Environment variables:
-    SINGLAB_MAX_ENUM  candidate budget for exhaustive scans (default 10**7).
+    SINGLAB_MAX_ENUM  candidate budget for the guarded scans (default 10**7).
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ def box_size(bounds) -> int:
     return prod(b + 1 for b in bounds)
 
 
-def check_budget(bounds, limit: int | None = None, what: str = "enumeration") -> int:
+def check_budget(bounds, what: str = "enumeration") -> int:
     """The box size, after rejecting a negative bound or a box above the budget."""
     if any(b < 0 for b in bounds):
         raise InputError(f"{what} needs non-negative bounds, got {tuple(bounds)}")
     size = box_size(bounds)
-    cap = max_enum() if limit is None else limit
+    cap = max_enum()
     if size > cap:
         raise EnumerationLimitError(
             f"{what} needs {size} candidates, above the budget of {cap}; "

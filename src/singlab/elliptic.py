@@ -35,7 +35,7 @@ from .cycles import (
     is_numerically_gorenstein,
 )
 from .errors import InputError, InternalCheckError
-from .graph import Cycle, DualGraph, _is_int, cycle_to_json, is_anti_nef, mat_vec, pairing
+from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, mat_vec, pairing
 
 __all__ = [
     "EllipticSequence",
@@ -49,9 +49,7 @@ __all__ = [
     "chi_nonnegative_check",
 ]
 
-# boxes at most this large are swept exhaustively inside is_elliptic;
-# larger ones are sampled (the full sweep stays available through
-# chi_nonnegative_check(..., mode="exhaustive"))
+# the chi >= 0 sweep is exhaustive up to this box size, sampled above it
 _AUTO_SWEEP_CAP = 200_000
 _SWEEP_SAMPLES = 2000
 
@@ -124,41 +122,26 @@ class EllipticSequence:
         }
 
 
-def chi_nonnegative_check(g: DualGraph, factor: int = 2, mode: str = "auto",
-                          samples: int = _SWEEP_SAMPLES, limit: int | None = None) -> ChiSweep:
-    """Check chi(D) >= 0 for 0 < D <= factor * Z_E.
-
-    ``mode`` is "exhaustive", "sample", or "auto" (exhaustive when the box
-    has at most 200k candidates).  ``checked`` counts the nonzero
-    candidates certified: every one of the box when exhaustive, the
-    nonzero draws when sampled.  Raises InternalCheckError with a witness
-    if a negative Euler characteristic shows up; for a valid elliptic graph
-    none exists.  ``factor`` and ``samples`` must be non-negative integers.
+def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
+    """Check chi(D) >= 0 for 0 < D <= 2 Z_E (Wagreich's theorem on an
+    elliptic graph): exhaustively when the box has at most 200k candidates,
+    by 2000 seeded draws otherwise, so the work is bounded with no budget.
+    ``checked`` counts the nonzero candidates certified.  Raises
+    InternalCheckError with a witness if a negative Euler characteristic
+    shows up; for a valid elliptic graph none exists.
     """
-    if mode not in ("auto", "exhaustive", "sample"):
-        raise InputError(f"unknown sweep mode {mode!r}")
-    if not _is_int(factor) or factor < 0:
-        raise InputError(f"sweep factor must be a non-negative integer, got {factor!r}")
-    if not _is_int(samples) or samples < 0:
-        raise InputError(f"sweep samples must be a non-negative integer, got {samples!r}")
-    ze = fundamental_cycle(g)
-    bounds = tuple(factor * c for c in ze.coeffs)
-    matrix = g.matrix
+    bounds = tuple(2 * c for c in fundamental_cycle(g).coeffs)
     adj = adjunction_vector(g)
     size = _engine.box_size(bounds)
-    if mode == "auto":
-        mode = "exhaustive" if size <= _AUTO_SWEEP_CAP else "sample"
-
-    if mode == "exhaustive":
-        _engine.check_budget(bounds, limit, what="chi sweep")
-        min2, witness = _engine.min_twochi_in_box(matrix, adj, bounds)
+    exhaustive = size <= _AUTO_SWEEP_CAP
+    if exhaustive:
+        min2, witness = _engine.min_twochi_in_box(g.matrix, adj, bounds)
         checked = size - 1
-        exhaustive = True
     else:
         rng = random.Random(0xE11)
         n = len(bounds)
         min2, witness, checked = None, None, 0
-        for _ in range(samples):
+        for _ in range(_SWEEP_SAMPLES):
             d = tuple(rng.randint(0, b) for b in bounds)
             if all(x == 0 for x in d):
                 continue
@@ -167,7 +150,6 @@ def chi_nonnegative_check(g: DualGraph, factor: int = 2, mode: str = "auto",
             two = -(sum(d[i] * md[i] for i in range(n)) + sum(adj[i] * d[i] for i in range(n)))
             if min2 is None or two < min2:
                 min2, witness = two, d
-        exhaustive = False
 
     if min2 is None:  # box held only the zero cycle
         return ChiSweep(exhaustive, 0, 0, ())
@@ -192,7 +174,7 @@ def is_elliptic(g: DualGraph) -> bool:
     ze = fundamental_cycle(g)
     result = chi(g, ze) == 0
     if result:
-        chi_nonnegative_check(g, factor=2, mode="auto")
+        chi_nonnegative_check(g)
     g._cache["elliptic"] = result
     return result
 
@@ -360,14 +342,14 @@ def _verify_sequence(seq: EllipticSequence, emin: Cycle) -> None:
         )
 
 
-def enumerate_antinef_upto(g: DualGraph, c: Cycle, limit: int | None = None) -> list[Cycle]:
+def enumerate_antinef_upto(g: DualGraph, c: Cycle) -> list[Cycle]:
     """Every effective anti-nef cycle D with 0 <= D <= C, by exhaustive
     box scan (guarded by the enumeration budget)."""
     if c.graph != g:
         raise InputError("cycle does not live on this graph")
     if not c.is_effective:
         raise InputError("bounding cycle must be effective")
-    _engine.check_budget(c.coeffs, limit, what="anti-nef enumeration")
+    _engine.check_budget(c.coeffs, what="anti-nef enumeration")
     found = _engine.antinef_in_box(g.matrix, c.coeffs)
     return [Cycle(g, d) for d in found]
 
@@ -402,12 +384,14 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
             )
         f[t] = negatives[0]
 
-    zm = seq.cycles[m]
+    # Z_m + F_{m-1} + ... + F_i for every i, by one running sum from the top
+    acc = list(seq.cycles[m].coeffs)
+    expected = {}
+    for t in range(m - 1, j0 - 1, -1):
+        acc[f[t]] += 1
+        expected[t] = tuple(acc)
     for i in range(j0, m):
-        expected = zm
-        for t in range(i, m):
-            expected = expected + Cycle.unit(g, g.vertices[f[t]].id)
-        if expected != seq.cycles[i]:
+        if expected[i] != seq.cycles[i].coeffs:
             raise InternalCheckError(
                 "minus-one-chain-structure",
                 f"Z_{i} - Z_{m} is not the chain F_{m-1} + ... + F_{i}",

@@ -24,11 +24,9 @@ class ParseError(InputError):
 
 
 class EnumerationLimitError(InputError):
-    """An exhaustive scan would exceed the configured candidate budget.
-
-    Exceeding a guard is reported, never silently truncated; raise the
-    budget via the SINGLAB_MAX_ENUM environment variable if the scan is
-    genuinely wanted.
+    """The anti-nef enumeration or the p_g lattice count would exceed the
+    candidate budget.  This is reported, never silently truncated; raise
+    SINGLAB_MAX_ENUM if the scan is genuinely wanted.
     """
 
 

@@ -6,13 +6,15 @@ The geometric genus of the graded ring S = k[x,y,z]/(f) is the sum of the
 dimensions of its graded pieces up to the a-invariant; for a hypersurface
 cut out by a degree-d equation, dim S_i counts monomials of weighted
 degree i minus those of degree i - d, and the a-invariant is
-d - (w_x + w_y + w_z).
+d - (w_x + w_y + w_z).  Both genus functions read one budgeted counter of
+monomials of degree at most t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _engine
 from .errors import InputError
 from .parsing import parse_polynomial
 
@@ -78,18 +80,27 @@ def a_invariant(weights, degree: int) -> int:
     return degree - (wx + wy + wz)
 
 
-def _count_exact_degree(weights, target: int) -> int:
-    """Monomials x^a y^b z^c of weighted degree exactly ``target``."""
-    if target < 0:
+def _count_upto(weights, top: int) -> int:
+    """Monomials of weighted degree at most ``top``: the loops run over the
+    two heaviest exponents, within the enumeration budget, and the
+    lightest is counted in closed form."""
+    if min(weights) < 1:
+        raise InputError(f"weights must be positive integers, got {tuple(weights)}")
+    if top < 0:
         return 0
-    wx, wy, wz = weights
+    w1, w2, w3 = sorted(weights, reverse=True)
+    _engine.check_budget((top // w1, top // w2), what="lattice count")
     count = 0
-    for a in range(target // wx + 1):
-        rest_a = target - a * wx
-        for b in range(rest_a // wy + 1):
-            if (rest_a - b * wy) % wz == 0:
-                count += 1
+    for i in range(top // w1 + 1):
+        rest_i = top - i * w1
+        for j in range(rest_i // w2 + 1):
+            count += (rest_i - j * w2) // w3 + 1
     return count
+
+
+def _count_exact_degree(weights, target: int) -> int:
+    """Monomials of weighted degree exactly ``target``."""
+    return _count_upto(weights, target) - _count_upto(weights, target - 1)
 
 
 def graded_dim(weights, degree: int, i: int) -> int:
@@ -115,9 +126,8 @@ def pg_weighted_homogeneous(p: WeightedPoly) -> int:
     singularity; that is not checkable from the lattice data alone.
     """
     top = a_invariant(p.weights, p.degree)
-    if top < 0:
-        return 0
-    return sum(graded_dim(p.weights, p.degree, i) for i in range(top + 1))
+    # sum_{i <= top} (N(i) - N(i - d)) telescopes
+    return _count_upto(p.weights, top) - _count_upto(p.weights, top - p.degree)
 
 
 def _check_brieskorn(a: int, b: int, c: int):
@@ -129,15 +139,7 @@ def pg_brieskorn(a: int, b: int, c: int) -> int:
     """Geometric genus of x^a + y^b + z^c: the number of non-negative
     (i, j, k) with i*bc + j*ac + k*ab <= abc - (ab + bc + ca)."""
     _check_brieskorn(a, b, c)
-    top = a * b * c - (a * b + b * c + c * a)
-    if top < 0:
-        return 0
-    count = 0
-    for i in range(top // (b * c) + 1):
-        rest_i = top - i * b * c
-        for j in range(rest_i // (a * c) + 1):
-            count += (rest_i - j * a * c) // (a * b) + 1
-    return count
+    return _count_upto((b * c, a * c, a * b), a * b * c - (a * b + b * c + c * a))
 
 
 def br_maximal_ideal_brieskorn(a: int, b: int, c: int) -> int:

@@ -132,3 +132,27 @@ def connected_subsets(adjacency, allowed):
             if seen == combo_set:
                 out.append(combo)
     return out
+
+
+def monomials_of_degree(weights, target):
+    """Monomials x^a y^b z^c of weighted degree exactly ``target``."""
+    if target < 0:
+        return 0
+    wx, wy, wz = weights
+    count = 0
+    for a in range(target // wx + 1):
+        rest_a = target - a * wx
+        for b in range(rest_a // wy + 1):
+            if (rest_a - b * wy) % wz == 0:
+                count += 1
+    return count
+
+
+def pg_by_graded_pieces(weights, degree):
+    """Geometric genus of a degree-``degree`` weighted-homogeneous
+    hypersurface: dim S_i = N(i) - N(i - degree), summed piece by piece
+    for i from 0 up to the a-invariant degree - sum(weights)."""
+    return sum(
+        monomials_of_degree(weights, i) - monomials_of_degree(weights, i - degree)
+        for i in range(degree - sum(weights) + 1)
+    )

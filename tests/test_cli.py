@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import signal
+from contextlib import contextmanager
 
+import pytest
+
+from singlab import Cycle, EnumerationLimitError, enumerate_antinef_upto
 from singlab.cli import main
+from singlab.corpus import fig2312
 
 
 def run(capsys, *argv):
@@ -98,6 +104,63 @@ def test_wh_command(capsys):
     assert code == 1
     code, _, err = run(capsys, "wh", "--weights", "7,3,2", "--poly", "x^2+q")
     assert code == 1 and "position" in err
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_large_lattice_count_is_refused_at_once(capsys):
+    # the p_g count of x^20000 + y^20000 + z^20000 would loop over about
+    # 2 * 10^8 lattice points; the budget refuses it before the loop starts
+    with _deadline(10):
+        code, out, err = run(capsys, "brieskorn", "20000", "20000", "20000")
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: lattice count needs 399920004 candidates, above the budget of "
+        "10000000; raise SINGLAB_MAX_ENUM to force it"
+    ]
+    assert "Traceback" not in err
+
+
+def test_wh_genus_of_high_degree_cone(capsys):
+    # p_g of x^d + y^d + z^d with unit weights is C(d, 3)
+    with _deadline(30):
+        code, out, _ = run(capsys, "wh", "--weights", "1,1,1",
+                           "--poly", "x^3000+y^3000+z^3000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pg"] == 4495501000
+
+
+def test_graph_commands_ignore_the_enumeration_budget(tmp_path, capsys, monkeypatch):
+    # the chi >= 0 sweep has a fixed size, so a tiny budget changes no answer
+    code, out, _ = run(capsys, "corpus", "emit", "fig2312", "1")
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    commands = [
+        ["graph", "analyze", str(path)],
+        ["elliptic", "sequence", str(path)],
+        ["classify", str(path), "--pg", "2"],
+    ]
+    default = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 and err == "" for code, _, err in default)
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "10")
+    assert [run(capsys, *argv) for argv in commands] == default
+    g = fig2312(1)
+    with pytest.raises(EnumerationLimitError, match="budget of 10"):
+        enumerate_antinef_upto(g, Cycle(g, (3, 3, 3)))
 
 
 def test_artinian_command(capsys):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import monomials_of_degree, pg_by_graded_pieces
 from singlab import (
     InputError,
     WeightedPoly,
@@ -33,6 +34,8 @@ def test_graded_dim():
         graded_dim((1, 1, 1), 3, -1)
     with pytest.raises(InputError, match="no monomial"):
         graded_dim((2, 2, 2), 1, 1)
+    with pytest.raises(InputError, match="positive"):
+        graded_dim((0, 1, 1), 2, 1)
 
 
 def test_pg_weighted_homogeneous_paper_values():
@@ -79,12 +82,14 @@ def test_br_maximal_ideal_brieskorn():
 
 
 def test_brieskorn_formula_agrees_with_graded_count():
+    # pg_brieskorn and pg_weighted_homogeneous share one lattice counter,
+    # so the comparison is with the per-degree sum of the oracle
     for a in range(2, 13):
         for b in range(a, 13):
             for c in range(b, 13):
-                weights, text = brieskorn_equation(a, b, c)
-                poly = WeightedPoly.from_text(weights, text)
-                assert pg_brieskorn(a, b, c) == pg_weighted_homogeneous(poly), (a, b, c)
+                weights, _ = brieskorn_equation(a, b, c)
+                expected = pg_by_graded_pieces(weights, a * b * c)
+                assert pg_brieskorn(a, b, c) == expected, (a, b, c)
 
 
 def test_pg_monotone_in_top_exponent():
@@ -106,11 +111,24 @@ def test_graded_dim_nonnegative_and_counts_monomials_below_degree(w, e, i):
         d = w[0]
     value = graded_dim(w, d, i)
     assert value >= 0
-    if i < d:
-        count = sum(
-            1
-            for a in range(i // w[0] + 1)
-            for b in range((i - a * w[0]) // w[1] + 1)
-            if (i - a * w[0] - b * w[1]) % w[2] == 0
-        )
-        assert value == count
+    assert value == monomials_of_degree(w, i) - monomials_of_degree(w, i - d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    w=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    e=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+)
+def test_pg_weighted_homogeneous_matches_graded_pieces(w, e):
+    # the degree is attained by the monomial e; the equation takes the
+    # first and last monomial of that degree
+    d = w[0] * e[0] + w[1] * e[1] + w[2] * e[2]
+    monomials = [
+        (a, b, (d - a * w[0] - b * w[1]) // w[2])
+        for a in range(d // w[0] + 1)
+        for b in range((d - a * w[0]) // w[1] + 1)
+        if (d - a * w[0] - b * w[1]) % w[2] == 0
+    ]
+    assume(len(monomials) >= 2)
+    poly = WeightedPoly(w, [(monomials[0], 1), (monomials[-1], 1)])
+    assert pg_weighted_homogeneous(poly) == pg_by_graded_pieces(w, d)
