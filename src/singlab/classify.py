@@ -18,8 +18,8 @@ constant from the first power on, i.e. normal reduction number at most 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .cycles import canonical_cycle, chi, is_numerically_gorenstein, riemann_roch_colength
 from .elliptic import elliptic_sequence, is_elliptic
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AfStructure:
+class AfStructure(NamedTuple):
     """The admissible index set inside {0, ..., m}.
 
     gamma divides m with m/gamma = p_g - 1 (for p_g >= 2), beta = gamma - 1,
@@ -53,8 +52,7 @@ class AfStructure:
     maximal: bool
 
 
-@dataclass(frozen=True)
-class EllipticIdealClass:
+class EllipticIdealClass(NamedTuple):
     """Numerical record of one classified ideal, represented by C_t."""
 
     t: int
@@ -81,8 +79,7 @@ class EllipticIdealClass:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     af: AfStructure
     ideals: tuple[EllipticIdealClass, ...]
     zeta: int
@@ -106,8 +103,7 @@ class ClassificationReport:
         return doc
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     """Normal Hilbert data of the ideal cut out by an anti-nef cycle.
 
     ``colengths[k]`` is the colength of the (k+1)-st integral-closure

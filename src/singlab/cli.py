@@ -14,7 +14,9 @@ Subcommands:
     verify-paper                run the acceptance suite
 
 Every subcommand takes --format json|text.  Exit codes: 0 success,
-1 input/validation error, 2 internal invariant violation.
+1 input/validation error (a malformed command line included), 2 internal
+invariant violation.  A call builds the argument parser of its own leaf
+command only; help and usage errors above the leaves use the full tree.
 """
 
 from __future__ import annotations
@@ -213,85 +215,125 @@ def _cmd_verify_paper(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
+_FILE = (("file",), {"help": "graph JSON document ('-' for stdin)"})
 
-def _build_parser() -> argparse.ArgumentParser:
+# (command words, help, arguments in order as (flags, add_argument keywords),
+# handler); entries sharing a first word form a group, listed in this order
+_COMMANDS = (
+    (("graph", "analyze"), "validate a graph file and print its basic invariants",
+     (_FILE,), _cmd_graph_analyze),
+    (("elliptic", "sequence"), "compute and verify the elliptic sequence",
+     (_FILE,), _cmd_elliptic_sequence),
+    (("classify",), "classify Gorenstein-cone elliptic ideals", (
+        _FILE,
+        (("--pg",), {"type": int, "required": True, "help": "geometric genus (analytic input)"}),
+        (("--no-char0",), {"action": "store_true",
+                           "help": "refuse results that need characteristic zero"}),
+    ), _cmd_classify),
+    (("brieskorn",), "invariants of x^a + y^b + z^c", (
+        (("a",), {"type": int}),
+        (("b",), {"type": int}),
+        (("c",), {"type": int}),
+    ), _cmd_brieskorn),
+    (("wh",), "genus of a weighted-homogeneous hypersurface", (
+        (("--weights",), {"required": True, "help": "WX,WY,WZ"}),
+        (("--poly",), {"required": True, "help": "e.g. 'x^2+z^7+y^4*z'"}),
+    ), _cmd_wh),
+    (("artinian", "colength"), "dim of k[x,y,z]/((f) + M)", (
+        (("--poly",), {"required": True}),
+        (("--ideal",), {"required": True, "help": "comma-separated monomials, e.g. 'x,y,z^2'"}),
+        (("--saturate",), {"action": "store_true",
+                           "help": "add pure powers until the value stabilizes"}),
+        (("--cap",), {"type": int, "default": 256,
+                      "help": "largest pure-power exponent tried when saturating"}),
+    ), _cmd_artinian_colength),
+    (("corpus", "emit"), "print a corpus graph", (
+        (("name",), {"help": "fig2312 | fig244 | brell3"}),
+        (("param",), {"type": int}),
+    ), _cmd_corpus_emit),
+    (("verify-paper",), "run the full acceptance suite", (), _cmd_verify_paper),
+)
+_GROUPS = {
+    "graph": "graph-level computations",
+    "elliptic": "elliptic-sequence computations",
+    "artinian": "exact quotient dimensions",
+    "corpus": "generated graph families",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, like any invalid input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _common() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
     )
+    return common
 
-    parser = argparse.ArgumentParser(
+
+def _fill(parser, arguments, handler):
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full command tree, for help and usage errors above the leaves."""
+    common = _common()
+    parser = _Parser(
         prog="singlab",
         description="Exact invariants of resolution graphs of normal surface singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    graph = sub.add_parser("graph", help="graph-level computations")
-    graph_sub = graph.add_subparsers(dest="subcommand", required=True)
-    analyze = graph_sub.add_parser("analyze", parents=[common],
-                                   help="validate a graph file and print its basic invariants")
-    analyze.add_argument("file", help="graph JSON document ('-' for stdin)")
-    analyze.set_defaults(handler=_cmd_graph_analyze)
-
-    elliptic = sub.add_parser("elliptic", help="elliptic-sequence computations")
-    elliptic_sub = elliptic.add_subparsers(dest="subcommand", required=True)
-    sequence = elliptic_sub.add_parser("sequence", parents=[common],
-                                       help="compute and verify the elliptic sequence")
-    sequence.add_argument("file", help="graph JSON document ('-' for stdin)")
-    sequence.set_defaults(handler=_cmd_elliptic_sequence)
-
-    classify = sub.add_parser("classify", parents=[common],
-                              help="classify Gorenstein-cone elliptic ideals")
-    classify.add_argument("file", help="graph JSON document ('-' for stdin)")
-    classify.add_argument("--pg", type=int, required=True,
-                          help="geometric genus (analytic input)")
-    classify.add_argument("--no-char0", action="store_true",
-                          help="refuse results that need characteristic zero")
-    classify.set_defaults(handler=_cmd_classify)
-
-    brieskorn = sub.add_parser("brieskorn", parents=[common],
-                               help="invariants of x^a + y^b + z^c")
-    brieskorn.add_argument("a", type=int)
-    brieskorn.add_argument("b", type=int)
-    brieskorn.add_argument("c", type=int)
-    brieskorn.set_defaults(handler=_cmd_brieskorn)
-
-    wh = sub.add_parser("wh", parents=[common],
-                        help="genus of a weighted-homogeneous hypersurface")
-    wh.add_argument("--weights", required=True, help="WX,WY,WZ")
-    wh.add_argument("--poly", required=True, help="e.g. 'x^2+z^7+y^4*z'")
-    wh.set_defaults(handler=_cmd_wh)
-
-    artinian = sub.add_parser("artinian", help="exact quotient dimensions")
-    artinian_sub = artinian.add_subparsers(dest="subcommand", required=True)
-    col = artinian_sub.add_parser("colength", parents=[common],
-                                  help="dim of k[x,y,z]/((f) + M)")
-    col.add_argument("--poly", required=True)
-    col.add_argument("--ideal", required=True, help="comma-separated monomials, e.g. 'x,y,z^2'")
-    col.add_argument("--saturate", action="store_true",
-                     help="add pure powers until the value stabilizes")
-    col.add_argument("--cap", type=int, default=256,
-                     help="largest pure-power exponent tried when saturating")
-    col.set_defaults(handler=_cmd_artinian_colength)
-
-    corpus_p = sub.add_parser("corpus", help="generated graph families")
-    corpus_sub = corpus_p.add_subparsers(dest="subcommand", required=True)
-    emit = corpus_sub.add_parser("emit", parents=[common], help="print a corpus graph")
-    emit.add_argument("name", help="fig2312 | fig244 | brell3")
-    emit.add_argument("param", type=int)
-    emit.set_defaults(handler=_cmd_corpus_emit)
-
-    vp = sub.add_parser("verify-paper", parents=[common],
-                        help="run the full acceptance suite")
-    vp.set_defaults(handler=_cmd_verify_paper)
-
+    groups = {}
+    for words, help_text, arguments, handler in _COMMANDS:
+        if len(words) == 1:
+            target = sub
+        else:
+            if words[0] not in groups:
+                group = sub.add_parser(words[0], help=_GROUPS[words[0]])
+                groups[words[0]] = group.add_subparsers(dest="subcommand", required=True)
+            target = groups[words[0]]
+        leaf = target.add_parser(words[-1], parents=[common], help=help_text)
+        _fill(leaf, arguments, handler)
     return parser
 
 
+def _leaf_parser(entry) -> argparse.ArgumentParser:
+    """One leaf command's parser alone, as ``_build_parser`` builds it."""
+    words, _, arguments, handler = entry
+    leaf = _Parser(prog=" ".join(("singlab", *words)), parents=[_common()])
+    return _fill(leaf, arguments, handler)
+
+
+def _parse(argv: list):
+    """Parse with only the leaf parser that argv's command words name.
+
+    It is built as the full tree builds that subparser, so its help and
+    errors read the same.  Anything else (no command, an unknown one, a
+    bare group, top-level options, or arguments the leaf does not know,
+    which the full tree reports at the top level) goes to the full tree.
+    """
+    for entry in _COMMANDS:
+        words = entry[0]
+        if tuple(argv[:len(words)]) == words:
+            args, rest = _leaf_parser(entry).parse_known_args(argv[len(words):])
+            if not rest:
+                return args
+            break
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except InputError as exc:

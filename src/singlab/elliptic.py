@@ -22,8 +22,7 @@ genus, say) surface instead of producing silent nonsense.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from . import _engine
 from .cycles import (
@@ -54,16 +53,14 @@ _AUTO_SWEEP_CAP = 200_000
 _SWEEP_SAMPLES = 2000
 
 
-@dataclass(frozen=True)
-class ChiSweep:
+class ChiSweep(NamedTuple):
     exhaustive: bool
     checked: int
     min_chi: int
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MinusOneChainReport:
+class MinusOneChainReport(NamedTuple):
     """Outcome of the degree -1 chain decomposition check.
 
     ``minus_one_indices`` lists every j with Z_j^2 = -1; ``chain`` holds
@@ -75,13 +72,45 @@ class MinusOneChainReport:
     chain: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class EllipticSequence:
-    """The cycles Z_0, ..., Z_m with their supports B_0 > ... > B_m."""
+    """The cycles Z_0, ..., Z_m with their supports B_0 > ... > B_m.
 
-    graph: DualGraph
-    supports: tuple[tuple[str, ...], ...]
-    cycles: tuple[Cycle, ...]
+    Immutable and equal by its three fields.  The partial sums C_-1, C_0,
+    ..., C_m are one running sum taken at construction, so ``partial_sum``
+    and ``tail_sum`` cost one lookup or one subtraction.
+    """
+
+    __slots__ = ("graph", "supports", "cycles", "_prefix")
+
+    def __init__(self, graph: DualGraph, supports: tuple[tuple[str, ...], ...],
+                 cycles: tuple[Cycle, ...]):
+        acc = [Cycle.zero(graph)]
+        for z in cycles:
+            acc.append(acc[-1] + z)
+        for name, value in (("graph", graph), ("supports", supports), ("cycles", cycles),
+                            ("_prefix", tuple(acc))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.graph, self.supports, self.cycles
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"EllipticSequence(graph={self.graph!r}, supports={self.supports!r}, "
+                f"cycles={self.cycles!r})")
 
     @property
     def m(self) -> int:
@@ -90,14 +119,6 @@ class EllipticSequence:
     @property
     def e_min(self) -> Cycle:
         return self.cycles[-1]
-
-    @cached_property
-    def _prefix(self) -> tuple[Cycle, ...]:
-        """C_-1, C_0, ..., C_m by one running sum."""
-        acc = [Cycle.zero(self.graph)]
-        for z in self.cycles:
-            acc.append(acc[-1] + z)
-        return tuple(acc)
 
     def partial_sum(self, t: int) -> Cycle:
         """C_t = Z_0 + ... + Z_t  (C_-1 = 0)."""
@@ -365,7 +386,10 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
     if seq.graph != g:
         raise InputError("sequence belongs to a different graph")
     m = seq.m
-    js = tuple(t for t in range(m + 1) if pairing(g, seq.cycles[t], seq.cycles[t]) == -1)
+    # one product per index: Z_t . E_i for every i gives Z_t^2 and F_t
+    images = [mat_vec(g, z.coeffs) for z in seq.cycles]
+    js = tuple(t for t in range(m + 1)
+               if sum(a * b for a, b in zip(seq.cycles[t].coeffs, images[t])) == -1)
     if not js or js[0] == m:
         return MinusOneChainReport(js, ())
 
@@ -374,8 +398,7 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
     cm_dot = mat_vec(g, seq.partial_sum(m).coeffs)  # C_m . E_i for every i
     f: dict[int, int] = {}  # t -> vertex index of F_t
     for t in range(j0, m):
-        z = seq.cycles[t]
-        mz = mat_vec(g, z.coeffs)
+        z, mz = seq.cycles[t], images[t]
         negatives = [i for i in range(len(g)) if mz[i] < 0]
         if len(negatives) != 1 or mz[negatives[0]] != -1 or z.coeffs[negatives[0]] != 1:
             raise InternalCheckError(

@@ -14,8 +14,8 @@ input), and ``run_all`` folds that into a pass/fail table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import corpus
 from .artinian import DensePoly, MonomialIdeal, colength, colength_saturating
@@ -32,8 +32,7 @@ from .graph import Cycle, is_anti_nef, pairing, parse_graph, serialize_graph
 from .wh import WeightedPoly, br_maximal_ideal_brieskorn, pg_brieskorn, pg_weighted_homogeneous
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

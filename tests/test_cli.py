@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +235,50 @@ def test_verify_paper_json(capsys):
     results = json.loads(out)
     assert len(results) == 8
     assert all(r["passed"] for r in results)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "-", "--pg", "abc"],
+     "singlab classify: error: argument --pg: invalid int value: 'abc'"),
+    (["brieskorn", "2", "3"], "singlab brieskorn: error: the following arguments are required: c"),
+    (["graph"], "singlab graph: error: the following arguments are required: subcommand"),
+    ([], "singlab: error: the following arguments are required: command"),
+    (["nosuch"], "singlab: error: argument command: invalid choice: 'nosuch' (choose from "
+                 "'graph', 'elliptic', 'classify', 'brieskorn', 'wh', 'artinian', 'corpus', "
+                 "'verify-paper')"),
+    (["wh", "--weights", "1,1,1"],
+     "singlab wh: error: the following arguments are required: --poly"),
+])
+def test_malformed_command_line_exits_1(argv, message):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                                    os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "singlab.cli", *argv], capture_output=True,
+                          text=True, env=env, stdin=subprocess.DEVNULL, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("usage: singlab")
+    assert proc.stderr.splitlines()[-1] == message
+    assert "Traceback" not in proc.stderr
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
+def test_a_leaf_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["brieskorn", "3", "5", "5"]) == 0
+    assert built == [None, "singlab brieskorn"]  # --format's parent and the leaf
+    built.clear()
+    with pytest.raises(SystemExit):  # a bare group needs the full tree's usage
+        main(["graph"])
+    assert len(built) == 14
+    capsys.readouterr()

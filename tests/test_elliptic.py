@@ -21,6 +21,7 @@ from singlab import (
     pairing,
 )
 from singlab import _engine
+from singlab import elliptic as elliptic_module
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.graph import is_negative_definite
@@ -219,6 +220,20 @@ def test_check_minus_one_chains_fig2312():
     report = check_minus_one_chains(g, seq)
     assert report.minus_one_indices == (0, 1, 2)
     assert report.chain == ("E0", "E1")
+
+
+def test_check_minus_one_chains_multiplies_each_cycle_once(monkeypatch):
+    # one product per Z_t gives both Z_t^2 and its curve of pairing -1,
+    # plus one for C_m
+    g = fig2312(6)
+    seq = elliptic_sequence(g)
+    calls = []
+    original = elliptic_module.mat_vec
+    monkeypatch.setattr(elliptic_module, "mat_vec",
+                        lambda g, coeffs: calls.append(coeffs) or original(g, coeffs))
+    report = check_minus_one_chains(g, seq)
+    assert report.minus_one_indices == tuple(range(seq.m + 1))
+    assert len(calls) == seq.m + 2
 
 
 def test_check_minus_one_chains_vacuous_fig244():

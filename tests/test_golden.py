@@ -3,8 +3,10 @@
 Every run feeds a ``corpus emit`` document on stdin to ``graph analyze``,
 ``elliptic sequence`` or ``classify --pg 1..9`` with ``--format json``,
 for fig2312, fig244 and brell3 at parameters 1-4; ``verify-paper
---format json`` runs once.  A refactor that keeps the answers keeps every
-digest.  When an output is meant to change, regenerate the table with
+--format json`` runs once.  ``--help`` at the top level, on each group and
+on each leaf command, and six malformed command lines, pin the help and
+usage text at a terminal width of 80 columns.  A refactor that keeps the
+answers keeps every digest.  When an output is meant to change, regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 
@@ -13,15 +15,18 @@ and say in the change log which outputs moved and why.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from singlab import cli
 from singlab.cli import main
 
 FAMILIES = ("fig2312", "fig244", "brell3")
@@ -32,6 +37,14 @@ COMMANDS = (
     (("elliptic", "sequence"), ()),
     *((("classify",), ("--pg", str(pg))) for pg in range(1, 10)),
 )
+# the top level, its four groups and its eight leaf commands, each with --help
+HELP = ((), ("graph",), ("elliptic",), ("artinian",), ("corpus",),
+        ("graph", "analyze"), ("elliptic", "sequence"), ("classify",), ("brieskorn",), ("wh",),
+        ("artinian", "colength"), ("corpus", "emit"), ("verify-paper",))
+# malformed command lines: a bad value, missing arguments, a bare group, no
+# command, an unknown command
+MALFORMED = (("classify", "-", "--pg", "abc"), ("brieskorn", "2", "3"), ("graph",), (),
+             ("nosuch",), ("wh", "--weights", "1,1,1"))
 TABLE = Path(__file__).with_name("golden_digests.json")
 
 
@@ -42,7 +55,10 @@ def _run(argv, stdin=""):
     sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # help and usage errors leave through argparse
+                code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -75,12 +91,45 @@ def _verify_record() -> dict:
     return _record(*_run(["verify-paper", "--format", "json"]))
 
 
+@contextlib.contextmanager
+def _columns(width: int):
+    """argparse wraps help to $COLUMNS; pin it."""
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = str(width)
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+
+
+def _help_key(words) -> str:
+    return " ".join(["help", *words])
+
+
+def _malformed_key(argv) -> str:
+    return " ".join(["malformed", *argv])
+
+
+def _cli_records() -> dict:
+    records = {}
+    with _columns(80):
+        for words in HELP:
+            records[_help_key(words)] = _record(*_run([*words, "--help"]))
+        for argv in MALFORMED:
+            records[_malformed_key(argv)] = _record(*_run(argv))
+    return records
+
+
 def _all_records() -> dict:
     records = {}
     for family in FAMILIES:
         for param in PARAMS:
             records.update(_family_records(family, param))
     records["verify-paper"] = _verify_record()
+    records.update(_cli_records())
     return records
 
 
@@ -102,8 +151,38 @@ def test_verify_paper_matches_golden():
     assert _verify_record() == _expected()["verify-paper"]
 
 
+def test_help_and_usage_errors_match_golden():
+    expected = _expected()
+    actual = _cli_records()
+    for words in HELP:
+        assert expected[_help_key(words)]["exit"] == 0
+    for argv in MALFORMED:
+        assert expected[_malformed_key(argv)]["exit"] == 1
+    for key, record in actual.items():
+        assert record == expected[key], key
+
+
+def _subparser(parser, words):
+    for word in words:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[word]
+    return parser
+
+
+def test_leaf_parsers_match_the_full_tree():
+    tree = cli._build_parser()
+    with _columns(80):
+        for entry in cli._COMMANDS:
+            branch = _subparser(tree, entry[0])
+            leaf = cli._leaf_parser(entry)
+            assert leaf.prog == branch.prog
+            assert leaf.format_help() == branch.format_help()
+            assert leaf.format_usage() == branch.format_usage()
+
+
 def test_golden_table_covers_every_run():
-    assert len(_expected()) == len(FAMILIES) * len(PARAMS) * len(COMMANDS) + 1
+    assert len(_expected()) == (len(FAMILIES) * len(PARAMS) * len(COMMANDS) + 1
+                                + len(HELP) + len(MALFORMED))
 
 
 if __name__ == "__main__":
