@@ -147,10 +147,19 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     """Check chi(D) >= 0 for 0 < D <= 2 Z_E (Wagreich's theorem on an
     elliptic graph): exhaustively when the box has at most 200k candidates,
     by 2000 seeded draws otherwise, so the work is bounded with no budget.
-    ``checked`` counts the nonzero candidates certified.  Raises
+    The exhaustive sweep certifies the whole box without visiting every
+    candidate: an exact lower bound on 2chi (from one fraction-free
+    elimination of the form) rules out each sub-box it skips, and each
+    row along the first vertex is settled in closed form.  ``checked``
+    counts the nonzero candidates certified.  The 200k cap and the draws
+    do not depend on how the box is certified.  The record is kept on the
+    graph: ``is_elliptic`` sweeps once, and later calls return it.  Raises
     InternalCheckError with a witness if a negative Euler characteristic
     shows up; for a valid elliptic graph none exists.
     """
+    cached = g._cache.get("chi_sweep")
+    if cached is not None:
+        return cached
     bounds = tuple(2 * c for c in fundamental_cycle(g).coeffs)
     adj = adjunction_vector(g)
     size = _engine.box_size(bounds)
@@ -173,13 +182,16 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
                 min2, witness = two, d
 
     if min2 is None:  # box held only the zero cycle
-        return ChiSweep(exhaustive, 0, 0, ())
-    if min2 < 0:
+        sweep = ChiSweep(exhaustive, 0, 0, ())
+    elif min2 < 0:
         raise InternalCheckError(
             "euler-characteristic-nonnegativity",
             f"2*chi = {min2} at {witness}",
         )
-    return ChiSweep(exhaustive, checked, min2 // 2, witness)
+    else:
+        sweep = ChiSweep(exhaustive, checked, min2 // 2, witness)
+    g._cache["chi_sweep"] = sweep
+    return sweep
 
 
 def is_elliptic(g: DualGraph) -> bool:
@@ -364,8 +376,9 @@ def _verify_sequence(seq: EllipticSequence, emin: Cycle) -> None:
 
 
 def enumerate_antinef_upto(g: DualGraph, c: Cycle) -> list[Cycle]:
-    """Every effective anti-nef cycle D with 0 <= D <= C, by exhaustive
-    box scan (guarded by the enumeration budget)."""
+    """Every effective anti-nef cycle D with 0 <= D <= C, by a scan of
+    that box, one interval per row along the first vertex (guarded by the
+    enumeration budget, which counts every candidate of the box)."""
     if c.graph != g:
         raise InputError("cycle does not live on this graph")
     if not c.is_effective:

@@ -2,13 +2,18 @@
 
 Everything here works on raw matrices and coefficient tuples with plain
 loops over itertools boxes, deliberately sharing no code path with the
-package's kernels or incremental algorithms.
+package's kernels or incremental algorithms.  The exceptions, at the end,
+are the box kernels the package used before it pruned its scans: they
+visit every row or every candidate, and the pruned kernels must return
+exactly what they return, in the same order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from singlab.errors import InputError
 
 
 def mat_vec(matrix, vec):
@@ -156,3 +161,104 @@ def pg_by_graded_pieces(weights, degree):
         monomials_of_degree(weights, i) - monomials_of_degree(weights, i - degree)
         for i in range(degree - sum(weights) + 1)
     )
+
+
+# The chi sweep one row along axis 0 at a time, and the anti-nef scan one
+# candidate at a time, both in odometer order, index 0 fastest.
+
+
+def _columns(matrix, n):
+    return [tuple(matrix[i][j] for i in range(n)) for j in range(n)]
+
+
+def odometer_antinef_in_box(matrix, bounds):
+    """All D in the box with M.D <= 0 componentwise (includes D = 0)."""
+    n = len(bounds)
+    cols = _columns(matrix, n)
+    d = [0] * n
+    s = [0] * n
+    out = []
+    while True:
+        if all(x <= 0 for x in s):
+            out.append(tuple(d))
+        j = 0
+        while j < n and d[j] == bounds[j]:
+            k = d[j]
+            col = cols[j]
+            for i in range(n):
+                s[i] -= k * col[i]
+            d[j] = 0
+            j += 1
+        if j == n:
+            return out
+        col = cols[j]
+        d[j] += 1
+        for i in range(n):
+            s[i] += col[i]
+
+
+def row_min_twochi_in_box(matrix, adj, bounds):
+    """Minimum of -(D.M.D + adj.D) over D != 0 in the box, with a witness.
+
+    Returns (min_value, witness_tuple), or (None, None) when the box holds
+    only D = 0; the value is twice the minimal Euler characteristic.  The
+    witness is the first minimiser in odometer order, index 0 fastest.
+
+    The odometer runs over axes 1..n-1, and each row of the box along
+    axis 0 is settled in closed form: with the other entries fixed,
+    2chi = c - beta*x + a*x^2 in x = d_0, where a = -m_00 must be
+    positive (as on every negative definite form), so the row minimum
+    lies at floor(beta / 2a) or one above it, clamped to the row.
+    """
+    n = len(bounds)
+    if n == 0:
+        return None, None
+    a = -matrix[0][0]
+    if a <= 0:
+        raise InputError("min_twochi_in_box needs a negative first diagonal entry")
+    b0 = bounds[0]
+    adj0 = adj[0]
+    # sparse columns: the nonzero (i, m_ij) of column j
+    cols = [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(n)]
+    # 2chi(D + e_j) - 2chi(D) = -(2 s_j + m_jj + adj_j)
+    step = [matrix[j][j] + adj[j] for j in range(n)]
+    d = [0] * n
+    s = [0] * n  # M.D, with d_0 held at 0
+    c = 0  # 2chi(D), with d_0 held at 0
+    best = witness = None
+    lo = 1  # the first row is the one through D = 0, which is skipped
+    while True:
+        if lo <= b0:
+            beta = 2 * s[0] + adj0
+            x = beta // (2 * a)
+            if x < lo:
+                x = lo
+            elif x > b0:
+                x = b0
+            val = (a * x - beta) * x
+            if x < b0:
+                # f(x+1) - f(x) = a(2x+1) - beta; a tie keeps the smaller x
+                up = a * (2 * x + 1) - beta
+                if up < 0:
+                    x += 1
+                    val += up
+            val += c
+            if best is None or val < best:
+                best = val
+                witness = (x, *d[1:])
+        lo = 0
+        j = 1
+        while j < n and d[j] == bounds[j]:
+            k = d[j]
+            if k:
+                c += k * (2 * s[j] - k * matrix[j][j] + adj[j])
+                for i, m in cols[j]:
+                    s[i] -= k * m
+                d[j] = 0
+            j += 1
+        if j == n:
+            return best, witness
+        c -= 2 * s[j] + step[j]
+        d[j] += 1
+        for i, m in cols[j]:
+            s[i] += m

@@ -283,6 +283,22 @@ def test_chi_sweep_exhaustive_and_sampled():
     assert sampled.min_chi >= 0
 
 
+@pytest.mark.parametrize("n", (3, 6))  # exhaustive and sampled
+def test_is_elliptic_keeps_its_chi_sweep(n, monkeypatch):
+    # a fresh copy, so no earlier test has swept it
+    g = DualGraph(fig2312(n).vertices, fig2312(n).edges)
+    expected = chi_nonnegative_check(fig2312(n))
+    calls = []
+    sweep_box = _engine.min_twochi_in_box
+    monkeypatch.setattr(_engine, "min_twochi_in_box",
+                        lambda *args: calls.append(args) or sweep_box(*args))
+    assert is_elliptic(g)
+    first = chi_nonnegative_check(g)
+    assert chi_nonnegative_check(g) is first
+    assert first == expected
+    assert len(calls) == (n == 3)
+
+
 def test_elliptic_sequence_beyond_the_old_box_budget():
     # Z_E spans 2^25 and 2^31 candidates, past the default budget of the
     # exhaustive search that E_min used to be

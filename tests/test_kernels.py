@@ -1,4 +1,5 @@
-"""The lattice-box scan kernels of ``_engine`` against plain oracle scans."""
+"""The lattice-box scan kernels of ``_engine`` against plain oracle scans
+and against the row-by-row and candidate-by-candidate kernels they replace."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ import random
 import pytest
 
 from oracles import antinef_in_box as oracle_antinef
-from oracles import first_min_two_chi
-from singlab import DualGraph, InputError, Vertex, _engine
+from oracles import first_min_two_chi, fraction_det, odometer_antinef_in_box, row_min_twochi_in_box
+from singlab import DualGraph, InputError, Vertex, _engine, elliptic_sequence
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.cycles import adjunction_vector, fundamental_cycle
 
@@ -31,9 +32,9 @@ def test_pure_kernels_match_oracles(case):
     )
 
 
-def _random_graph(rng, shape, n):
+def _random_graph(rng, shape, n, double=0.0):
     """A negative definite star, cusp (n >= 3) or tree on n vertices with
-    random genera."""
+    random genera; each edge has multiplicity 2 with probability ``double``."""
     if shape == "star":
         edges = [(0, i) if i <= 3 else (i - 3, i) for i in range(1, n)]
     elif shape == "cusp":
@@ -49,8 +50,9 @@ def _random_graph(rng, shape, n):
             Vertex(f"E{i}", -(degree[i] + rng.randint(0, 2)) or -1, rng.choice((0, 0, 0, 1, 2)))
             for i in range(n)
         ]
+        mults = [2 if double and rng.random() < double else 1 for _ in edges]
         try:
-            return DualGraph(vertices, [(f"E{i}", f"E{j}", 1) for i, j in edges])
+            return DualGraph(vertices, [(f"E{i}", f"E{j}", m) for (i, j), m in zip(edges, mults)])
         except InputError:  # not negative definite: draw the weights again
             continue
 
@@ -93,6 +95,67 @@ def test_row_kernel_needs_a_negative_first_diagonal_entry():
         _engine.min_twochi_in_box(((0,),), (0,), (2,))
 
 
+def test_sweep_kernel_refuses_a_form_that_is_not_negative_definite():
+    # the first pivot is fine, the second leading minor is 1 - 4 < 0
+    with pytest.raises(InputError, match="negative definite"):
+        _engine.min_twochi_in_box(((-1, 2), (2, -1)), (0, 0), (2, 2))
+
+
+def _cusp(k):
+    return DualGraph([Vertex(f"C{i}", -3) for i in range(k)],
+                     [(f"C{i}", f"C{(i + 1) % k}", 1) for i in range(k)])
+
+
+RUNGS = (
+    [(f"fig2312({p})", fig2312(p)) for p in range(6)]
+    + [(f"fig244({m})", fig244(m)) for m in range(6)]
+    + [(f"brell3({m})", brell3(m)) for m in range(4)]
+    + [(f"cusp({k})", _cusp(k)) for k in range(3, 12)]
+)
+
+
+@pytest.mark.parametrize("name, g", RUNGS, ids=[name for name, _ in RUNGS])
+def test_kernels_equal_the_old_kernels_on_permuted_corpus_rungs(name, g):
+    """The pruned kernels against the row-by-row sweep and the
+    candidate-by-candidate anti-nef scan they replace: the same value and
+    witness, the same anti-nef list in the same order.  The sweep box is
+    2 Z_E as in ``chi_nonnegative_check``; the anti-nef boxes are 2 Z_E
+    and C_m (as in verify-paper) where the old scan takes well under a
+    second, Z_E otherwise.  Each rung runs reversed and in one seeded
+    vertex order."""
+    # reversed, fig2312 puts its (-1)-curve first and every leading minor of
+    # -M is 1, so an off-by-one in the scaled bounds reaches the row values
+    backwards = list(reversed(range(len(g))))
+    for order in (backwards, random.Random(name).sample(backwards, len(g))):
+        h = DualGraph([g.vertices[i] for i in order], g.edges)
+        ze = fundamental_cycle(h).coeffs
+        adj = adjunction_vector(h)
+        twice = tuple(2 * c for c in ze)
+        assert _engine.min_twochi_in_box(h.matrix, adj, twice) == row_min_twochi_in_box(
+            h.matrix, adj, twice
+        )
+        seq = elliptic_sequence(h)
+        cm = seq.partial_sum(seq.m).coeffs
+        boxes = [b for b in (twice, cm) if _engine.box_size(b) <= 60_000] or [ze]
+        for box in boxes:
+            assert _engine.antinef_in_box(h.matrix, box) == odometer_antinef_in_box(h.matrix, box)
+
+
+@pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
+def test_kernels_equal_the_old_kernels_on_random_graphs(shape):
+    rng = random.Random(f"kernels-{shape}")
+    for _ in range(40):
+        g = _random_graph(rng, shape, rng.randint(3 if shape == "cusp" else 1, 7), double=0.3)
+        adj = adjunction_vector(g)
+        bounds = tuple(rng.randint(0, 4) for _ in range(len(g)))
+        assert _engine.min_twochi_in_box(g.matrix, adj, bounds) == row_min_twochi_in_box(
+            g.matrix, adj, bounds
+        )
+        assert _engine.antinef_in_box(g.matrix, bounds) == odometer_antinef_in_box(
+            g.matrix, bounds
+        )
+
+
 def test_engine_exact_on_wide_entries():
     # a 2^40-sized entry: the single scan path answers exactly
     matrix = ((-(2**40),),)
@@ -112,3 +175,31 @@ def test_engine_budget_guard():
     for bounds in ((-1,), (-2,), (3, -1), (1, -3, -3)):
         with pytest.raises(InputError, match="non-negative bounds"):
             _engine.check_budget(bounds)
+
+
+def test_kernels_equal_the_old_kernels_on_small_forms():
+    # many tiny boxes with arbitrary linear terms and (-1) diagonal
+    # entries: minima on the edge of a pruning interval are common here
+    rng = random.Random("small-forms")
+    tried = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = rng.choice((0, 1, 1, 2))
+        for i in range(n):
+            matrix[i][i] = -(sum(matrix[i]) + rng.randint(0, 2)) or -1
+        matrix = tuple(map(tuple, matrix))
+        adj = tuple(rng.randint(-8, 8) for _ in range(n))
+        bounds = tuple(rng.randint(0, 4) for _ in range(n))
+        assert _engine.antinef_in_box(matrix, bounds) == odometer_antinef_in_box(matrix, bounds)
+        try:
+            pruned = _engine.min_twochi_in_box(matrix, adj, bounds)
+        except InputError:  # refused only when some leading minor has the wrong sign
+            assert any((-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) <= 0
+                       for k in range(1, n + 1))
+            continue
+        tried += 1
+        assert pruned == row_min_twochi_in_box(matrix, adj, bounds), (matrix, adj, bounds)
+    assert tried > 2000
