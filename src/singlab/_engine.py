@@ -14,7 +14,8 @@ interval, read off the rows of M that column 0 meets; otherwise the row
 holds none.  The cost is O(rows * degree + output).
 
 ``min_twochi_in_box`` certifies the box by an exact Fincke-Pohst walk.
-One fraction-free elimination of the bordered form [-M | -adj] writes
+It reads the graph's one elimination (``_linalg.factor_bordered``, kept
+on the graph when it is built), which writes
 2chi = const + sum_i N_i^2 / (4 p_i p_(i+1)), with p_i the leading
 minors of -M and N_i an integer linear form in d_i..d_(n-1).  A depth
 first walk over axes n-1..1 in increasing value (the odometer order)
@@ -38,7 +39,6 @@ from __future__ import annotations
 import os
 from math import isqrt, prod
 
-from ._linalg import eliminate
 from .errors import EnumerationLimitError, InputError
 
 DEFAULT_MAX_ENUM = 10**7
@@ -137,17 +137,18 @@ def antinef_in_box(matrix, bounds):
                 positive += (new > 0) - (old > 0)
 
 
-def min_twochi_in_box(matrix, adj, bounds):
+def min_twochi_in_box(rows, bounds):
     """Minimum of -(D.M.D + adj.D) over D != 0 in the box, with a witness.
 
-    Returns (min_value, witness_tuple), or (None, None) when the box holds
-    only D = 0; the value is twice the minimal Euler characteristic.  The
+    ``rows`` is the elimination of [[-M, -adj], [-adj^T, 0]] by
+    ``_linalg.factor_bordered``, so M is negative definite.  Returns
+    (min_value, witness_tuple), or (None, None) when the box holds only
+    D = 0; the value is twice the minimal Euler characteristic.  The
     witness is the first minimiser in odometer order, index 0 fastest.
-    The form must be negative definite; InputError otherwise.
 
-    With A = -M and g = -adj, eliminating [[A, g], [g, 0]] fraction-free
-    leaves the leading minors p_(i+1) of A as pivots (p_0 = 1), the rows
-    a_i of the elimination, and W_n = -g.adj(A).g, so that
+    With A = -M and g = -adj, row a_i of the elimination has the leading
+    minor p_(i+1) of A as its pivot (p_0 = 1), and the last row has
+    W_n = -g.adj(A).g in its corner, so that
     2chi = (W_n / 4 p_n) + sum_i N_i^2 / (4 p_i p_(i+1)) with
     N_i = 2 sum_(j >= i) a_ij d_j + a_in.  Once d_i..d_(n-1) are fixed,
     the partial sum is the minimum of 2chi over real d_0..d_(i-1), kept
@@ -161,14 +162,7 @@ def min_twochi_in_box(matrix, adj, bounds):
     n = len(bounds)
     if n == 0:
         return None, None
-    if matrix[0][0] >= 0:
-        raise InputError("min_twochi_in_box needs a negative first diagonal entry")
-    rows = [[-m for m in row] + [-adj[i]] for i, row in enumerate(matrix)]
-    rows.append([-a for a in adj] + [0])
-    pivots, regular = eliminate(rows, n)
-    if not regular or any(p <= 0 for p in pivots):
-        raise InputError("min_twochi_in_box needs a negative definite form")
-    p = [1, *pivots]
+    p = [1, *(rows[i][i] for i in range(n))]
     # column j of 2 a_ij over i < j: how d_j moves N_i
     cols = [[(i, 2 * m) for i, m in col if i < j]
             for j, col in enumerate(_sparse_columns(rows, n))]

@@ -2,9 +2,11 @@
 
 Everything here is one fraction-free Gaussian elimination in the style of
 Bareiss, ``eliminate``: ranks of rational matrices after clearing
-denominators, linear solves with rational back substitution, and the
-negative-definiteness test, which reads Sylvester's criterion off the
-pivots of a single pass.  No floating point anywhere.
+denominators, and the one factorization of each graph's form,
+``factor_bordered``, which ``graph.is_negative_definite`` runs when a
+``DualGraph`` is built.  Sylvester's criterion is read off its pivots, K
+off its rows by ``back_substitute``, and ``_engine.min_twochi_in_box``
+walks the same rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -60,37 +62,32 @@ def eliminate(a, ncols: int) -> tuple[list[int], bool]:
     return pivots, regular
 
 
-def negative_definite(matrix) -> bool:
-    """Sylvester's criterion for a symmetric integer matrix: the k-th
-    leading principal minor has sign (-1)^k.
+def factor_bordered(matrix, adj):
+    """The rows of one elimination of [[-M, -adj], [-adj^T, 0]], or None
+    exactly when M is not negative definite.
 
-    A regular elimination yields exactly those minors as its pivots, and an
-    irregular one means some minor vanishes, so one O(n^3) pass decides.
+    Row i < n holds the leading minor p_(i+1) > 0 of -M at column i and
+    zeros to its left; the last row is zero but for its corner.
     """
     n = len(matrix)
-    pivots, regular = eliminate([list(row) for row in matrix], n)
-    return regular and len(pivots) == n and all(
-        (p < 0) if k % 2 == 0 else (p > 0) for k, p in enumerate(pivots)
-    )
+    rows = [[-m for m in row] + [-adj[i]] for i, row in enumerate(matrix)]
+    rows.append([-a for a in adj] + [0])
+    pivots, regular = eliminate(rows, n)
+    if not regular or any(p <= 0 for p in pivots):
+        return None
+    return tuple(map(tuple, rows))
 
 
-def solve(matrix, rhs) -> list[Fraction]:
-    """Solve M x = b exactly for square integer M and integer b.
-
-    Fraction-free forward elimination of [M | b], rational back
-    substitution.  Raises ValueError when M is singular.
-    """
-    n = len(matrix)
-    a = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    if len(eliminate(a, n)[0]) < n:
-        raise ValueError("singular matrix")
-    x = [Fraction(0)] * n
+def back_substitute(rows, n) -> tuple[int, list[int]]:
+    """(d, y) with x = y / d solving rows[i][:n] . x = rows[i][n] for i < n,
+    from the rows of a regular ``eliminate``: d, the last pivot, is the
+    determinant, so y = d x is integral (Cramer) and found in integers."""
+    d = rows[n - 1][n - 1] if n else 1
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    return x
+        row = rows[i]
+        y[i] = _exact_div(d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
+    return d, y
 
 
 def rank(rows) -> int:

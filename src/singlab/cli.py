@@ -13,8 +13,8 @@ Subcommands:
     corpus emit NAME PARAM      print a generated corpus graph document
     verify-paper                run the acceptance suite
 
-Every subcommand takes --format json|text.  Exit codes: 0 success,
-1 input/validation error (a malformed command line included), 2 internal
+Every subcommand takes --format json|text.  Exit codes: 0 success, 1 input
+error (a malformed command line included) or stdout closed early, 2 internal
 invariant violation.  A call builds the argument parser of its own leaf
 command only; help and usage errors above the leaves use the full tree.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -335,7 +336,13 @@ def _parse(argv: list):
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that is gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; devnull takes what is buffered, so exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,12 +6,15 @@ computed by the classical incremental loop (start from the reduced cycle,
 repeatedly bump a curve it still meets positively).  The canonical cycle
 K solves the adjunction relations K . E_i = 2 g(E_i) - 2 - E_i^2 and is in
 general only rational; the singularity is numerically Gorenstein when K
-is integral.
+is integral.  K is read off the elimination the graph made of its form
+when it was built, by back substitution; nothing here eliminates again.
 """
 
 from __future__ import annotations
 
-from ._linalg import solve
+from fractions import Fraction
+
+from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError
 from .graph import Cycle, DualGraph, QCycle, connected_components, mat_vec, pairing
 
@@ -26,12 +29,9 @@ __all__ = [
 
 
 def adjunction_vector(g: DualGraph) -> tuple[int, ...]:
-    """Per-vertex value 2*genus - 2 - self_int, i.e. K . E_i.
-
-    Dotting this vector with a cycle's coefficients gives K . D without
-    solving for K, which keeps Euler characteristics in pure integers.
-    """
-    return tuple(2 * v.genus - 2 - v.self_int for v in g.vertices)
+    """Per-vertex value 2*genus - 2 - self_int, i.e. K . E_i, as the graph
+    keeps it: dotted with a cycle it gives K . D without solving for K."""
+    return g.adjunction
 
 
 def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
@@ -81,21 +81,21 @@ def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
 
 
 def canonical_cycle(g: DualGraph) -> QCycle:
-    """The rational cycle K with K . E_i = 2 g(E_i) - 2 - E_i^2 for all i."""
+    """The rational cycle K with K . E_i = 2 g(E_i) - 2 - E_i^2 for all i,
+    by back substitution in the first n rows of the graph's elimination
+    of [[-M, -a], [-a^T, 0]], which hold -M K = -a in triangular form."""
     cached = g._cache.get("canonical")
     if cached is not None:
         return cached
-    rhs = adjunction_vector(g)
-    # a negative definite form (a DualGraph invariant) is never singular
-    coeffs = solve(g.matrix, rhs)
-    k = QCycle(g, coeffs)
-    # re-substitution check, always on
-    for i, acc in enumerate(mat_vec(g, coeffs)):
-        if acc != rhs[i]:
+    d, y = back_substitute(g.elimination, len(g))
+    # re-substitution check, always on, in integers: M (d K) = d a
+    for i, acc in enumerate(mat_vec(g, y)):
+        if acc != d * g.adjunction[i]:
             raise InternalCheckError(
                 "canonical-cycle-resubstitution",
-                f"row {g.vertices[i].id}: {acc} != {rhs[i]}",
+                f"row {g.vertices[i].id}: {acc} != {d} * {g.adjunction[i]}",
             )
+    k = QCycle(g, [Fraction(c, d) for c in y])
     g._cache["canonical"] = k
     return k
 
@@ -112,9 +112,7 @@ def chi(g: DualGraph, d: Cycle) -> int:
         raise InputError("chi expects an integral cycle")
     if d.graph != g:
         raise InputError("cycle does not live on this graph")
-    two_chi = -(pairing(g, d, d) + sum(
-        a * c for a, c in zip(adjunction_vector(g), d.coeffs)
-    ))
+    two_chi = -(pairing(g, d, d) + sum(a * c for a, c in zip(g.adjunction, d.coeffs)))
     if two_chi % 2 != 0:
         raise InternalCheckError(
             "euler-characteristic-integrality", f"2*chi = {two_chi} is odd"

@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from . import _engine
 from .cycles import (
-    adjunction_vector,
     canonical_cycle,
     chi,
     connected_components,
@@ -148,24 +147,24 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     elliptic graph): exhaustively when the box has at most 200k candidates,
     by 2000 seeded draws otherwise, so the work is bounded with no budget.
     The exhaustive sweep certifies the whole box without visiting every
-    candidate: an exact lower bound on 2chi (from one fraction-free
-    elimination of the form) rules out each sub-box it skips, and each
-    row along the first vertex is settled in closed form.  ``checked``
-    counts the nonzero candidates certified.  The 200k cap and the draws
-    do not depend on how the box is certified.  The record is kept on the
-    graph: ``is_elliptic`` sweeps once, and later calls return it.  Raises
-    InternalCheckError with a witness if a negative Euler characteristic
-    shows up; for a valid elliptic graph none exists.
+    candidate: an exact lower bound on 2chi (from the elimination the
+    graph made of its form when it was built) rules out each sub-box it
+    skips, and each row along the first vertex is settled in closed form.
+    ``checked`` counts the nonzero candidates certified.  The 200k cap and
+    the draws do not depend on how the box is certified.  The record is
+    kept on the graph: ``is_elliptic`` sweeps once, and later calls return
+    it.  Raises InternalCheckError with a witness if a negative Euler
+    characteristic shows up; for a valid elliptic graph none exists.
     """
     cached = g._cache.get("chi_sweep")
     if cached is not None:
         return cached
     bounds = tuple(2 * c for c in fundamental_cycle(g).coeffs)
-    adj = adjunction_vector(g)
+    adj = g.adjunction
     size = _engine.box_size(bounds)
     exhaustive = size <= _AUTO_SWEEP_CAP
     if exhaustive:
-        min2, witness = _engine.min_twochi_in_box(g.matrix, adj, bounds)
+        min2, witness = _engine.min_twochi_in_box(g.elimination, bounds)
         checked = size - 1
     else:
         rng = random.Random(0xE11)
@@ -407,7 +406,7 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
         return MinusOneChainReport(js, ())
 
     j0 = js[0]
-    adj = adjunction_vector(g)
+    adj = g.adjunction
     cm_dot = mat_vec(g, seq.partial_sum(m).coeffs)  # C_m . E_i for every i
     f: dict[int, int] = {}  # t -> vertex index of F_t
     for t in range(j0, m):

@@ -5,8 +5,10 @@ normal surface singularity: each vertex carries a self-intersection number
 and a genus, each edge an intersection multiplicity.  The graph is a valid
 resolution graph exactly when its intersection matrix is negative
 definite.  That is an invariant of every ``DualGraph``, however it was
-built: the constructor decides it by one fraction-free elimination
-(Sylvester's criterion on its pivots) and raises InputError otherwise; no
+built: the constructor eliminates [[-M, -a], [-a^T, 0]], a the adjunction
+vector, once (``is_negative_definite``) and raises InputError unless
+Sylvester's criterion holds on the pivots.  It keeps the rows, from which
+``canonical_cycle`` back-substitutes K and the chi >= 0 sweep walks; no
 floating point is used anywhere in this package.
 """
 
@@ -17,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._linalg import negative_definite
+from ._linalg import factor_bordered
 from .errors import InputError
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -42,12 +44,14 @@ class DualGraph:
     with ``a`` preceding ``b`` in vertex order and one entry per pair;
     duplicate pairs in the input have their multiplicities summed.
     ``neighbours[i]`` lists the indices adjacent to vertex ``i``, ascending.
-    The constructor rejects with InputError anything that is not a
-    connected resolution graph, a form that is not negative definite
-    included.
+    ``adjunction[i]`` is K . E_i = 2 g_i - 2 - E_i^2, and ``elimination``
+    the rows of ``is_negative_definite``.  The constructor rejects with
+    InputError anything that is not a connected resolution graph, a form
+    that is not negative definite included.
     """
 
-    __slots__ = ("vertices", "edges", "neighbours", "_index", "_matrix", "_cache")
+    __slots__ = ("vertices", "edges", "neighbours", "adjunction", "elimination",
+                 "_index", "_matrix", "_cache")
 
     def __init__(self, vertices, edges):
         verts = []
@@ -109,6 +113,8 @@ class DualGraph:
             (verts[i].id, verts[j].id, mult[(i, j)]) for (i, j) in sorted(mult)
         )
         self.neighbours = tuple(tuple(row) for row in nbrs)
+        self.adjunction = tuple(2 * v.genus - 2 - v.self_int for v in verts)
+        self.elimination = None
         self._index = index
         self._matrix = tuple(tuple(row) for row in matrix)
         self._cache = {}
@@ -407,12 +413,12 @@ def pairing(g: DualGraph, d1, d2):
 
 
 def is_negative_definite(g: DualGraph) -> bool:
-    """Exact test by Sylvester's criterion on one fraction-free elimination.
-
-    The constructor already holds every graph to it, so on a built
-    ``DualGraph`` this is always True.
-    """
-    return negative_definite(g.matrix)
+    """Sylvester's criterion on the graph's one elimination, which the
+    constructor runs here (``_linalg.factor_bordered``) and keeps as
+    ``g.elimination``; on a built graph, always True at no cost."""
+    if g.elimination is None:
+        g.elimination = factor_bordered(g.matrix, g.adjunction)
+    return g.elimination is not None
 
 
 def connected_components(g: DualGraph, indices) -> list[set[int]]:

@@ -5,7 +5,9 @@ loops over itertools boxes, deliberately sharing no code path with the
 package's kernels or incremental algorithms.  The exceptions, at the end,
 are the box kernels the package used before it pruned its scans: they
 visit every row or every candidate, and the pruned kernels must return
-exactly what they return, in the same order.
+exactly what they return, in the same order; and the linear solve the
+package used for the canonical cycle before it read K off the graph's one
+elimination.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from singlab._linalg import eliminate
 from singlab.errors import InputError
 
 
@@ -262,3 +265,22 @@ def row_min_twochi_in_box(matrix, adj, bounds):
         d[j] += 1
         for i, m in cols[j]:
             s[i] += m
+
+
+def solve(matrix, rhs) -> list[Fraction]:
+    """Solve M x = b exactly for square integer M and integer b.
+
+    Fraction-free forward elimination of [M | b], rational back
+    substitution.  Raises ValueError when M is singular.
+    """
+    n = len(matrix)
+    a = [list(matrix[i]) + [rhs[i]] for i in range(n)]
+    if len(eliminate(a, n)[0]) < n:
+        raise ValueError("singular matrix")
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = Fraction(a[i][n])
+        for j in range(i + 1, n):
+            acc -= a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    return x

@@ -14,6 +14,7 @@ import pytest
 from singlab import Cycle, EnumerationLimitError, enumerate_antinef_upto
 from singlab.cli import main
 from singlab.corpus import fig2312
+from singlab.graph import serialize_graph
 
 
 def run(capsys, *argv):
@@ -282,3 +283,21 @@ def test_a_leaf_command_builds_only_its_own_parser(monkeypatch, capsys):
         main(["graph"])
     assert len(built) == 14
     capsys.readouterr()
+
+
+def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
+    # the sequence of fig2312(20) prints about 96 kB of JSON, more than a
+    # pipe holds, so the write meets the closed reader whatever the timing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                                    os.environ.get("PYTHONPATH")])))
+    doc = serialize_graph(fig2312(20))
+    proc = subprocess.Popen([sys.executable, "-m", "singlab.cli", "elliptic", "sequence", "-",
+                             "--format", "json"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdin.write(doc.encode())
+    proc.stdin.close()
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

@@ -20,7 +20,7 @@ from singlab import (
     minimally_elliptic_cycle,
     pairing,
 )
-from singlab import _engine
+from singlab import _engine, _linalg, canonical_cycle, verify
 from singlab import elliptic as elliptic_module
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.corpus import brell3, fig244, fig2312
@@ -297,6 +297,40 @@ def test_is_elliptic_keeps_its_chi_sweep(n, monkeypatch):
     assert chi_nonnegative_check(g) is first
     assert first == expected
     assert len(calls) == (n == 3)
+
+
+def test_one_elimination_per_graph(monkeypatch):
+    # K, the exhaustive chi walk and the sequence all read the rows the
+    # constructor eliminated; a fresh copy, so nothing is cached yet
+    template = fig2312(3)
+    calls = []
+    eliminate = _linalg.eliminate
+    monkeypatch.setattr(_linalg, "eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    g = DualGraph(template.vertices, template.edges)
+    canonical_cycle(g)
+    assert is_elliptic(g) and chi_nonnegative_check(g).exhaustive
+    elliptic_sequence(g)
+    assert len(calls) == 1
+
+
+def test_verify_paper_emin_rule_equals_the_box_scan():
+    """verify-paper checks that E_min lies below every chi = 0 cycle
+    0 < D <= Z_E by one chi walk per vertex of supp E_min.  On its graphs
+    and on the E_min cases, the walks agree with a scan of the whole box,
+    for E_min and for Z_E posing as it, which both reject wherever the
+    two differ."""
+    graphs = ([fig2312(n) for n in range(1, 4)] + [fig244(m) for m in range(4)]
+              + [brell3(m) for m in range(4)] + list(EMIN_CASES.values()))
+    differ = 0
+    for g in graphs:
+        emin = minimally_elliptic_cycle(g).coeffs
+        ze = fundamental_cycle(g).coeffs
+        zeros = chi_zero_in_box(g.matrix, adjunction_vector(g), ze)
+        for e in (emin, ze):
+            scan = all(all(a <= b for a, b in zip(e, d)) for d in zeros)
+            assert verify._below_every_chi_zero(g, e, ze) == scan == (e == emin), g
+        differ += emin != ze
+    assert differ == 15
 
 
 def test_elliptic_sequence_beyond_the_old_box_budget():

@@ -1,5 +1,7 @@
 """The lattice-box scan kernels of ``_engine`` against plain oracle scans
-and against the row-by-row and candidate-by-candidate kernels they replace."""
+and against the row-by-row and candidate-by-candidate kernels they replace,
+and the one factorization of a graph's form (definiteness, K and the chi
+walk) against Sylvester's criterion, the old solve and the row sweep."""
 
 from __future__ import annotations
 
@@ -8,10 +10,23 @@ import random
 import pytest
 
 from oracles import antinef_in_box as oracle_antinef
-from oracles import first_min_two_chi, fraction_det, odometer_antinef_in_box, row_min_twochi_in_box
-from singlab import DualGraph, InputError, Vertex, _engine, elliptic_sequence
+from oracles import (
+    first_min_two_chi,
+    fraction_det,
+    odometer_antinef_in_box,
+    row_min_twochi_in_box,
+    solve,
+)
+from singlab import DualGraph, InputError, Vertex, _engine, canonical_cycle, elliptic_sequence
+from singlab._linalg import factor_bordered
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.cycles import adjunction_vector, fundamental_cycle
+
+
+def walk(matrix, adj, bounds):
+    """The chi walk on one factorization of a raw negative definite form."""
+    return _engine.min_twochi_in_box(factor_bordered(matrix, adj), bounds)
+
 
 CASES = []
 for g in [fig2312(1), fig2312(2), fig244(1), fig244(2), brell3(1), brell3(2)]:
@@ -27,14 +42,14 @@ def test_pure_kernels_match_oracles(case):
     assert sorted(_engine.antinef_in_box(matrix, bounds)) == sorted(
         oracle_antinef(matrix, bounds)
     )
-    assert _engine.min_twochi_in_box(matrix, adj, bounds) == first_min_two_chi(
-        matrix, adj, bounds
-    )
+    assert walk(matrix, adj, bounds) == first_min_two_chi(matrix, adj, bounds)
 
 
-def _random_graph(rng, shape, n, double=0.0):
-    """A negative definite star, cusp (n >= 3) or tree on n vertices with
-    random genera; each edge has multiplicity 2 with probability ``double``."""
+def _draws(rng, shape, n, double=0.0):
+    """Endless draws of (vertices, edges) on one star, cusp (n >= 3) or tree
+    on n vertices, with random weights and genera; each edge has
+    multiplicity 2 with probability ``double``.  A draw's form need not be
+    negative definite."""
     if shape == "star":
         edges = [(0, i) if i <= 3 else (i - 3, i) for i in range(1, n)]
     elif shape == "cusp":
@@ -51,8 +66,14 @@ def _random_graph(rng, shape, n, double=0.0):
             for i in range(n)
         ]
         mults = [2 if double and rng.random() < double else 1 for _ in edges]
+        yield vertices, [(f"E{i}", f"E{j}", m) for (i, j), m in zip(edges, mults)]
+
+
+def _random_graph(rng, shape, n, double=0.0):
+    """The first negative definite draw of ``_draws``."""
+    for vertices, edges in _draws(rng, shape, n, double):
         try:
-            return DualGraph(vertices, [(f"E{i}", f"E{j}", m) for (i, j), m in zip(edges, mults)])
+            return DualGraph(vertices, edges)
         except InputError:  # not negative definite: draw the weights again
             continue
 
@@ -85,20 +106,25 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("matrix, adj, bounds", _random_cases() + EDGE_CASES)
 def test_row_kernel_is_the_first_odometer_minimum(matrix, adj, bounds):
-    assert _engine.min_twochi_in_box(matrix, adj, bounds) == first_min_two_chi(
-        matrix, adj, bounds
-    )
+    assert walk(matrix, adj, bounds) == first_min_two_chi(matrix, adj, bounds)
+
+
+# The kernel walks the rows of a factorization that exists only for a
+# negative definite form: a form that is not is refused once, when it is
+# factored, and a graph with it is never built.
 
 
 def test_row_kernel_needs_a_negative_first_diagonal_entry():
-    with pytest.raises(InputError, match="negative first diagonal"):
-        _engine.min_twochi_in_box(((0,),), (0,), (2,))
+    assert factor_bordered(((0,),), (0,)) is None
+    with pytest.raises(InputError, match="not negative definite"):
+        DualGraph([Vertex("A", 0)], [])
 
 
 def test_sweep_kernel_refuses_a_form_that_is_not_negative_definite():
     # the first pivot is fine, the second leading minor is 1 - 4 < 0
-    with pytest.raises(InputError, match="negative definite"):
-        _engine.min_twochi_in_box(((-1, 2), (2, -1)), (0, 0), (2, 2))
+    assert factor_bordered(((-1, 2), (2, -1)), (0, 0)) is None
+    with pytest.raises(InputError, match="not negative definite"):
+        DualGraph([Vertex("A", -1), Vertex("B", -1)], [("A", "B", 2)])
 
 
 def _cusp(k):
@@ -131,7 +157,7 @@ def test_kernels_equal_the_old_kernels_on_permuted_corpus_rungs(name, g):
         ze = fundamental_cycle(h).coeffs
         adj = adjunction_vector(h)
         twice = tuple(2 * c for c in ze)
-        assert _engine.min_twochi_in_box(h.matrix, adj, twice) == row_min_twochi_in_box(
+        assert _engine.min_twochi_in_box(h.elimination, twice) == row_min_twochi_in_box(
             h.matrix, adj, twice
         )
         seq = elliptic_sequence(h)
@@ -148,7 +174,7 @@ def test_kernels_equal_the_old_kernels_on_random_graphs(shape):
         g = _random_graph(rng, shape, rng.randint(3 if shape == "cusp" else 1, 7), double=0.3)
         adj = adjunction_vector(g)
         bounds = tuple(rng.randint(0, 4) for _ in range(len(g)))
-        assert _engine.min_twochi_in_box(g.matrix, adj, bounds) == row_min_twochi_in_box(
+        assert _engine.min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
             g.matrix, adj, bounds
         )
         assert _engine.antinef_in_box(g.matrix, bounds) == odometer_antinef_in_box(
@@ -160,7 +186,7 @@ def test_engine_exact_on_wide_entries():
     # a 2^40-sized entry: the single scan path answers exactly
     matrix = ((-(2**40),),)
     assert _engine.antinef_in_box(matrix, (1,)) == [(0,), (1,)]
-    best, witness = _engine.min_twochi_in_box(matrix, (0,), (1,))
+    best, witness = walk(matrix, (0,), (1,))
     assert best == 2**40 and witness == (1,)
 
 
@@ -194,12 +220,54 @@ def test_kernels_equal_the_old_kernels_on_small_forms():
         adj = tuple(rng.randint(-8, 8) for _ in range(n))
         bounds = tuple(rng.randint(0, 4) for _ in range(n))
         assert _engine.antinef_in_box(matrix, bounds) == odometer_antinef_in_box(matrix, bounds)
-        try:
-            pruned = _engine.min_twochi_in_box(matrix, adj, bounds)
-        except InputError:  # refused only when some leading minor has the wrong sign
-            assert any((-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) <= 0
-                       for k in range(1, n + 1))
+        rows = factor_bordered(matrix, adj)
+        # refused exactly when some leading minor has the wrong sign
+        assert (rows is None) == any((-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) <= 0
+                                     for k in range(1, n + 1))
+        if rows is None:
             continue
         tried += 1
+        pruned = _engine.min_twochi_in_box(rows, bounds)
         assert pruned == row_min_twochi_in_box(matrix, adj, bounds), (matrix, adj, bounds)
     assert tried > 2000
+
+
+def _matrix(vertices, edges):
+    index = {v.id: i for i, v in enumerate(vertices)}
+    matrix = [[0] * len(vertices) for _ in vertices]
+    for i, v in enumerate(vertices):
+        matrix[i][i] = v.self_int
+    for a, b, m in edges:
+        matrix[index[a]][index[b]] += m
+        matrix[index[b]][index[a]] += m
+    return matrix
+
+
+@pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
+def test_one_factorization_on_random_graphs(shape):
+    """The graph's one elimination against three oracles on seeded draws,
+    multiplicity-2 edges and genera included: the constructor accepts
+    exactly the forms Sylvester's criterion (by Fraction determinants)
+    calls negative definite, K equals the old ``solve``, and the chi walk
+    the row sweep, value and witness."""
+    rng = random.Random(f"factor-{shape}")
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(3 if shape == "cusp" else 1, 7)
+        vertices, edges = next(_draws(rng, shape, n, 0.3))
+        matrix = _matrix(vertices, edges)
+        sylvester = all((-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) > 0
+                        for k in range(1, n + 1))
+        verdicts.add(sylvester)
+        if not sylvester:
+            with pytest.raises(InputError, match="not negative definite"):
+                DualGraph(vertices, edges)
+            continue
+        g = DualGraph(vertices, edges)
+        adj = adjunction_vector(g)
+        assert canonical_cycle(g).coeffs == tuple(solve(matrix, adj))
+        bounds = tuple(rng.randint(0, 3) for _ in range(n))
+        assert _engine.min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
+            matrix, adj, bounds
+        )
+    assert verdicts == {True, False}

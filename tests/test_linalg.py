@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_det, fraction_rank
-from singlab._linalg import eliminate, negative_definite, rank, solve
+from oracles import fraction_det, fraction_rank, solve
+from singlab._linalg import back_substitute, eliminate, factor_bordered, rank
 
 
 def test_leading_principal_minors_chain():
     # tridiagonal chain of (-2)s: minors alternate as (-1)^k (k+1)
     m = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
     assert eliminate([row[:] for row in m], 3) == ([-2, 3, -4], True)
-    assert negative_definite(m)
+    # the bordered positive form carries the minors of -M on its diagonal
+    rows = factor_bordered(m, (0, 0, 1))
+    assert [rows[i][i] for i in range(3)] == [2, 3, 4]
+    assert rows[3][:3] == (0, 0, 0)
 
 
 def random_symmetric(rng, n):
@@ -49,30 +52,43 @@ def test_pivots_are_leading_minors_and_decide_definiteness():
         assert regular == (first_zero == n), m
         assert pivots[:first_zero] == minors[:first_zero], m
         sylvester = all((d < 0) if k % 2 else (d > 0) for k, d in enumerate(minors, 1))
-        assert negative_definite(m) == sylvester, m
+        adj = [rng.randint(-9, 9) for _ in range(n)]
+        rows = factor_bordered(m, adj)
+        assert (rows is not None) == sylvester, m
+        if rows is not None:
+            # one factorization: the minors of -M, and the K of the old solve
+            assert [rows[i][i] for i in range(n)] == [abs(d) for d in minors]
+            assert _solution(rows, n) == solve(m, adj), m
         verdicts.add(sylvester)
     assert verdicts == {True, False}
 
 
+def _solution(rows, n):
+    d, y = back_substitute(rows, n)
+    return [Fraction(v, d) for v in y]
+
+
 def test_solve_resubstitutes():
+    # back substitution on the bordered factor of a negative definite form
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(1, 6)
-        while True:
-            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            if fraction_det(m) != 0:
-                break
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        m = [[-sum(a[k][i] * a[k][j] for k in range(n)) - (i == j)
+              for j in range(n)] for i in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        x = solve(m, b)
+        x = _solution(factor_bordered(m, b), n)
         for i in range(n):
             assert sum(m[i][j] * x[j] for j in range(n)) == b[i]
+        assert x == solve(m, b)
 
 
 def test_solve_singular_raises():
-    with pytest.raises(ValueError):
-        solve([[1, 1], [1, 1]], [0, 1])
-    with pytest.raises(ValueError):
-        solve([[0]], [1])
+    # the old solve raised on a singular form; the factorization refuses it
+    for m, b in (([[1, 1], [1, 1]], [0, 1]), ([[0]], [1]), ([[-2, 2], [2, -2]], [0, 0])):
+        with pytest.raises(ValueError):
+            solve(m, b)
+        assert factor_bordered(m, b) is None
 
 
 def test_rank_matches_fraction_oracle():

@@ -19,6 +19,7 @@ from singlab import (
     pairing,
 )
 from singlab import _engine
+from singlab._linalg import factor_bordered
 from singlab.corpus import brell3, fig244, fig2312
 
 GRAPHS = [fig2312(1), fig2312(2), fig244(1), fig244(2), brell3(1), brell3(2)]
@@ -99,6 +100,5 @@ def small_forms(draw):
 @given(small_forms())
 def test_row_kernel_is_the_first_odometer_minimum(form):
     matrix, adj, bounds = form
-    assert _engine.min_twochi_in_box(matrix, adj, bounds) == first_min_two_chi(
-        matrix, adj, bounds
-    )
+    rows = factor_bordered(matrix, adj)
+    assert _engine.min_twochi_in_box(rows, bounds) == first_min_two_chi(matrix, adj, bounds)
