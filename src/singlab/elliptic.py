@@ -11,7 +11,11 @@ finds it without enumerating cycles.  On a numerically Gorenstein
 elliptic graph the elliptic sequence Z_0 > Z_1 > ... > Z_m, ending at
 E_min, is built by repeatedly restricting to the curves orthogonal to the
 current cycle; its partial sums C_t and tail sums C'_t drive the ideal
-classification in ``singlab.classify``.
+classification in ``singlab.classify``.  The sequence is built and
+verified once per graph and kept on it, as are E_min, the chi sweep and
+the verdict of ``is_elliptic``.  Its products with the form run along the
+graph's sparse rows; only the sampled chi sweep still multiplies by the
+dense matrix.
 
 Every structural fact the construction relies on is verified on the
 actual data and raises InternalCheckError when violated, naming the
@@ -169,13 +173,15 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     else:
         rng = random.Random(0xE11)
         n = len(bounds)
+        m = g.matrix
         min2, witness, checked = None, None, 0
         for _ in range(_SWEEP_SAMPLES):
             d = tuple(rng.randint(0, b) for b in bounds)
             if all(x == 0 for x in d):
                 continue
             checked += 1
-            md = mat_vec(g, d)
+            # kept dense on purpose: its sparse product waits on ROADMAP item 1
+            md = [sum(m[i][j] * d[j] for j in range(n)) for i in range(n)]
             two = -(sum(d[i] * md[i] for i in range(n)) + sum(adj[i] * d[i] for i in range(n)))
             if min2 is None or two < min2:
                 min2, witness = two, d
@@ -277,7 +283,12 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
 
 def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     """Build and fully verify the elliptic sequence of a numerically
-    Gorenstein elliptic graph."""
+    Gorenstein elliptic graph.  The sequence is kept on the graph once it
+    has passed verification, and later calls return it; a refusal or a
+    failed check is raised again on every call."""
+    cached = g._cache.get("sequence")
+    if cached is not None:
+        return cached
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     if not is_numerically_gorenstein(g):
@@ -322,6 +333,7 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
 
     seq = EllipticSequence(g, tuple(supports), tuple(cycles))
     _verify_sequence(seq, emin)
+    g._cache["sequence"] = seq
     return seq
 
 
@@ -438,7 +450,7 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
             raise InternalCheckError(
                 "minus-one-chain-structure", f"{v.id} is not a genus-0 (-2)-curve"
             )
-        if t + 1 < m and g.matrix[f[t]][f[t + 1]] == 0:
+        if t + 1 < m and f[t + 1] not in g.neighbours[f[t]]:
             raise InternalCheckError(
                 "minus-one-chain-structure",
                 f"chain break between {v.id} and {g.vertices[f[t + 1]].id}",

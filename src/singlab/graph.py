@@ -10,6 +10,12 @@ vector, once (``is_negative_definite``) and raises InputError unless
 Sylvester's criterion holds on the pivots.  It keeps the rows, from which
 ``canonical_cycle`` back-substitutes K and the chi >= 0 sweep walks; no
 floating point is used anywhere in this package.
+
+The form itself is kept as sparse rows, the diagonal entry and then one
+entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,
+``is_anti_nef`` and through them the cycles and the elliptic sequence)
+costs O(n + |E|).  The dense ``matrix`` serves the box kernels, the
+printed matrix of ``graph analyze`` and the sampled chi sweep.
 """
 
 from __future__ import annotations
@@ -43,14 +49,16 @@ class DualGraph:
     never by index).  ``edges`` is normalized to ``(id_a, id_b, mult)``
     with ``a`` preceding ``b`` in vertex order and one entry per pair;
     duplicate pairs in the input have their multiplicities summed.
-    ``neighbours[i]`` lists the indices adjacent to vertex ``i``, ascending.
+    ``neighbours[i]`` lists the indices adjacent to vertex ``i``, ascending,
+    and ``rows[i]`` is row i of the form as ``((i, m_ii), (j, m_ij), ...)``
+    over those neighbours j.
     ``adjunction[i]`` is K . E_i = 2 g_i - 2 - E_i^2, and ``elimination``
     the rows of ``is_negative_definite``.  The constructor rejects with
     InputError anything that is not a connected resolution graph, a form
     that is not negative definite included.
     """
 
-    __slots__ = ("vertices", "edges", "neighbours", "adjunction", "elimination",
+    __slots__ = ("vertices", "edges", "neighbours", "rows", "adjunction", "elimination",
                  "_index", "_matrix", "_cache")
 
     def __init__(self, vertices, edges):
@@ -100,6 +108,7 @@ class DualGraph:
         n = len(verts)
         matrix = [[0] * n for _ in range(n)]
         nbrs = [[] for _ in range(n)]
+        rows = [[(i, v.self_int)] for i, v in enumerate(verts)]
         for i, v in enumerate(verts):
             matrix[i][i] = v.self_int
         for (i, j), m in sorted(mult.items()):
@@ -107,12 +116,15 @@ class DualGraph:
             matrix[j][i] = m
             nbrs[i].append(j)
             nbrs[j].append(i)
+            rows[i].append((j, m))
+            rows[j].append((i, m))
 
         self.vertices = tuple(verts)
         self.edges = tuple(
             (verts[i].id, verts[j].id, mult[(i, j)]) for (i, j) in sorted(mult)
         )
         self.neighbours = tuple(tuple(row) for row in nbrs)
+        self.rows = tuple(tuple(row) for row in rows)
         self.adjunction = tuple(2 * v.genus - 2 - v.self_int for v in verts)
         self.elimination = None
         self._index = index
@@ -151,7 +163,7 @@ class DualGraph:
         return not any(v.genus == 0 and v.self_int == -1 for v in self.vertices)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, DualGraph)
             and self.vertices == other.vertices
             and self.edges == other.edges
@@ -180,14 +192,23 @@ class Cycle:
         self.coeffs = coeffs
 
     @classmethod
+    def _of(cls, graph: DualGraph, coeffs: tuple) -> Cycle:
+        """A cycle from a tuple of ints already known to fit ``graph``
+        (the results of arithmetic on cycles), without re-checking it."""
+        d = object.__new__(cls)
+        d.graph = graph
+        d.coeffs = coeffs
+        return d
+
+    @classmethod
     def zero(cls, graph: DualGraph) -> Cycle:
-        return cls(graph, (0,) * len(graph))
+        return cls._of(graph, (0,) * len(graph))
 
     @classmethod
     def unit(cls, graph: DualGraph, vid: str) -> Cycle:
         c = [0] * len(graph)
         c[graph.index_of(vid)] = 1
-        return cls(graph, c)
+        return cls._of(graph, tuple(c))
 
     @classmethod
     def from_map(cls, graph: DualGraph, mapping) -> Cycle:
@@ -219,7 +240,7 @@ class Cycle:
     def _binop(self, other, op):
         if not isinstance(other, Cycle) or other.graph != self.graph:
             raise InputError("cycles live on different graphs")
-        return Cycle(self.graph, tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return Cycle._of(self.graph, tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -228,12 +249,12 @@ class Cycle:
         return self._binop(other, lambda a, b: a - b)
 
     def __neg__(self):
-        return Cycle(self.graph, tuple(-c for c in self.coeffs))
+        return Cycle._of(self.graph, tuple(-c for c in self.coeffs))
 
     def __rmul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return Cycle(self.graph, tuple(k * c for c in self.coeffs))
+        return Cycle._of(self.graph, tuple(k * c for c in self.coeffs))
 
     def __eq__(self, other):
         return (
@@ -395,10 +416,9 @@ def intersection_matrix(g: DualGraph) -> list[list[int]]:
 
 
 def mat_vec(g: DualGraph, coeffs) -> list:
-    """M . D for the coefficient vector of D: the list of D . E_i."""
-    m = g.matrix
-    n = len(g)
-    return [sum(m[i][j] * coeffs[j] for j in range(n)) for i in range(n)]
+    """M . D for the coefficient vector of D: the list of D . E_i, along
+    the sparse rows in O(n + |E|)."""
+    return [sum([m * coeffs[j] for j, m in row]) for row in g.rows]
 
 
 def pairing(g: DualGraph, d1, d2):

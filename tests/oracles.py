@@ -5,9 +5,10 @@ loops over itertools boxes, deliberately sharing no code path with the
 package's kernels or incremental algorithms.  The exceptions, at the end,
 are the box kernels the package used before it pruned its scans: they
 visit every row or every candidate, and the pruned kernels must return
-exactly what they return, in the same order; and the linear solve the
+exactly what they return, in the same order; the linear solve the
 package used for the canonical cycle before it read K off the graph's one
-elimination.
+elimination; and the Laufer loop as it ran on the dense matrix before the
+form became sparse rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from fractions import Fraction
 from itertools import product
 
 from singlab._linalg import eliminate
-from singlab.errors import InputError
+from singlab.errors import InputError, InternalCheckError
+from singlab.graph import Cycle, connected_components
 
 
 def mat_vec(matrix, vec):
@@ -284,3 +286,44 @@ def solve(matrix, rhs) -> list[Fraction]:
             acc -= a[i][j] * x[j]
         x[i] = acc / a[i][i]
     return x
+
+
+def dense_fundamental_cycle(g, support=None, rng=None) -> Cycle:
+    """The incremental loop of ``cycles.fundamental_cycle`` updating
+    M . D along a dense column of ``g.matrix`` at every bump."""
+    if support is None:
+        idxs = list(range(len(g)))
+    else:
+        idxs = sorted({g.index_of(v) for v in support})
+        if not idxs:
+            raise InputError("support must be non-empty")
+        if len(connected_components(g, idxs)) != 1:
+            raise InputError("support must be connected")
+
+    m = g.matrix
+    n = len(g)
+    coeffs = [0] * n
+    s = [0] * n  # s = M . coeffs
+    for j in idxs:
+        coeffs[j] = 1
+        for i in range(n):
+            s[i] += m[i][j]
+
+    cap = sum(abs(v.self_int) for v in g.vertices) * n * 64
+    steps = 0
+    while True:
+        violators = [i for i in idxs if s[i] > 0]
+        if not violators:
+            break
+        j = rng.choice(violators) if rng is not None else violators[0]
+        coeffs[j] += 1
+        for i in range(n):
+            s[i] += m[i][j]
+        steps += 1
+        if steps > cap:
+            raise InternalCheckError(
+                "fundamental-cycle-termination",
+                f"incremental loop exceeded {cap} steps; "
+                "the intersection form cannot be negative definite",
+            )
+    return Cycle(g, coeffs)

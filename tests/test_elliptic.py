@@ -20,10 +20,11 @@ from singlab import (
     minimally_elliptic_cycle,
     pairing,
 )
-from singlab import _engine, _linalg, canonical_cycle, verify
+from singlab import _engine, _linalg, canonical_cycle, cli, verify
 from singlab import elliptic as elliptic_module
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.corpus import brell3, fig244, fig2312
+from singlab.errors import InternalCheckError
 from singlab.graph import is_negative_definite
 
 
@@ -356,3 +357,84 @@ def test_elliptic_sequence_beyond_the_old_box_budget():
         expected.update({f"E{j}_{s}": 1 for j in range(i, m) for s in (1, 2, 3)})
         assert z == Cycle.from_map(g, expected)
     assert pairing(g, seq.e_min, seq.e_min) == -3
+
+
+def _count_verifications(monkeypatch):
+    calls = []
+    verify_sequence = elliptic_module._verify_sequence
+    monkeypatch.setattr(elliptic_module, "_verify_sequence",
+                        lambda seq, emin: calls.append(seq.graph) or verify_sequence(seq, emin))
+    return calls
+
+
+def test_elliptic_sequence_is_built_and_verified_once(monkeypatch):
+    calls = _count_verifications(monkeypatch)
+    template = fig244(3)
+    g = DualGraph(template.vertices, template.edges)
+    first = elliptic_sequence(g)
+    assert elliptic_sequence(g) is first
+    assert len(calls) == 1
+    assert first == elliptic_sequence(template)
+
+
+def test_refused_sequences_are_refused_on_every_call(monkeypatch):
+    calls = _count_verifications(monkeypatch)
+    not_elliptic = single(-2)
+    not_gorenstein = DualGraph([Vertex("C", -2, 1), Vertex("L", -3, 0)], [("C", "L", 1)])
+    for g, message in ((not_elliptic, "not elliptic"), (not_gorenstein, "numerically Gorenstein")):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(InputError, match=message) as caught:
+                elliptic_sequence(g)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert "sequence" not in g._cache
+    assert calls == []
+
+
+def test_a_failed_verification_is_raised_on_every_call(monkeypatch):
+    calls = []
+
+    def refuse(seq, emin):
+        calls.append(seq)
+        raise InternalCheckError("elliptic-sequence-orthogonality", "Z_0 . Z_1 != 0")
+
+    monkeypatch.setattr(elliptic_module, "_verify_sequence", refuse)
+    g = DualGraph(fig2312(2).vertices, fig2312(2).edges)
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="orthogonality"):
+            elliptic_sequence(g)
+    assert len(calls) == 2 and "sequence" not in g._cache
+
+
+def test_verify_paper_verifies_each_sequence_once(monkeypatch, capsys):
+    # 20 distinct graphs; the sequence used to be rebuilt on 153 calls
+    for family in (fig2312, fig244, brell3):
+        family.cache_clear()
+    calls = _count_verifications(monkeypatch)
+    assert cli.main(["verify-paper", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len({id(g) for g in calls}) == 20
+
+
+# repr(chi_nonnegative_check(g)) on three sampled sweeps, recorded when the
+# sweep multiplied each draw by the dense matrix: the draws of Random(0xE11),
+# the count and the witness must not change with how the product is taken
+SAMPLED_SWEEPS = [
+    (fig2312, 6, "ChiSweep(exhaustive=False, checked=2000, min_chi=1, "
+                 "witness=(0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 1))"),
+    (brell3, 6, "ChiSweep(exhaustive=False, checked=2000, min_chi=2, "
+                "witness=(2, 0, 0, 1, 2, 2, 2, 1, 2, 2, 1, 2, 2, 0, 1, 0, 1, 1, 1))"),
+    (fig2312, 30, "ChiSweep(exhaustive=False, checked=2000, min_chi=21, "
+                  "witness=(1, 0, 1, 1, 0, 1, 0, 0, 1, 2, 1, 2, 1, 2, 1, 1, 0, 0, 1, 2, 1, "
+                  "0, 1, 0, 0, 1, 2, 2, 2, 1, 0, 1, 1, 1, 1, 0, 2, 2, 2, 1, 2, 2, 2, 1, 1, "
+                  "1, 1, 0, 0, 0, 1, 1, 2, 2, 0, 0, 1, 0, 0, 1, 1))"),
+]
+
+
+@pytest.mark.parametrize("family, param, expected", SAMPLED_SWEEPS,
+                         ids=["fig2312(6)", "brell3(6)", "fig2312(30)"])
+def test_sampled_sweeps_are_pinned(family, param, expected):
+    # a fresh copy, so the sweep runs here and is not read from the graph
+    g = DualGraph(family(param).vertices, family(param).edges)
+    assert repr(chi_nonnegative_check(g)) == expected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from singlab import (
     serialize_graph,
 )
 from singlab.corpus import brell3, fig244, fig2312
+from singlab.cycles import fundamental_cycle
 
 
 def doc(vertices, edges=()):
@@ -239,3 +241,59 @@ def test_qcycle_integrality():
     assert not q2.is_integral
     with pytest.raises(InputError):
         q2.to_cycle()
+
+
+def test_cycle_constructor_still_checks_external_input():
+    g = fig2312(1)
+    for coeffs in ([True, 0, 0], [1.0, 0, 0], [Fraction(1), 0, 0], ["1", 0, 0]):
+        with pytest.raises(InputError, match="integers"):
+            Cycle(g, coeffs)
+    for coeffs in ([1, 0], [1, 0, 0, 0], []):
+        with pytest.raises(InputError, match="length"):
+            Cycle(g, coeffs)
+    for value in (True, 0.5):
+        with pytest.raises(InputError, match="integers"):
+            Cycle.from_map(g, {"E1": value})
+
+
+def test_cycle_arithmetic_results_equal_checked_cycles():
+    # results of arithmetic skip the coefficient check; they must be the
+    # cycles the checking constructor builds from the same integers
+    g = brell3(2)
+    rng = random.Random(5)
+    for _ in range(20):
+        a = Cycle(g, [rng.randint(-4, 4) for _ in range(len(g))])
+        b = Cycle(g, [rng.randint(-4, 4) for _ in range(len(g))])
+        k = rng.randint(-3, 3)
+        for result, expected in (
+            (a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+            (a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)]),
+            (-a, [-x for x in a.coeffs]),
+            (k * a, [k * x for x in a.coeffs]),
+            (True * a, list(a.coeffs)),
+        ):
+            checked = Cycle(g, expected)
+            assert result == checked and hash(result) == hash(checked)
+            assert type(result.coeffs) is tuple
+            assert all(type(c) is int for c in result.coeffs)
+    assert Cycle.zero(g) == Cycle(g, [0] * len(g))
+    assert Cycle.unit(g, "E0_2") == Cycle.from_map(g, {"E0_2": 1})
+    assert fundamental_cycle(g) == Cycle(g, fundamental_cycle(g).coeffs)
+    with pytest.raises(InputError, match="unknown vertex"):
+        Cycle.unit(g, "nope")
+    with pytest.raises(InputError, match="different graphs"):
+        Cycle.zero(g) + Cycle.zero(fig2312(1))
+
+
+def test_graph_equality_by_value():
+    vertices = [Vertex("A", -3), Vertex("B", -3, 1)]
+    g = DualGraph(vertices, [("A", "B", 2)])
+    same = DualGraph(list(vertices), [("B", "A", 1), ("A", "B", 1)])
+    assert g is not same and g == same and hash(g) == hash(same)
+    assert g == g
+    other = DualGraph(vertices, [("A", "B", 1)])
+    assert g != other and other != g
+    assert g.rows == (((0, -3), (1, 2)), ((1, -3), (0, 2)))
+    assert other.rows == (((0, -3), (1, 1)), ((1, -3), (0, 1)))
+    assert Cycle.zero(g) != Cycle.zero(other)
+    assert Cycle.zero(g) == Cycle.zero(same)

@@ -1,7 +1,9 @@
 """The lattice-box scan kernels of ``_engine`` against plain oracle scans
 and against the row-by-row and candidate-by-candidate kernels they replace,
-and the one factorization of a graph's form (definiteness, K and the chi
-walk) against Sylvester's criterion, the old solve and the row sweep."""
+the one factorization of a graph's form (definiteness, K and the chi
+walk) against Sylvester's criterion, the old solve and the row sweep, and
+the sparse rows of the form against the dense matrix and the dense Laufer
+loop."""
 
 from __future__ import annotations
 
@@ -9,18 +11,37 @@ import random
 
 import pytest
 
+from fractions import Fraction
+
 from oracles import antinef_in_box as oracle_antinef
+from oracles import mat_vec as dense_mat_vec
 from oracles import (
+    dense_fundamental_cycle,
     first_min_two_chi,
     fraction_det,
+    is_antinef,
     odometer_antinef_in_box,
     row_min_twochi_in_box,
     solve,
+    two_chi,
 )
-from singlab import DualGraph, InputError, Vertex, _engine, canonical_cycle, elliptic_sequence
+from singlab import (
+    Cycle,
+    DualGraph,
+    InputError,
+    QCycle,
+    Vertex,
+    _engine,
+    canonical_cycle,
+    chi,
+    elliptic_sequence,
+    is_anti_nef,
+    pairing,
+)
 from singlab._linalg import factor_bordered
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.cycles import adjunction_vector, fundamental_cycle
+from singlab.graph import connected_components, mat_vec
 
 
 def walk(matrix, adj, bounds):
@@ -271,3 +292,51 @@ def test_one_factorization_on_random_graphs(shape):
             matrix, adj, bounds
         )
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
+def test_sparse_rows_equal_the_dense_form_on_random_graphs(shape):
+    """Every product along ``DualGraph.rows`` against the dense matrix on
+    seeded draws, multiplicity-2 edges and genera included: the rows
+    themselves, ``mat_vec``, ``pairing`` on integral and rational cycles,
+    ``is_anti_nef``, ``chi``, and ``fundamental_cycle`` (whole graph and a
+    connected support, first violator and random picks) against the dense
+    Laufer loop."""
+    rng = random.Random(f"sparse-{shape}")
+    for _ in range(40):
+        n = rng.randint(3 if shape == "cusp" else 1, 9)
+        g = _random_graph(rng, shape, n, 0.3)
+        matrix = _matrix(g.vertices, g.edges)
+        assert [list(row) for row in g.matrix] == matrix
+        for i, row in enumerate(g.rows):
+            off = tuple(j for j in range(n) if j != i and matrix[i][j])
+            assert g.neighbours[i] == off
+            assert row == ((i, matrix[i][i]),) + tuple((j, matrix[i][j]) for j in off)
+
+        adj = adjunction_vector(g)
+        ze = fundamental_cycle(g)
+        vectors = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(6)]
+        vectors += [list(ze.coeffs), [2 * c for c in ze.coeffs], [0] * n]
+        for c in vectors:
+            d = Cycle(g, c)
+            image = dense_mat_vec(matrix, c)
+            assert mat_vec(g, c) == image
+            assert is_anti_nef(g, d) == is_antinef(matrix, c)
+            assert 2 * chi(g, d) == two_chi(matrix, adj, c)
+            other = [rng.randint(-3, 3) for _ in range(n)]
+            assert pairing(g, Cycle(g, other), d) == sum(a * b for a, b in zip(other, image))
+            q = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            expected = sum(a * b for a, b in zip(q, image))
+            for value in (pairing(g, QCycle(g, q), d), pairing(g, d, QCycle(g, q))):
+                assert isinstance(value, Fraction) and value == expected
+            assert pairing(g, QCycle(g, q), QCycle(g, q)) == sum(
+                a * b for a, b in zip(q, dense_mat_vec(matrix, q)))
+
+        picked = {i for i in range(n) if rng.random() < 0.6} or {0}
+        part = [g.vertices[i].id for i in min(connected_components(g, picked), key=min)]
+        for support in (None, part):
+            expected = dense_fundamental_cycle(g, support)
+            assert fundamental_cycle(g, support) == expected
+            for seed in range(3):
+                assert fundamental_cycle(g, support, random.Random(seed)) == expected
+                assert dense_fundamental_cycle(g, support, random.Random(seed)) == expected
