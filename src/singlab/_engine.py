@@ -28,7 +28,9 @@ settled in closed form.  Every candidate of the box is certified.
 the anti-nef enumeration and the p_g lattice count of ``singlab.wh``.  It
 counts every candidate of the box, however few a kernel visits, so the
 budget, like the chi sweep's 200k cap and sampled mode in
-``singlab.elliptic``, does not depend on the pruning.
+``singlab.elliptic``, does not depend on the pruning.  ``check_count``
+holds any other count to the same budget: ``singlab.artinian`` checks
+its staircase box and its matrix size with it before it allocates.
 
 Environment variables:
     SINGLAB_MAX_ENUM  candidate budget for the guarded scans (default 10**7).
@@ -64,18 +66,22 @@ def box_size(bounds) -> int:
     return prod(b + 1 for b in bounds)
 
 
+def check_count(count: int, what: str, unit: str = "candidates") -> int:
+    """``count``, after rejecting a count above the budget."""
+    cap = max_enum()
+    if count > cap:
+        raise EnumerationLimitError(
+            f"{what} needs {count} {unit}, above the budget of {cap}; "
+            "raise SINGLAB_MAX_ENUM to force it"
+        )
+    return count
+
+
 def check_budget(bounds, what: str = "enumeration") -> int:
     """The box size, after rejecting a negative bound or a box above the budget."""
     if any(b < 0 for b in bounds):
         raise InputError(f"{what} needs non-negative bounds, got {tuple(bounds)}")
-    size = box_size(bounds)
-    cap = max_enum()
-    if size > cap:
-        raise EnumerationLimitError(
-            f"{what} needs {size} candidates, above the budget of {cap}; "
-            "raise SINGLAB_MAX_ENUM to force it"
-        )
-    return size
+    return check_count(box_size(bounds), what)
 
 
 def _sparse_columns(matrix, n):

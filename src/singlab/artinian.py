@@ -11,14 +11,21 @@ numbers.
 Lengths here are over the polynomial ring; for the zero-dimensional
 ideals this package feeds in, they agree with the lengths over the local
 or power-series ring, but no general comparison is attempted.
+
+The staircase box and the N x N matrix are held to the enumeration
+budget (``SINGLAB_MAX_ENUM``, default 10**7) before either is built, so
+an ideal such as (x^40, y^40, z^40), N = 64 000, whose matrix would
+hold 4.1 * 10**9 entries, is refused at once with an InputError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
+from . import _engine
 from ._linalg import rank
-from .errors import InputError
+from .errors import EnumerationLimitError, InputError
 from .parsing import parse_monomial_list, parse_polynomial
 
 __all__ = [
@@ -121,13 +128,16 @@ class DensePoly:
 
 
 def standard_monomials(ideal: MonomialIdeal) -> tuple[Exponents, ...]:
-    """The staircase basis of k[x,y,z]/M: monomials outside M, sorted."""
+    """The staircase basis of k[x,y,z]/M: monomials outside M, sorted.
+    The box of exponents below the pure powers is held to the enumeration
+    budget before it is scanned."""
     caps = ideal.pure_power_caps()
     if caps is None:
         raise InputError(
             "monomial ideal is not zero-dimensional "
             "(needs a pure power of each variable)"
         )
+    _engine.check_count(prod(caps), "the staircase box", "monomials")
     out = []
     for ex in range(caps[0]):
         for ey in range(caps[1]):
@@ -142,12 +152,15 @@ def colength(f: DensePoly, ideal: MonomialIdeal) -> int:
 
     The rank of multiplication by f on the staircase basis is invariant
     under scaling f, so the result only depends on the ideal (f) + M.
+    The N x N matrix is held to the enumeration budget before it is
+    allocated (EnumerationLimitError, an InputError, when N^2 is above it).
     """
     if f.is_zero:
         raise InputError("polynomial must be non-zero")
     basis = standard_monomials(ideal)
-    position = {exps: i for i, exps in enumerate(basis)}
     size = len(basis)
+    _engine.check_count(size * size, "the multiplication matrix", "entries")
+    position = {exps: i for i, exps in enumerate(basis)}
     matrix = [[0] * size for _ in range(size)]
     for col, mono in enumerate(basis):
         for exps, coeff in f.terms:
@@ -165,14 +178,21 @@ def colength_saturating(f: DensePoly, ideal: MonomialIdeal, cap: int = 256) -> i
 
     Stabilization of two consecutive doublings is a heuristic: if the
     ideal (f) + M fails to be zero-dimensional the values grow forever
-    and the cap is reported as exceeded.
+    and the cap is reported as exceeded.  Each doubling is held to the
+    enumeration budget, so the first one over it stops the loop with
+    EnumerationLimitError before its matrix is built.
     """
     if cap < 2:
         raise InputError("cap must be at least 2")
     previous = None
     n = 2
     while n <= cap:
-        value = colength(f, ideal.plus_pure_powers(n))
+        try:
+            value = colength(f, ideal.plus_pure_powers(n))
+        except EnumerationLimitError as exc:
+            raise EnumerationLimitError(
+                f"colength did not stabilize before pure powers of exponent {n}: {exc}"
+            ) from None
         if previous is not None and value == previous:
             return value
         previous = value

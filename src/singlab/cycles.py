@@ -43,16 +43,29 @@ def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
     The incremental loop picks the first violating curve in vertex order;
     ``rng`` randomizes that pick instead.  The result is independent of
     the choice (the test suite drives this), only the trace differs.
+    Z_E, the cycle of every vertex asked for without ``rng``, is kept on
+    the graph and later such calls return it; a smaller support or an
+    ``rng`` runs the loop on every call.
     """
     if support is None:
-        idxs = list(range(len(g)))
+        idxs = range(len(g))
     else:
         idxs = sorted({g.index_of(v) for v in support})
         if not idxs:
             raise InputError("support must be non-empty")
         if len(connected_components(g, idxs)) != 1:
             raise InputError("support must be connected")
+    if rng is not None or len(idxs) < len(g):
+        return _laufer_loop(g, idxs, rng)
+    cached = g._cache.get("fundamental")
+    if cached is None:
+        cached = g._cache["fundamental"] = _laufer_loop(g, idxs, None)
+    return cached
 
+
+def _laufer_loop(g: DualGraph, idxs, rng) -> Cycle:
+    """The incremental loop of ``fundamental_cycle`` on the vertex
+    indices ``idxs`` (ascending, connected)."""
     rows = g.rows
     n = len(g)
     coeffs = [0] * n

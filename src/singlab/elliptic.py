@@ -12,10 +12,13 @@ elliptic graph the elliptic sequence Z_0 > Z_1 > ... > Z_m, ending at
 E_min, is built by repeatedly restricting to the curves orthogonal to the
 current cycle; its partial sums C_t and tail sums C'_t drive the ideal
 classification in ``singlab.classify``.  The sequence is built and
-verified once per graph and kept on it, as are E_min, the chi sweep and
-the verdict of ``is_elliptic``.  Its products with the form run along the
-graph's sparse rows; only the sampled chi sweep still multiplies by the
-dense matrix.
+verified once per graph and kept on it, as are Z_E, E_min, the chi sweep
+and the verdict of ``is_elliptic``.  Its products with the form run along
+the graph's sparse rows; only the sampled chi sweep still multiplies by
+the dense matrix, held there until the benchmark's per-pass memory is
+mended (ROADMAP item 1).  The sweep's draws are the stream
+``random.Random(0xE11).randint`` gives, read straight through
+``getrandbits`` by the same rejection loop.
 
 Every structural fact the construction relies on is verified on the
 actual data and raises InternalCheckError when violated, naming the
@@ -26,6 +29,7 @@ genus, say) surface instead of producing silent nonsense.
 from __future__ import annotations
 
 import random
+from operator import mul
 from typing import NamedTuple
 
 from . import _engine
@@ -146,10 +150,33 @@ class EllipticSequence:
         }
 
 
+def _sample_draws(rng: random.Random, bounds, count: int):
+    """``count`` tuples with 0 <= d_i <= bounds[i]: exactly the tuples
+    ``tuple(rng.randint(0, b) for b in bounds)`` gives, ``count`` times.
+    ``randint(0, b)`` draws ``getrandbits(k)``, k = (b + 1).bit_length(),
+    until the value is at most b; this runs that loop itself, so it reads
+    the same words in the same order without ``randint``'s layers of
+    calls per coordinate."""
+    getrandbits = rng.getrandbits
+    widths = [(b, (b + 1).bit_length()) for b in bounds]
+    for _ in range(count):
+        d = []
+        for b, k in widths:
+            r = getrandbits(k)
+            while r > b:
+                r = getrandbits(k)
+            d.append(r)
+        yield tuple(d)
+
+
 def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     """Check chi(D) >= 0 for 0 < D <= 2 Z_E (Wagreich's theorem on an
     elliptic graph): exhaustively when the box has at most 200k candidates,
     by 2000 seeded draws otherwise, so the work is bounded with no budget.
+    The draws are those of ``randint(0, b)`` on ``random.Random(0xE11)``,
+    coordinate by coordinate, taken by ``_sample_draws`` through
+    ``getrandbits``; each is multiplied by the dense matrix, a product
+    held as it is until ROADMAP item 1 lands.
     The exhaustive sweep certifies the whole box without visiting every
     candidate: an exact lower bound on 2chi (from the elimination the
     graph made of its form when it was built) rules out each sub-box it
@@ -171,18 +198,16 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
         min2, witness = _engine.min_twochi_in_box(g.elimination, bounds)
         checked = size - 1
     else:
-        rng = random.Random(0xE11)
         n = len(bounds)
         m = g.matrix
         min2, witness, checked = None, None, 0
-        for _ in range(_SWEEP_SAMPLES):
-            d = tuple(rng.randint(0, b) for b in bounds)
-            if all(x == 0 for x in d):
+        for d in _sample_draws(random.Random(0xE11), bounds, _SWEEP_SAMPLES):
+            if not any(d):
                 continue
             checked += 1
             # kept dense on purpose: its sparse product waits on ROADMAP item 1
             md = [sum(m[i][j] * d[j] for j in range(n)) for i in range(n)]
-            two = -(sum(d[i] * md[i] for i in range(n)) + sum(adj[i] * d[i] for i in range(n)))
+            two = -(sum(map(mul, d, md)) + sum(map(mul, adj, d)))
             if min2 is None or two < min2:
                 min2, witness = two, d
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from singlab import artinian as artinian_module
+from singlab import cli
 from singlab import (
     DensePoly,
+    EnumerationLimitError,
     InputError,
     MonomialIdeal,
     colength,
@@ -88,3 +92,36 @@ def test_colength_saturating_detects_positive_dimension():
 def test_colength_rejects_zero_polynomial():
     with pytest.raises(InputError, match="non-zero"):
         colength(DensePoly([]), MonomialIdeal.from_text("x,y,z"))
+
+
+def test_staircase_and_matrix_are_budgeted_before_they_are_built(monkeypatch, capsys):
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "1000")
+    argv = ["artinian", "colength", "--poly", "x"]
+    # 64 monomials: a 4096-entry matrix, refused before it is allocated
+    assert cli.main(argv + ["--ideal", "x^4,y^4,z^4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: the multiplication matrix needs 4096 entries, above the budget of 1000; "
+        "raise SINGLAB_MAX_ENUM to force it"]
+    assert len(err.splitlines()) == 1
+    # 27 monomials: 729 entries, within the budget
+    assert cli.main(argv + ["--ideal", "x^3,y^3,z^3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["colength"] == 9  # dim k[y,z]/(y^3, z^3)
+    # the box below the pure powers is checked before it is scanned
+    with pytest.raises(EnumerationLimitError, match="staircase box needs 1331 monomials"):
+        standard_monomials(MonomialIdeal.from_text("x^11,y^11,z^11,x*y"))
+
+
+def test_saturation_stops_at_the_first_doubling_over_budget(monkeypatch):
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "1000")
+    calls = []
+    colength_at = artinian_module.colength
+    monkeypatch.setattr(artinian_module, "colength",
+                        lambda f, ideal: calls.append(ideal) or colength_at(f, ideal))
+    f = DensePoly.from_text("x^2+y^4+z^8")
+    # (y) + (x^N, z^N): N^2 monomials, so N = 8 asks for 4096 entries
+    with pytest.raises(EnumerationLimitError, match="before pure powers of exponent 8"):
+        colength_saturating(f, MonomialIdeal.from_text("y"))
+    assert len(calls) == 3
+    assert colength_saturating(f, MonomialIdeal.from_text("y,z^2")) == 4

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import antinef_in_box, chi_zero_in_box
 from singlab import (
@@ -21,6 +23,7 @@ from singlab import (
     pairing,
 )
 from singlab import _engine, _linalg, canonical_cycle, cli, verify
+from singlab import cycles as cycles_module
 from singlab import elliptic as elliptic_module
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.corpus import brell3, fig244, fig2312
@@ -438,3 +441,79 @@ def test_sampled_sweeps_are_pinned(family, param, expected):
     # a fresh copy, so the sweep runs here and is not read from the graph
     g = DualGraph(family(param).vertices, family(param).edges)
     assert repr(chi_nonnegative_check(g)) == expected
+
+
+# the other three sampled sweeps of verify-paper, recorded while the sweep
+# drew each coordinate with Random(0xE11).randint
+VERIFY_PAPER_SAMPLED_SWEEPS = [
+    (fig244, 6, "ChiSweep(exhaustive=False, checked=2000, min_chi=1, "
+                "witness=(0, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 0))"),
+    (brell3, 4, "ChiSweep(exhaustive=False, checked=2000, min_chi=0, "
+                "witness=(2, 1, 1, 1, 1, 1, 2, 2, 2, 0, 0, 1, 2))"),
+    (brell3, 5, "ChiSweep(exhaustive=False, checked=2000, min_chi=1, "
+                "witness=(2, 1, 1, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 2, 2))"),
+]
+
+
+@pytest.mark.parametrize("family, param, expected", VERIFY_PAPER_SAMPLED_SWEEPS,
+                         ids=["fig244(6)", "brell3(4)", "brell3(5)"])
+def test_verify_paper_sampled_sweeps_are_pinned(family, param, expected):
+    g = DualGraph(family(param).vertices, family(param).edges)
+    assert repr(chi_nonnegative_check(g)) == expected
+
+
+def _edge_bounds():
+    # b + 1 a power of two, one below one, and one above one
+    return st.integers(2, 40).flatmap(
+        lambda j: st.sampled_from((2 ** j - 2, 2 ** j - 1, 2 ** j)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 2 ** 40), _edge_bounds(), st.just(1)),
+                min_size=1, max_size=12),
+       st.integers(1, 30))
+def test_sample_draws_are_randints_stream(bounds, count):
+    by_randint, by_draws = random.Random(0xE11), random.Random(0xE11)
+    expected = [tuple(by_randint.randint(0, b) for b in bounds) for _ in range(count)]
+    assert list(elliptic_module._sample_draws(by_draws, bounds, count)) == expected
+    # the same words were read, so both streams go on alike
+    assert by_draws.getstate() == by_randint.getstate()
+
+
+def test_fundamental_cycle_is_kept_on_the_graph(monkeypatch):
+    loops = []
+    laufer = cycles_module._laufer_loop
+    monkeypatch.setattr(cycles_module, "_laufer_loop",
+                        lambda g, idxs, rng: loops.append((len(idxs), rng)) or laufer(g, idxs, rng))
+    template = fig2312(4)
+    g = DualGraph(template.vertices, template.edges)
+    ze = fundamental_cycle(g)
+    assert fundamental_cycle(g) is ze and fundamental_cycle(g, g.ids) is ze
+    assert loops == [(len(g), None)]
+    # an rng or a smaller support runs the loop every time
+    for _ in range(2):
+        assert fundamental_cycle(g, rng=random.Random(5)) == ze
+        fundamental_cycle(g, g.ids[1:])
+    assert len(loops) == 5
+    assert ze == fundamental_cycle(template)
+
+
+def test_verify_paper_runs_one_whole_graph_laufer_loop_per_graph(monkeypatch, capsys):
+    # 93 whole-graph loops without rng on these 20 graphs before Z_E was kept
+    for family in (fig2312, fig244, brell3):
+        family.cache_clear()
+    whole, randomized = [], []
+    laufer = cycles_module._laufer_loop
+
+    def spy(g, idxs, rng):
+        if rng is not None:
+            randomized.append(g)
+        elif len(idxs) == len(g):
+            whole.append(g)
+        return laufer(g, idxs, rng)
+
+    monkeypatch.setattr(cycles_module, "_laufer_loop", spy)
+    assert cli.main(["verify-paper", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(whole) == len({id(g) for g in whole}) == 20
+    assert len(randomized) == 1100  # the random-order Laufer checks still run
