@@ -16,7 +16,7 @@ brell3(m)   genus-1 central curve of self-intersection -3 with three
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .errors import InputError
 from .graph import DualGraph, Vertex
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@cache
 def fig2312(n: int) -> DualGraph:
     """Chain of 2n (-2)-curves ending in a genus-1 (-1)-curve."""
     if n < 0:
@@ -47,7 +47,7 @@ def fig2312(n: int) -> DualGraph:
     return DualGraph(vertices, edges)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fig244(m: int) -> DualGraph:
     """Chain of 2m+1 (-2)-curves, middle one of genus 1."""
     if m < 0:
@@ -58,7 +58,7 @@ def fig244(m: int) -> DualGraph:
     return DualGraph(vertices, edges)
 
 
-@lru_cache(maxsize=None)
+@cache
 def brell3(m: int) -> DualGraph:
     """Genus-1 (-3)-curve with three chains of m (-2)-curves."""
     if m < 0:

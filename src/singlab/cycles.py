@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError
-from .graph import Cycle, DualGraph, QCycle, connected_components, mat_vec, pairing
+from .graph import Cycle, DualGraph, QCycle, connected_components, mat_vec, pairing, per_graph
 
 __all__ = [
     "adjunction_vector",
@@ -43,9 +43,6 @@ def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
     The incremental loop picks the first violating curve in vertex order;
     ``rng`` randomizes that pick instead.  The result is independent of
     the choice (the test suite drives this), only the trace differs.
-    Z_E, the cycle of every vertex asked for without ``rng``, is kept on
-    the graph and later such calls return it; a smaller support or an
-    ``rng`` runs the loop on every call.
     """
     if support is None:
         idxs = range(len(g))
@@ -55,12 +52,14 @@ def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
             raise InputError("support must be non-empty")
         if len(connected_components(g, idxs)) != 1:
             raise InputError("support must be connected")
-    if rng is not None or len(idxs) < len(g):
-        return _laufer_loop(g, idxs, rng)
-    cached = g._cache.get("fundamental")
-    if cached is None:
-        cached = g._cache["fundamental"] = _laufer_loop(g, idxs, None)
-    return cached
+    if rng is None and len(idxs) == len(g):
+        return _whole_graph_fundamental_cycle(g)
+    return _laufer_loop(g, idxs, rng)
+
+
+@per_graph("fundamental")
+def _whole_graph_fundamental_cycle(g: DualGraph) -> Cycle:
+    return _laufer_loop(g, range(len(g)), None)
 
 
 def _laufer_loop(g: DualGraph, idxs, rng) -> Cycle:
@@ -95,13 +94,11 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> Cycle:
     return Cycle._of(g, tuple(coeffs))
 
 
+@per_graph("canonical")
 def canonical_cycle(g: DualGraph) -> QCycle:
     """The rational cycle K with K . E_i = 2 g(E_i) - 2 - E_i^2 for all i,
     by back substitution in the first n rows of the graph's elimination
     of [[-M, -a], [-a^T, 0]], which hold -M K = -a in triangular form."""
-    cached = g._cache.get("canonical")
-    if cached is not None:
-        return cached
     d, y = back_substitute(g.elimination, len(g))
     # re-substitution check, always on, in integers: M (d K) = d a
     for i, acc in enumerate(mat_vec(g, y)):
@@ -110,9 +107,7 @@ def canonical_cycle(g: DualGraph) -> QCycle:
                 "canonical-cycle-resubstitution",
                 f"row {g.vertices[i].id}: {acc} != {d} * {g.adjunction[i]}",
             )
-    k = QCycle(g, [Fraction(c, d) for c in y])
-    g._cache["canonical"] = k
-    return k
+    return QCycle(g, [Fraction(c, d) for c in y])
 
 
 def is_numerically_gorenstein(g: DualGraph) -> bool:
@@ -146,6 +141,8 @@ def riemann_roch_colength(g: DualGraph, z: Cycle, p_g: int, q: int) -> int:
     """
     from .graph import is_anti_nef
 
+    if not isinstance(z, Cycle) or z.graph != g:
+        raise InputError("Z must be an integral cycle on this graph")
     if not (isinstance(p_g, int) and isinstance(q, int)):
         raise InputError("p_g and q must be integers")
     if not 0 <= q <= p_g:

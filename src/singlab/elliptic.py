@@ -11,14 +11,12 @@ finds it without enumerating cycles.  On a numerically Gorenstein
 elliptic graph the elliptic sequence Z_0 > Z_1 > ... > Z_m, ending at
 E_min, is built by repeatedly restricting to the curves orthogonal to the
 current cycle; its partial sums C_t and tail sums C'_t drive the ideal
-classification in ``singlab.classify``.  The sequence is built and
-verified once per graph and kept on it, as are Z_E, E_min, the chi sweep
-and the verdict of ``is_elliptic``.  Its products with the form run along
-the graph's sparse rows; only the sampled chi sweep still multiplies by
-the dense matrix, held there until the benchmark's per-pass memory is
-mended (ROADMAP item 1).  The sweep's draws are the stream
-``random.Random(0xE11).randint`` gives, read straight through
-``getrandbits`` by the same rejection loop.
+classification in ``singlab.classify``.  Products with the form run along
+the graph's sparse rows, one per step of the sequence; only the sampled chi
+sweep still multiplies by the dense matrix, held there until the
+benchmark's per-pass memory is mended (ROADMAP item 1).  The sweep's
+draws are the stream ``random.Random(0xE11).randint`` gives, read straight
+through ``getrandbits`` by the same rejection loop.
 
 Every structural fact the construction relies on is verified on the
 actual data and raises InternalCheckError when violated, naming the
@@ -41,7 +39,7 @@ from .cycles import (
     is_numerically_gorenstein,
 )
 from .errors import InputError, InternalCheckError
-from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, mat_vec, pairing
+from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, mat_vec, per_graph
 
 __all__ = [
     "EllipticSequence",
@@ -169,6 +167,7 @@ def _sample_draws(rng: random.Random, bounds, count: int):
         yield tuple(d)
 
 
+@per_graph("chi_sweep")
 def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     """Check chi(D) >= 0 for 0 < D <= 2 Z_E (Wagreich's theorem on an
     elliptic graph): exhaustively when the box has at most 200k candidates,
@@ -182,14 +181,10 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     graph made of its form when it was built) rules out each sub-box it
     skips, and each row along the first vertex is settled in closed form.
     ``checked`` counts the nonzero candidates certified.  The 200k cap and
-    the draws do not depend on how the box is certified.  The record is
-    kept on the graph: ``is_elliptic`` sweeps once, and later calls return
-    it.  Raises InternalCheckError with a witness if a negative Euler
-    characteristic shows up; for a valid elliptic graph none exists.
+    the draws do not depend on how the box is certified.  Raises
+    InternalCheckError with a witness if a negative Euler characteristic
+    shows up; for a valid elliptic graph none exists.
     """
-    cached = g._cache.get("chi_sweep")
-    if cached is not None:
-        return cached
     bounds = tuple(2 * c for c in fundamental_cycle(g).coeffs)
     adj = g.adjunction
     size = _engine.box_size(bounds)
@@ -212,18 +207,16 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
                 min2, witness = two, d
 
     if min2 is None:  # box held only the zero cycle
-        sweep = ChiSweep(exhaustive, 0, 0, ())
-    elif min2 < 0:
+        return ChiSweep(exhaustive, 0, 0, ())
+    if min2 < 0:
         raise InternalCheckError(
             "euler-characteristic-nonnegativity",
             f"2*chi = {min2} at {witness}",
         )
-    else:
-        sweep = ChiSweep(exhaustive, checked, min2 // 2, witness)
-    g._cache["chi_sweep"] = sweep
-    return sweep
+    return ChiSweep(exhaustive, checked, min2 // 2, witness)
 
 
+@per_graph("elliptic")
 def is_elliptic(g: DualGraph) -> bool:
     """True when the fundamental cycle has Euler characteristic zero.
 
@@ -231,14 +224,9 @@ def is_elliptic(g: DualGraph) -> bool:
     2 Z_E (exhaustively for small boxes, sampled otherwise); a violation
     is an internal error, not a False.
     """
-    cached = g._cache.get("elliptic")
-    if cached is not None:
-        return cached
-    ze = fundamental_cycle(g)
-    result = chi(g, ze) == 0
+    result = chi(g, fundamental_cycle(g)) == 0
     if result:
         chi_nonnegative_check(g)
-    g._cache["elliptic"] = result
     return result
 
 
@@ -255,6 +243,7 @@ def _subgraph_chi(g: DualGraph, comp: set[int]) -> int:
     return value
 
 
+@per_graph("emin")
 def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
     """The unique minimal cycle 0 < D <= Z_E with chi(D) = 0.
 
@@ -274,9 +263,6 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
     rational (so every connected subgraph with chi = 0 contains B), and
     Z_B has chi = 0 and lies below Z_E.
     """
-    cached = g._cache.get("emin")
-    if cached is not None:
-        return cached
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     everything = set(range(len(g)))
@@ -302,18 +288,14 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
             "minimally-elliptic-existence",
             f"{emin} is not a chi = 0 cycle below the fundamental cycle",
         )
-    g._cache["emin"] = emin
     return emin
 
 
+@per_graph("sequence")
 def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     """Build and fully verify the elliptic sequence of a numerically
-    Gorenstein elliptic graph.  The sequence is kept on the graph once it
-    has passed verification, and later calls return it; a refusal or a
-    failed check is raised again on every call."""
-    cached = g._cache.get("sequence")
-    if cached is not None:
-        return cached
+    Gorenstein elliptic graph.  Each step multiplies its cycle Z by the
+    form once: Z . E_min and the curves orthogonal to Z are read off M Z."""
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     if not is_numerically_gorenstein(g):
@@ -325,13 +307,13 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
 
     supports: list[tuple[str, ...]] = [g.ids]
     cycles: list[Cycle] = [fundamental_cycle(g)]
-    while pairing(g, cycles[-1], emin) == 0:
+    mz = mat_vec(g, cycles[-1].coeffs)
+    while sum(map(mul, emin.coeffs, mz)) == 0:  # Z . E_min, read off M Z
         if len(cycles) > len(g):
             raise InternalCheckError(
                 "elliptic-sequence-termination",
                 "more restriction steps than vertices",
             )
-        mz = mat_vec(g, cycles[-1].coeffs)
         orthogonal = {i for i in range(len(g)) if mz[i] == 0}
         # connected component of the orthogonal locus containing E_min
         start = g.index_of(next(iter(emin_support)))
@@ -355,10 +337,10 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
             )
         supports.append(support)
         cycles.append(fundamental_cycle(g, support))
+        mz = mat_vec(g, cycles[-1].coeffs)
 
     seq = EllipticSequence(g, tuple(supports), tuple(cycles))
     _verify_sequence(seq, emin)
-    g._cache["sequence"] = seq
     return seq
 
 

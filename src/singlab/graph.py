@@ -16,10 +16,17 @@ entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,
 ``is_anti_nef`` and through them the cycles and the elliptic sequence)
 costs O(n + |E|).  The dense ``matrix`` serves the box kernels, the
 printed matrix of ``graph analyze`` and the sampled chi sweep.
+
+A graph object keeps, in ``_cache`` and only through ``per_graph``: Z_E
+(``fundamental_cycle`` of every vertex, without ``rng``), K, the chi >= 0
+sweep, the verdict of ``is_elliptic`` (False too), E_min and the verified
+elliptic sequence.  A call that raises keeps nothing, so a refusal or a
+failed check is raised again on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -185,9 +192,8 @@ class Cycle:
         coeffs = tuple(coeffs)
         if len(coeffs) != len(graph):
             raise InputError("cycle length does not match the graph")
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise InputError("cycle coefficients must be integers")
+        if not all(_is_int(c) for c in coeffs):
+            raise InputError("cycle coefficients must be integers")
         self.graph = graph
         self.coeffs = coeffs
 
@@ -292,11 +298,13 @@ class QCycle:
     __slots__ = ("graph", "coeffs")
 
     def __init__(self, graph: DualGraph, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != len(graph):
             raise InputError("cycle length does not match the graph")
+        if not all(isinstance(c, Fraction) or _is_int(c) for c in coeffs):
+            raise InputError("rational cycle coefficients must be integers or Fractions")
         self.graph = graph
-        self.coeffs = coeffs
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
 
     @property
     def is_integral(self) -> bool:
@@ -329,6 +337,18 @@ class QCycle:
     def __repr__(self):
         inside = ", ".join(f"{v.id}:{c}" for v, c in zip(self.graph.vertices, self.coeffs))
         return f"QCycle({inside})"
+
+
+def per_graph(key: str):
+    """Decorator keeping ``f(g)`` on ``g`` under ``key``, as said at the top."""
+    def decorate(f):
+        @functools.wraps(f)
+        def memo(g):
+            if key not in g._cache:
+                g._cache[key] = f(g)
+            return g._cache[key]
+        return memo
+    return decorate
 
 
 # -- document format -----------------------------------------------------

@@ -184,3 +184,10 @@ def test_riemann_roch_validates_inputs():
         riemann_roch_colength(g, Cycle.unit(g, "E0"), p_g=2, q=1)
     with pytest.raises(InputError, match="effective"):
         riemann_roch_colength(g, Cycle.zero(g), p_g=2, q=1)
+
+
+def test_riemann_roch_rejects_what_is_not_a_cycle_on_the_graph():
+    g = fig2312(1)
+    for z in ("x", None, Cycle(fig244(1), (1, 1, 1)), canonical_cycle(g)):
+        with pytest.raises(InputError, match="integral cycle on this graph"):
+            riemann_roch_colength(g, z, 1, 0)

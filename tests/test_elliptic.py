@@ -25,6 +25,7 @@ from singlab import (
 from singlab import _engine, _linalg, canonical_cycle, cli, verify
 from singlab import cycles as cycles_module
 from singlab import elliptic as elliptic_module
+from singlab import graph as graph_module
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.errors import InternalCheckError
@@ -238,6 +239,25 @@ def test_check_minus_one_chains_multiplies_each_cycle_once(monkeypatch):
     report = check_minus_one_chains(g, seq)
     assert report.minus_one_indices == tuple(range(seq.m + 1))
     assert len(calls) == seq.m + 2
+
+
+def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
+    # one product M Z per step gives both Z . E_min and the curves
+    # orthogonal to Z: m + 1 in the build loop (2m + 1 when Z . E_min was a
+    # product of its own, 136 calls in all); the rest is the verification,
+    # 51 in _verify_sequence's own products, 51 in its chi, 1 in K's check
+    template = fig2312(8)
+    g = DualGraph(template.vertices, template.edges)
+    assert is_elliptic(g)
+    minimally_elliptic_cycle(g)
+    calls = []
+    original = graph_module.mat_vec
+    for module in (graph_module, cycles_module, elliptic_module):
+        monkeypatch.setattr(module, "mat_vec",
+                            lambda g, coeffs: calls.append(coeffs) or original(g, coeffs))
+    seq = elliptic_sequence(g)
+    assert seq.m == 16
+    assert len(calls) == 120
 
 
 def test_check_minus_one_chains_vacuous_fig244():

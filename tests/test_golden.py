@@ -2,11 +2,13 @@
 
 Every run feeds a ``corpus emit`` document on stdin to ``graph analyze``,
 ``elliptic sequence`` or ``classify --pg 1..9`` with ``--format json``,
-for fig2312, fig244 and brell3 at parameters 1-4; ``verify-paper
---format json`` runs once.  ``--help`` at the top level, on each group and
-on each leaf command, and six malformed command lines, pin the help and
-usage text at a terminal width of 80 columns.  A refactor that keeps the
-answers keeps every digest.  When an output is meant to change, regenerate the table with
+and again with ``--format text`` (whose renderer prints each dict in
+insertion order, so a reordered key shows there), for fig2312, fig244 and
+brell3 at parameters 1-4; ``verify-paper --format json`` runs once.
+``--help`` at the top level, on each group and on each leaf command, and
+six malformed command lines, pin the help and usage text at a terminal
+width of 80 columns.  A refactor that keeps the answers keeps every
+digest.  When an output is meant to change, regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 
@@ -87,6 +89,16 @@ def _family_records(family: str, param: int) -> dict:
     return records
 
 
+def _text_records(family: str, param: int) -> dict:
+    doc = _document(family, param)
+    records = {}
+    for words, options in COMMANDS:
+        argv = [*words, "-", *options, "--format", "text"]
+        records[" ".join([family, str(param), *words, *options, "--format", "text"])] = (
+            _record(*_run(argv, doc)))
+    return records
+
+
 def _verify_record() -> dict:
     return _record(*_run(["verify-paper", "--format", "json"]))
 
@@ -128,6 +140,7 @@ def _all_records() -> dict:
     for family in FAMILIES:
         for param in PARAMS:
             records.update(_family_records(family, param))
+            records.update(_text_records(family, param))
     records["verify-paper"] = _verify_record()
     records.update(_cli_records())
     return records
@@ -142,6 +155,16 @@ def _expected() -> dict:
 def test_corpus_outputs_match_golden(family, param):
     expected = _expected()
     actual = _family_records(family, param)
+    assert len(actual) == len(COMMANDS)
+    for key, record in actual.items():
+        assert record == expected[key], key
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("param", PARAMS)
+def test_corpus_text_outputs_match_golden(family, param):
+    expected = _expected()
+    actual = _text_records(family, param)
     assert len(actual) == len(COMMANDS)
     for key, record in actual.items():
         assert record == expected[key], key
@@ -181,7 +204,7 @@ def test_leaf_parsers_match_the_full_tree():
 
 
 def test_golden_table_covers_every_run():
-    assert len(_expected()) == (len(FAMILIES) * len(PARAMS) * len(COMMANDS) + 1
+    assert len(_expected()) == (2 * len(FAMILIES) * len(PARAMS) * len(COMMANDS) + 1
                                 + len(HELP) + len(MALFORMED))
 
 

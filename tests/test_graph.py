@@ -243,6 +243,15 @@ def test_qcycle_integrality():
         q2.to_cycle()
 
 
+@pytest.mark.parametrize("bad", (0.5, True, "1/2"))
+def test_qcycle_takes_only_ints_and_fractions(bad):
+    # no floating point, and no bool or str that Fraction() would parse
+    g = fig2312(1)
+    with pytest.raises(InputError, match="integers or Fractions"):
+        QCycle(g, [bad, 1, 1])
+    assert QCycle(g, [Fraction(1, 2), 1, 0]).coeffs == (Fraction(1, 2), 1, 0)
+
+
 def test_cycle_constructor_still_checks_external_input():
     g = fig2312(1)
     for coeffs in ([True, 0, 0], [1.0, 0, 0], [Fraction(1), 0, 0], ["1", 0, 0]):
