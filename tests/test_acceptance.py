@@ -7,7 +7,22 @@ with the assertion count; any mismatch raises with the failing label.
 
 from __future__ import annotations
 
+import pytest
+
 from singlab import verify
+
+# assertions each check counts, pinned by name so that a count that moves
+# names its check instead of only changing verify-paper's golden digest
+COUNTS = {
+    "brieskorn-invariants": 32,
+    "weighted-homogeneous-genus": 8,
+    "elliptic-sequences": 1963,
+    "ideal-classification": 86,
+    "gorenstein-cone-numerics": 240,
+    "hilbert-data-consistency": 440,
+    "artinian-colength-oracle": 50,
+    "enumeration-properties": 1155,
+}
 
 
 def _run(name: str) -> None:
@@ -46,6 +61,15 @@ def test_criterion_7_artinian_colength_oracle():
 
 def test_criterion_8_enumeration_properties():
     _run("enumeration-properties")
+
+
+def test_every_check_is_pinned():
+    assert list(COUNTS) == [name for name, _ in verify.CHECKS]
+
+
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_check_counts_are_pinned(name):
+    assert dict(verify.CHECKS)[name]() == COUNTS[name]
 
 
 def test_full_table_passes():
