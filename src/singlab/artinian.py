@@ -25,7 +25,7 @@ from math import prod
 
 from . import _engine
 from ._linalg import rank
-from .errors import EnumerationLimitError, InputError
+from .errors import EnumerationLimitError, InputError, _is_exact, _is_int
 from .parsing import parse_monomial_list, parse_polynomial
 
 __all__ = [
@@ -49,12 +49,13 @@ class MonomialIdeal:
     __slots__ = ("generators",)
 
     def __init__(self, generators):
-        gens = sorted({tuple(int(e) for e in g) for g in generators})
+        gens = {tuple(g) for g in generators}
         for g in gens:
-            if len(g) != 3 or any(e < 0 for e in g):
+            if len(g) != 3 or not all(_is_int(e) and e >= 0 for e in g):
                 raise InputError(f"bad exponent triple {g!r}")
             if g == (0, 0, 0):
                 raise InputError("the unit ideal is not allowed")
+        gens = sorted(gens)
         minimal = [
             g for g in gens if not any(h != g and _divides(h, g) for h in gens)
         ]
@@ -109,9 +110,11 @@ class DensePoly:
     def __init__(self, terms):
         merged: dict[Exponents, Fraction] = {}
         for exps, coeff in terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != 3 or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != 3 or not all(_is_int(e) and e >= 0 for e in exps):
                 raise InputError(f"bad exponent triple {exps!r}")
+            if not _is_exact(coeff):
+                raise InputError(f"coefficient {coeff!r} is not an integer or a Fraction")
             merged[exps] = merged.get(exps, Fraction(0)) + Fraction(coeff)
         self.terms = tuple(sorted((e, c) for e, c in merged.items() if c != 0))
 
@@ -182,8 +185,8 @@ def colength_saturating(f: DensePoly, ideal: MonomialIdeal, cap: int = 256) -> i
     enumeration budget, so the first one over it stops the loop with
     EnumerationLimitError before its matrix is built.
     """
-    if cap < 2:
-        raise InputError("cap must be at least 2")
+    if not _is_int(cap) or cap < 2:
+        raise InputError("cap must be an integer >= 2")
     previous = None
     n = 2
     while n <= cap:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .cycles import canonical_cycle, chi, is_numerically_gorenstein, riemann_roch_colength
 from .elliptic import elliptic_sequence, is_elliptic
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, _is_int
 from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, pairing
 
 __all__ = [
@@ -136,7 +136,7 @@ def derive_af(m: int, p_g: int) -> AfStructure:
     the progression is a characteristic-zero statement); the caller gates
     on that, see classify_gorenstein_elliptic_ideals.
     """
-    if not (isinstance(m, int) and isinstance(p_g, int)):
+    if not (_is_int(m) and _is_int(p_g)):
         raise InputError("m and p_g must be integers")
     if m < 0 or p_g < 1:
         raise InputError(f"need m >= 0 and p_g >= 1, got m={m}, p_g={p_g}")
@@ -261,8 +261,8 @@ def normal_hilbert_data(g: DualGraph, z: Cycle, p_g: int, q: int, n_max: int = 8
         raise InputError("cycle does not live on this graph")
     if not is_anti_nef(g, z) or z.is_zero or not z.is_effective:
         raise InputError("Z must be a non-zero effective anti-nef cycle")
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
+    if not _is_int(n_max) or n_max < 1:
+        raise InputError("n_max must be an integer >= 1")
     e0bar = -pairing(g, z, z)
     ell = riemann_roch_colength(g, z, p_g, q)
     e1bar = e0bar - ell + (p_g - q)

@@ -16,9 +16,9 @@ brell3(m)   genus-1 central curve of self-intersection -3 with three
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, _is_int
 from .graph import DualGraph, Vertex
 
 __all__ = [
@@ -35,34 +35,40 @@ __all__ = [
     "brieskorn_equation",
 ]
 
+# one graph per parameter; typed, so that True or 1.0 is checked (and
+# refused) instead of finding the graph kept for 1
+_family = lru_cache(maxsize=None, typed=True)
 
-@cache
+
+def _check_param(n) -> None:
+    if not _is_int(n) or n < 0:
+        raise InputError(f"parameter must be an integer >= 0, got {n!r}")
+
+
+@_family
 def fig2312(n: int) -> DualGraph:
     """Chain of 2n (-2)-curves ending in a genus-1 (-1)-curve."""
-    if n < 0:
-        raise InputError("parameter must be >= 0")
+    _check_param(n)
     vertices = [Vertex(f"E{i}", -2, 0) for i in range(2 * n)]
     vertices.append(Vertex(f"E{2 * n}", -1, 1))
     edges = [(f"E{i}", f"E{i + 1}", 1) for i in range(2 * n)]
     return DualGraph(vertices, edges)
 
 
-@cache
+@_family
 def fig244(m: int) -> DualGraph:
     """Chain of 2m+1 (-2)-curves, middle one of genus 1."""
-    if m < 0:
-        raise InputError("parameter must be >= 0")
+    _check_param(m)
     names = [f"E{j}_1" for j in range(m)] + ["Em"] + [f"E{j}_2" for j in reversed(range(m))]
     vertices = [Vertex(name, -2, 1 if name == "Em" else 0) for name in names]
     edges = [(names[i], names[i + 1], 1) for i in range(len(names) - 1)]
     return DualGraph(vertices, edges)
 
 
-@cache
+@_family
 def brell3(m: int) -> DualGraph:
     """Genus-1 (-3)-curve with three chains of m (-2)-curves."""
-    if m < 0:
-        raise InputError("parameter must be >= 0")
+    _check_param(m)
     vertices = [Vertex("E", -3, 1)]
     edges = []
     for s in (1, 2, 3):
@@ -89,6 +95,7 @@ def emit(name: str, param: int) -> DualGraph:
 
 def genus_options(name: str, param: int) -> tuple[int, ...]:
     """Geometric genera realized by hypersurfaces with this graph."""
+    _check_param(param)
     if name == "fig2312":
         return (param + 1, 2 * param + 1)
     if name in ("fig244", "brell3"):

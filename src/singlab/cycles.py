@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._linalg import back_substitute
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, _is_int
 from .graph import Cycle, DualGraph, QCycle, connected_components, mat_vec, pairing, per_graph
 
 __all__ = [
@@ -143,7 +143,7 @@ def riemann_roch_colength(g: DualGraph, z: Cycle, p_g: int, q: int) -> int:
 
     if not isinstance(z, Cycle) or z.graph != g:
         raise InputError("Z must be an integral cycle on this graph")
-    if not (isinstance(p_g, int) and isinstance(q, int)):
+    if not (_is_int(p_g) and _is_int(q)):
         raise InputError("p_g and q must be integers")
     if not 0 <= q <= p_g:
         raise InputError(f"need 0 <= q <= p_g, got q={q}, p_g={p_g}")

@@ -21,7 +21,11 @@ through ``getrandbits`` by the same rejection loop.
 Every structural fact the construction relies on is verified on the
 actual data and raises InternalCheckError when violated, naming the
 property; this is how inconsistent analytic inputs (a wrong geometric
-genus, say) surface instead of producing silent nonsense.
+genus, say) surface instead of producing silent nonsense.  The identities
+of the finished sequence (orthogonality, degrees, C_t anti-nef, chi = 0,
+the restriction of K + C'_t to B_t, C_m = -K) are stated once, in the list
+``_sequence_identities`` yields: every build raises at its first failing
+item, and ``verify-paper`` counts its items.
 """
 
 from __future__ import annotations
@@ -345,52 +349,54 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
 
 
 def _verify_sequence(seq: EllipticSequence, emin: Cycle) -> None:
-    g = seq.graph
     m = seq.m
     if seq.cycles[m] != emin:
         raise InternalCheckError(
             "elliptic-sequence-ends-at-minimal-cycle",
             f"Z_{m} = {seq.cycles[m]} but the minimal cycle is {emin}",
         )
+    for check, holds, detail in _sequence_identities(seq):
+        if not holds:
+            raise InternalCheckError(check, detail)
+
+
+def _sequence_identities(seq: EllipticSequence):
+    """The identities an elliptic sequence satisfies, one ``(check, holds,
+    detail)`` per assertion: Z_i . Z_j = 0 for each pair i < j; -Z_t^2
+    non-increasing; for each t, C_t anti-nef, chi(C_t) = chi(C'_t) =
+    chi(Z_t) = 0 and (K + C'_t) . E_v = 0 for each v in B_t; and C_m = -K.
+    ``detail`` says what failed, and is None where the identity holds.
+    One product M Z_t per t, and per t one each for the anti-nef test,
+    K + C'_t and the three chi."""
+    g = seq.graph
+    m = seq.m
     images = [mat_vec(g, z.coeffs) for z in seq.cycles]
-    selfints = [sum(a * b for a, b in zip(z.coeffs, mz)) for z, mz in zip(seq.cycles, images)]
+    selfints = [sum(map(mul, z.coeffs, mz)) for z, mz in zip(seq.cycles, images)]
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
-            if sum(a * b for a, b in zip(seq.cycles[i].coeffs, images[j])) != 0:
-                raise InternalCheckError(
-                    "elliptic-sequence-orthogonality", f"Z_{i} . Z_{j} != 0"
-                )
-    for i in range(m):
-        if -selfints[i] < -selfints[i + 1]:
-            raise InternalCheckError(
-                "elliptic-sequence-degrees-monotone",
-                f"-Z_{i}^2 = {-selfints[i]} < -Z_{i+1}^2 = {-selfints[i+1]}",
-            )
+            ok = sum(map(mul, seq.cycles[i].coeffs, images[j])) == 0
+            yield "elliptic-sequence-orthogonality", ok, None if ok else f"Z_{i} . Z_{j} != 0"
+    t = next((t for t in range(m) if -selfints[t] < -selfints[t + 1]), None)
+    yield ("elliptic-sequence-degrees-monotone", t is None, None if t is None else
+           f"-Z_{t}^2 = {-selfints[t]} < -Z_{t+1}^2 = {-selfints[t+1]}")
     k = canonical_cycle(g).to_cycle()
-    total = seq.partial_sum(m)
     for t in range(m + 1):
-        ct = seq.partial_sum(t)
-        if not is_anti_nef(g, ct):
-            raise InternalCheckError(
-                "elliptic-sequence-partial-sums-anti-nef", f"C_{t} is not anti-nef"
-            )
-        cpt = seq.tail_sum(t)
+        ct, cpt = seq.partial_sum(t), seq.tail_sum(t)
+        ok = is_anti_nef(g, ct)
+        yield "elliptic-sequence-partial-sums-anti-nef", ok, None if ok else f"C_{t} is not anti-nef"
+        for name, d in (("C", ct), ("C'", cpt), ("Z", seq.cycles[t])):
+            ok = chi(g, d) == 0
+            yield ("elliptic-sequence-euler-characteristic-zero", ok,
+                   None if ok else f"chi({name}_{t}) != 0")
         shifted = mat_vec(g, (k + cpt).coeffs)
         for vid in seq.supports[t]:
-            if shifted[g.index_of(vid)] != 0:
-                raise InternalCheckError(
-                    "elliptic-sequence-canonical-restriction",
-                    f"(K + C'_{t}) . {vid} != 0",
-                )
-        if chi(g, ct) != 0 or chi(g, cpt) != 0 or chi(g, seq.cycles[t]) != 0:
-            raise InternalCheckError(
-                "elliptic-sequence-euler-characteristic-zero", f"at index {t}"
-            )
-    if total != -k:
-        raise InternalCheckError(
-            "elliptic-sequence-total-is-anticanonical",
-            f"C_{m} = {total} but -K = {-k}",
-        )
+            ok = shifted[g.index_of(vid)] == 0
+            yield ("elliptic-sequence-canonical-restriction", ok,
+                   None if ok else f"(K + C'_{t}) . {vid} != 0")
+    total = seq.partial_sum(m)
+    ok = total == -k
+    yield ("elliptic-sequence-total-is-anticanonical", ok,
+           None if ok else f"C_{m} = {total} but -K = {-k}")
 
 
 def enumerate_antinef_upto(g: DualGraph, c: Cycle) -> list[Cycle]:

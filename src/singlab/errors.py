@@ -1,6 +1,20 @@
-"""Exception hierarchy shared by every singlab module."""
+"""Exception hierarchy shared by every singlab module, and the one rule
+by which input checks tell an integer (or an exact coefficient) from
+anything else."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+
+def _is_int(x) -> bool:
+    # bools (JSON true/false among them) count as ints in Python; not here
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_exact(x) -> bool:
+    """An integer or a Fraction: no float, bool or string."""
+    return _is_int(x) or isinstance(x, Fraction)
 
 
 class SinglabError(Exception):

@@ -33,14 +33,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._linalg import factor_bordered
-from .errors import InputError
+from .errors import InputError, _is_exact, _is_int
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-
-
-def _is_int(x) -> bool:
-    # bools (JSON true/false among them) count as ints in Python; not here
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class Vertex(NamedTuple):
@@ -301,7 +296,7 @@ class QCycle:
         coeffs = tuple(coeffs)
         if len(coeffs) != len(graph):
             raise InputError("cycle length does not match the graph")
-        if not all(isinstance(c, Fraction) or _is_int(c) for c in coeffs):
+        if not all(map(_is_exact, coeffs)):
             raise InputError("rational cycle coefficients must be integers or Fractions")
         self.graph = graph
         self.coeffs = tuple(Fraction(c) for c in coeffs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _engine
-from .errors import InputError
+from .errors import InputError, _is_exact, _is_int
 from .parsing import parse_polynomial
 
 __all__ = [
@@ -39,14 +39,16 @@ class WeightedPoly:
     __slots__ = ("weights", "terms", "degree")
 
     def __init__(self, weights, terms):
-        wx, wy, wz = (int(w) for w in weights)
-        if wx < 1 or wy < 1 or wz < 1:
+        wx, wy, wz = weights
+        if not all(_is_int(w) and w >= 1 for w in (wx, wy, wz)):
             raise InputError("weights must be positive integers")
         merged: dict[tuple[int, int, int], Fraction] = {}
         for exps, coeff in terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != 3 or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != 3 or not all(_is_int(e) and e >= 0 for e in exps):
                 raise InputError(f"bad exponent triple {exps!r}")
+            if not _is_exact(coeff):
+                raise InputError(f"coefficient {coeff!r} is not an integer or a Fraction")
             coeff = Fraction(coeff)
             if coeff == 0:
                 raise InputError("zero coefficient in polynomial term")
@@ -75,8 +77,8 @@ class WeightedPoly:
 def a_invariant(weights, degree: int) -> int:
     """degree - (w_x + w_y + w_z); may be negative."""
     wx, wy, wz = weights
-    if min(wx, wy, wz) < 1 or degree < 1:
-        raise InputError("weights and degree must be positive")
+    if not all(_is_int(x) and x >= 1 for x in (wx, wy, wz, degree)):
+        raise InputError("weights and degree must be positive integers")
     return degree - (wx + wy + wz)
 
 
@@ -84,7 +86,7 @@ def _count_upto(weights, top: int) -> int:
     """Monomials of weighted degree at most ``top``: the loops run over the
     two heaviest exponents, within the enumeration budget, and the
     lightest is counted in closed form."""
-    if min(weights) < 1:
+    if not all(_is_int(w) and w >= 1 for w in weights):
         raise InputError(f"weights must be positive integers, got {tuple(weights)}")
     if top < 0:
         return 0
@@ -110,6 +112,8 @@ def graded_dim(weights, degree: int, i: int) -> int:
     satisfies this); multiplication by f is then injective and the count
     difference below is non-negative.
     """
+    if not (_is_int(degree) and _is_int(i)):
+        raise InputError("degree and graded index must be integers")
     if i < 0:
         raise InputError("graded index must be >= 0")
     if _count_exact_degree(weights, degree) == 0:
@@ -131,6 +135,8 @@ def pg_weighted_homogeneous(p: WeightedPoly) -> int:
 
 
 def _check_brieskorn(a: int, b: int, c: int):
+    if not all(map(_is_int, (a, b, c))):
+        raise InputError(f"Brieskorn exponents must be integers, got ({a!r}, {b!r}, {c!r})")
     if not (2 <= a <= b <= c):
         raise InputError(f"need 2 <= a <= b <= c, got ({a}, {b}, {c})")
 
