@@ -25,7 +25,7 @@ from math import prod
 
 from . import _engine
 from ._linalg import rank
-from .errors import EnumerationLimitError, InputError, _is_exact, _is_int
+from .errors import EnumerationLimitError, InputError, _exact_terms, _exponent_triple, _is_int
 from .parsing import parse_monomial_list, parse_polynomial
 
 __all__ = [
@@ -49,12 +49,14 @@ class MonomialIdeal:
     __slots__ = ("generators",)
 
     def __init__(self, generators):
-        gens = {tuple(g) for g in generators}
-        for g in gens:
-            if len(g) != 3 or not all(_is_int(e) and e >= 0 for e in g):
-                raise InputError(f"bad exponent triple {g!r}")
-            if g == (0, 0, 0):
-                raise InputError("the unit ideal is not allowed")
+        try:
+            gens = {_exponent_triple(g) for g in generators}
+        except TypeError:
+            raise InputError(
+                f"generators must be an iterable of exponent triples, got {generators!r}"
+            ) from None
+        if (0, 0, 0) in gens:
+            raise InputError("the unit ideal is not allowed")
         gens = sorted(gens)
         minimal = [
             g for g in gens if not any(h != g and _divides(h, g) for h in gens)
@@ -109,13 +111,8 @@ class DensePoly:
 
     def __init__(self, terms):
         merged: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms:
-            exps = tuple(exps)
-            if len(exps) != 3 or not all(_is_int(e) and e >= 0 for e in exps):
-                raise InputError(f"bad exponent triple {exps!r}")
-            if not _is_exact(coeff):
-                raise InputError(f"coefficient {coeff!r} is not an integer or a Fraction")
-            merged[exps] = merged.get(exps, Fraction(0)) + Fraction(coeff)
+        for exps, coeff in _exact_terms(terms):
+            merged[exps] = merged.get(exps, Fraction(0)) + coeff
         self.terms = tuple(sorted((e, c) for e, c in merged.items() if c != 0))
 
     @classmethod

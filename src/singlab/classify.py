@@ -14,6 +14,12 @@ The same module computes normal Hilbert data (multiplicity, first and
 second normal Hilbert coefficients, the colength sequence of the powers)
 for any anti-nef cycle, in the regime where the cohomological defect q is
 constant from the first power on, i.e. normal reduction number at most 2.
+
+The identities of a classified ideal (chi(C_t) = 0, K.C_t = -C_t^2,
+colength <= p_g) and of its Hilbert data (the polynomial gives the
+colength of each power, br <= p_g + 1) are stated once, in the lists
+``_ideal_identities`` and ``_hilbert_identities`` yield: each call raises
+at its first failing item, and ``verify-paper`` counts their items.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import NamedTuple
 
 from .cycles import canonical_cycle, chi, is_numerically_gorenstein, riemann_roch_colength
 from .elliptic import elliptic_sequence, is_elliptic
-from .errors import InputError, InternalCheckError, _is_int
+from .errors import InputError, InternalCheckError, _is_int, _raise_at_first_failure
 from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, pairing
 
 __all__ = [
@@ -199,29 +205,14 @@ def classify_gorenstein_elliptic_ideals(
             continue
         ct = seq.partial_sum(t)
         colength = rank + 1
-        e0 = -pairing(g, ct, ct)
-        kz = pairing(g, k, ct)
-        chi_ct = chi(g, ct)
-        if chi_ct != 0:
-            raise InternalCheckError(
-                "gorenstein-cone-euler-characteristic", f"chi(C_{t}) = {chi_ct}"
-            )
-        if kz != e0:
-            raise InternalCheckError(
-                "gorenstein-cone-canonical-degree", f"K.C_{t} = {kz} != {e0}"
-            )
-        if colength > p_g:
-            raise InternalCheckError(
-                "gorenstein-cone-colength-bound", f"{colength} > p_g = {p_g}"
-            )
         ideals.append(
             EllipticIdealClass(
                 t=t,
                 cycle=ct,
                 colength=colength,
-                e0=e0,
-                kz=int(kz),
-                chi=chi_ct,
+                e0=-pairing(g, ct, ct),
+                kz=int(pairing(g, k, ct)),
+                chi=chi(g, ct),
                 eb2=colength,
                 q=p_g - colength,
                 kind="strongly-elliptic" if colength == 1 else "elliptic",
@@ -229,25 +220,44 @@ def classify_gorenstein_elliptic_ideals(
         )
 
     zeta = len(ideals)
+    report = ClassificationReport(af=af, ideals=tuple(ideals), zeta=zeta, m=seq.m, p_g=p_g)
+    _raise_at_first_failure(_ideal_identities(report))
     zm2 = pairing(g, seq.cycles[seq.m], seq.cycles[seq.m])
     if (zeta == p_g) != (-zm2 >= 2):
         raise InternalCheckError(
             "gorenstein-cone-count-criterion",
             f"zeta = {zeta}, p_g = {p_g}, Z_m^2 = {zm2}",
         )
-    note = None
     if af.maximal and pairing(g, seq.cycles[0], seq.cycles[0]) == -1:
         if zeta != 0:
             raise InternalCheckError(
                 "gorenstein-cone-count-criterion",
                 "maximally elliptic with Z_0^2 = -1 must have zeta = 0",
             )
-        note = (
+        report = report._replace(note=(
             "maximally elliptic with Z_0^2 = -1: every integrally closed ideal "
             "with Gorenstein normal tangent cone has normal reduction number 1"
-        )
-    return ClassificationReport(af=af, ideals=tuple(ideals), zeta=zeta,
-                                m=seq.m, p_g=p_g, note=note)
+        ))
+    return report
+
+
+def _ideal_identities(report: ClassificationReport):
+    """The identities each classified ideal satisfies, one ``(check, holds,
+    detail)`` per assertion, read off its record: chi(C_t) = 0,
+    K.C_t = e0 = -C_t^2 and colength <= p_g.  ``detail`` is None where the
+    identity holds."""
+    p_g = report.p_g
+    for ideal in report.ideals:
+        t = ideal.t
+        ok = ideal.chi == 0
+        yield ("gorenstein-cone-euler-characteristic", ok,
+               None if ok else f"chi(C_{t}) = {ideal.chi}")
+        ok = ideal.kz == ideal.e0
+        yield ("gorenstein-cone-canonical-degree", ok,
+               None if ok else f"K.C_{t} = {ideal.kz} != {ideal.e0}")
+        ok = ideal.colength <= p_g
+        yield ("gorenstein-cone-colength-bound", ok,
+               None if ok else f"{ideal.colength} > p_g = {p_g}")
 
 
 def normal_hilbert_data(g: DualGraph, z: Cycle, p_g: int, q: int, n_max: int = 8) -> HilbertData:
@@ -263,36 +273,42 @@ def normal_hilbert_data(g: DualGraph, z: Cycle, p_g: int, q: int, n_max: int = 8
         raise InputError("Z must be a non-zero effective anti-nef cycle")
     if not _is_int(n_max) or n_max < 1:
         raise InputError("n_max must be an integer >= 1")
-    e0bar = -pairing(g, z, z)
-    ell = riemann_roch_colength(g, z, p_g, q)
-    e1bar = e0bar - ell + (p_g - q)
-    e2bar = p_g - q
     colengths = tuple(
         riemann_roch_colength(g, n * z, p_g, q) for n in range(1, n_max + 2)
     )
+    e0bar = -pairing(g, z, z)
+    e2bar = p_g - q
+    e1bar = e0bar - colengths[0] + e2bar
     for prev, nxt in zip(colengths, colengths[1:]):
         if nxt <= prev:
             raise InternalCheckError(
                 "colength-strict-monotonicity", f"{prev} !< {nxt}"
             )
-    for n in range(1, n_max + 1):
-        value = e0bar * comb(n + 2, 2) - e1bar * (n + 1) + e2bar
-        if value != colengths[n]:
-            raise InternalCheckError(
-                "hilbert-polynomial-matches-colengths",
-                f"P({n}) = {value} but the power {n + 1} has colength {colengths[n]}",
-            )
-    br = 1 if e2bar == 0 else 2
-    if br > p_g + 1:
-        raise InternalCheckError("normal-reduction-number-bound", f"br = {br}")
-    return HilbertData(
+    hd = HilbertData(
         e0bar=e0bar,
         e1bar=e1bar,
         e2bar=e2bar,
         q_sequence=(p_g,) + (q,) * n_max,
         colengths=colengths,
-        br=br,
+        br=1 if e2bar == 0 else 2,
     )
+    _raise_at_first_failure(_hilbert_identities(hd, p_g))
+    return hd
+
+
+def _hilbert_identities(hd: HilbertData, p_g: int):
+    """The identities normal Hilbert data satisfy, one ``(check, holds,
+    detail)`` per assertion: the polynomial
+    P(n) = e0bar C(n+2, 2) - e1bar (n+1) + e2bar is the colength of the
+    power n + 1 for n = 1 .. n_max, then br <= p_g + 1.  ``detail`` is None
+    where the identity holds."""
+    for n in range(1, len(hd.colengths)):
+        value = hd.e0bar * comb(n + 2, 2) - hd.e1bar * (n + 1) + hd.e2bar
+        ok = value == hd.colengths[n]
+        yield ("hilbert-polynomial-matches-colengths", ok, None if ok else
+               f"P({n}) = {value} but the power {n + 1} has colength {hd.colengths[n]}")
+    ok = hd.br <= p_g + 1
+    yield "normal-reduction-number-bound", ok, None if ok else f"br = {hd.br}"
 
 
 def pg_ideal_gorenstein_test(g: DualGraph, z: Cycle) -> bool:

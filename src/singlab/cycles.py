@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError, _is_int
-from .graph import Cycle, DualGraph, QCycle, connected_components, mat_vec, pairing, per_graph
+from .graph import (Cycle, DualGraph, QCycle, connected_components, is_anti_nef, mat_vec,
+                    pairing, per_graph)
 
 __all__ = [
     "adjunction_vector",
@@ -139,8 +140,6 @@ def riemann_roch_colength(g: DualGraph, z: Cycle, p_g: int, q: int) -> int:
     A non-positive result signals an inconsistent (p_g, q, Z) triple,
     since a proper ideal has colength at least 1.
     """
-    from .graph import is_anti_nef
-
     if not isinstance(z, Cycle) or z.graph != g:
         raise InputError("Z must be an integral cycle on this graph")
     if not (_is_int(p_g) and _is_int(q)):

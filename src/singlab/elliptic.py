@@ -42,7 +42,7 @@ from .cycles import (
     fundamental_cycle,
     is_numerically_gorenstein,
 )
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, _raise_at_first_failure
 from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, mat_vec, per_graph
 
 __all__ = [
@@ -355,9 +355,7 @@ def _verify_sequence(seq: EllipticSequence, emin: Cycle) -> None:
             "elliptic-sequence-ends-at-minimal-cycle",
             f"Z_{m} = {seq.cycles[m]} but the minimal cycle is {emin}",
         )
-    for check, holds, detail in _sequence_identities(seq):
-        if not holds:
-            raise InternalCheckError(check, detail)
+    _raise_at_first_failure(_sequence_identities(seq))
 
 
 def _sequence_identities(seq: EllipticSequence):

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by every singlab module, and the one rule
-by which input checks tell an integer (or an exact coefficient) from
-anything else."""
+"""Exception hierarchy shared by every singlab module; the one rule by
+which input checks tell an integer (or an exact coefficient) from anything
+else, and an exponent triple or polynomial term from any other shape; and
+the one way a list of ``(check, holds, detail)`` identities is raised on."""
 
 from __future__ import annotations
 
@@ -15,6 +16,42 @@ def _is_int(x) -> bool:
 def _is_exact(x) -> bool:
     """An integer or a Fraction: no float, bool or string."""
     return _is_int(x) or isinstance(x, Fraction)
+
+
+def _exponent_triple(exps) -> tuple[int, int, int]:
+    """``exps`` as a tuple of three non-negative ints; anything else,
+    whatever its shape, is refused with InputError."""
+    try:
+        exps = tuple(exps)
+    except TypeError:
+        pass
+    if not (isinstance(exps, tuple) and len(exps) == 3
+            and all(_is_int(e) and e >= 0 for e in exps)):
+        raise InputError(f"bad exponent triple {exps!r}")
+    return exps
+
+
+def _exact_terms(terms):
+    """Each (exponent triple, coefficient) term as a triple and a Fraction;
+    a term of another shape, a coefficient that is not an int or a
+    Fraction, or terms that are not iterable are refused with InputError."""
+    try:
+        terms = iter(terms)
+    except TypeError:
+        raise InputError(
+            f"terms must be an iterable of (exponent triple, coefficient) pairs, got {terms!r}"
+        ) from None
+    for term in terms:
+        try:
+            exps, coeff = term
+        except (TypeError, ValueError):
+            raise InputError(
+                f"bad term {term!r}: expected (exponent triple, coefficient)"
+            ) from None
+        exps = _exponent_triple(exps)
+        if not _is_exact(coeff):
+            raise InputError(f"coefficient {coeff!r} is not an integer or a Fraction")
+        yield exps, Fraction(coeff)
 
 
 class SinglabError(Exception):
@@ -61,3 +98,11 @@ class InternalCheckError(SinglabError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+def _raise_at_first_failure(items) -> None:
+    """Raise InternalCheckError(check, detail) at the first of the
+    ``(check, holds, detail)`` items that does not hold."""
+    for check, holds, detail in items:
+        if not holds:
+            raise InternalCheckError(check, detail)

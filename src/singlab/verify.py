@@ -10,7 +10,12 @@ exhaustive enumeration properties at desk scale.
 The elliptic-sequences check counts one assertion per item of the list
 of sequence identities that every build of a sequence runs
 (``elliptic._sequence_identities``), plus the shape assertions specific to
-fig2312, fig244 and brell3; it states no identity of its own.
+fig2312, fig244 and brell3; it states no identity of its own.  In the
+same way gorenstein-cone-numerics and hilbert-data-consistency count the
+items of the lists ``classify`` raises on (``classify._ideal_identities``
+and ``classify._hilbert_identities``) plus their own assertions on the
+shape of each record: t in A_f, the cycle is C_t and e2bar = colength for
+an ideal; e0bar = -Z^2 and the e1bar relation for its Hilbert data.
 
 Each check returns the number of assertions it made; a failure raises
 (InternalCheckError for a mathematical mismatch, InputError for broken
@@ -19,13 +24,13 @@ input), and ``run_all`` folds that into a pass/fail table.
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
 from . import _engine, corpus
 from .artinian import DensePoly, MonomialIdeal, colength, colength_saturating
-from .classify import classify_gorenstein_elliptic_ideals, normal_hilbert_data
-from .cycles import canonical_cycle, chi, fundamental_cycle
+from .classify import (_hilbert_identities, _ideal_identities,
+                       classify_gorenstein_elliptic_ideals, normal_hilbert_data)
+from .cycles import chi, fundamental_cycle
 from .elliptic import (
     _sequence_identities,
     chi_nonnegative_check,
@@ -159,25 +164,26 @@ def _classification_runs():
 def check_classification() -> int:
     """zeta, the admissible index sets, and the colength ladders."""
     t = _Tally()
+    reports = {(g, p_g): rep for g, p_g, rep in _classification_runs()}
     for n in range(1, 6):
         g = corpus.fig2312(n)
-        rep = classify_gorenstein_elliptic_ideals(g, n + 1)
+        rep = reports[g, n + 1]
         t.eq(rep.af.gamma, 2, f"fig2312({n}) gamma")
         t.eq(rep.af.af, tuple(2 * j - 1 for j in range(1, n + 1)) + (2 * n,), f"fig2312({n}) index set")
         t.eq(rep.zeta, n, f"fig2312({n}) zeta at genus {n + 1}")
         t.eq([i.colength for i in rep.ideals], list(range(1, n + 1)), f"fig2312({n}) colengths")
-        rep_max = classify_gorenstein_elliptic_ideals(g, 2 * n + 1)
+        rep_max = reports[g, 2 * n + 1]
         t.ok(rep_max.af.maximal, f"fig2312({n}) maximal at genus {2 * n + 1}")
         t.eq(rep_max.zeta, 0, f"fig2312({n}) zeta at genus {2 * n + 1}")
     for m in range(0, 5):
-        rep = classify_gorenstein_elliptic_ideals(corpus.fig244(m), m + 1)
+        rep = reports[corpus.fig244(m), m + 1]
         t.ok(rep.af.maximal, f"fig244({m}) maximal")
         t.eq(rep.zeta, m + 1, f"fig244({m}) zeta")
     for m in range(0, 4):
-        rep = classify_gorenstein_elliptic_ideals(corpus.brell3(m), m + 1)
+        rep = reports[corpus.brell3(m), m + 1]
         t.ok(rep.af.maximal, f"brell3({m}) maximal")
         t.eq(rep.zeta, m + 1, f"brell3({m}) zeta")
-    for g, p_g, rep in _classification_runs():
+    for (g, p_g), rep in reports.items():
         seq = elliptic_sequence(g)
         zm2 = pairing(g, seq.cycles[seq.m], seq.cycles[seq.m])
         t.ok(rep.zeta <= p_g, "zeta <= p_g")
@@ -186,19 +192,17 @@ def check_classification() -> int:
 
 
 def check_gorenstein_cone_numerics() -> int:
-    """Independent recomputation of the per-ideal identities."""
+    """The shape of each classified ideal's record, then the identities
+    classify raises on."""
     t = _Tally()
-    for g, p_g, rep in _classification_runs():
-        k = canonical_cycle(g)
+    for g, _, rep in _classification_runs():
         seq = elliptic_sequence(g)
         for ideal in rep.ideals:
-            ct = ideal.cycle
             t.ok(ideal.t in rep.af.af, f"t={ideal.t} admissible")
-            t.eq(ct, seq.partial_sum(ideal.t), f"cycle is C_{ideal.t}")
-            t.eq(chi(g, ct), 0, f"chi(C_{ideal.t})")
-            t.eq(pairing(g, k, ct), -pairing(g, ct, ct), f"K.C_{ideal.t} = -C_{ideal.t}^2")
+            t.eq(ideal.cycle, seq.partial_sum(ideal.t), f"cycle is C_{ideal.t}")
             t.eq(ideal.eb2, ideal.colength, f"e2bar = colength at t={ideal.t}")
-            t.ok(ideal.colength <= p_g, f"colength <= p_g at t={ideal.t}")
+        for _, holds, detail in _ideal_identities(rep):
+            t.ok(holds, detail)
     return t.count
 
 
@@ -214,10 +218,8 @@ def check_hilbert_data() -> int:
                 p_g - ideal.q,
                 "e1bar - e0bar + colength = p_g - q",
             )
-            t.ok(hd.br <= p_g + 1, "br <= p_g + 1")
-            for n in range(1, 9):
-                value = hd.e0bar * comb(n + 2, 2) - hd.e1bar * (n + 1) + hd.e2bar
-                t.eq(value, hd.colengths[n], f"P({n}) vs colength of power {n + 1}")
+            for _, holds, detail in _hilbert_identities(hd, p_g):
+                t.ok(holds, detail)
     return t.count
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _engine
-from .errors import InputError, _is_exact, _is_int
+from .errors import InputError, _exact_terms, _is_int
 from .parsing import parse_polynomial
 
 __all__ = [
@@ -39,17 +39,12 @@ class WeightedPoly:
     __slots__ = ("weights", "terms", "degree")
 
     def __init__(self, weights, terms):
-        wx, wy, wz = weights
-        if not all(_is_int(w) and w >= 1 for w in (wx, wy, wz)):
+        weights = _positive_triple(weights)
+        if weights is None:
             raise InputError("weights must be positive integers")
+        wx, wy, wz = weights
         merged: dict[tuple[int, int, int], Fraction] = {}
-        for exps, coeff in terms:
-            exps = tuple(exps)
-            if len(exps) != 3 or not all(_is_int(e) and e >= 0 for e in exps):
-                raise InputError(f"bad exponent triple {exps!r}")
-            if not _is_exact(coeff):
-                raise InputError(f"coefficient {coeff!r} is not an integer or a Fraction")
-            coeff = Fraction(coeff)
+        for exps, coeff in _exact_terms(terms):
             if coeff == 0:
                 raise InputError("zero coefficient in polynomial term")
             merged[exps] = merged.get(exps, Fraction(0)) + coeff
@@ -62,7 +57,7 @@ class WeightedPoly:
                 f"polynomial is not weighted homogeneous for weights "
                 f"({wx}, {wy}, {wz}): degrees {sorted(degrees)}"
             )
-        self.weights = (wx, wy, wz)
+        self.weights = weights
         self.terms = tuple(sorted(cleaned.items()))
         self.degree = degrees.pop()
 
@@ -74,23 +69,36 @@ class WeightedPoly:
         return f"WeightedPoly(weights={self.weights}, degree={self.degree}, {len(self.terms)} terms)"
 
 
+def _positive_triple(weights) -> tuple[int, int, int] | None:
+    """``weights`` as a tuple of three positive ints, or None for anything
+    else, whatever its shape."""
+    try:
+        weights = tuple(weights)
+    except TypeError:
+        return None
+    if len(weights) == 3 and all(_is_int(w) and w >= 1 for w in weights):
+        return weights
+    return None
+
+
 def a_invariant(weights, degree: int) -> int:
     """degree - (w_x + w_y + w_z); may be negative."""
-    wx, wy, wz = weights
-    if not all(_is_int(x) and x >= 1 for x in (wx, wy, wz, degree)):
+    weights = _positive_triple(weights)
+    if weights is None or not (_is_int(degree) and degree >= 1):
         raise InputError("weights and degree must be positive integers")
-    return degree - (wx + wy + wz)
+    return degree - sum(weights)
 
 
 def _count_upto(weights, top: int) -> int:
     """Monomials of weighted degree at most ``top``: the loops run over the
     two heaviest exponents, within the enumeration budget, and the
     lightest is counted in closed form."""
-    if not all(_is_int(w) and w >= 1 for w in weights):
-        raise InputError(f"weights must be positive integers, got {tuple(weights)}")
+    triple = _positive_triple(weights)
+    if triple is None:
+        raise InputError(f"weights must be positive integers, got {weights!r}")
     if top < 0:
         return 0
-    w1, w2, w3 = sorted(weights, reverse=True)
+    w1, w2, w3 = sorted(triple, reverse=True)
     _engine.check_budget((top // w1, top // w2), what="lattice count")
     count = 0
     for i in range(top // w1 + 1):

@@ -1,7 +1,9 @@
 """Library entry points take integers as ``graph.DualGraph`` does: an int
 that is not a bool, and for a coefficient an int or a Fraction.  A float,
 a bool or a string is refused with InputError, never truncated, parsed or
-turned into a binary Fraction."""
+turned into a binary Fraction; so is an argument of the wrong shape (a
+pair of weights, a bare int for a triple, a term or a list of terms),
+never met with a TypeError or ValueError."""
 
 from __future__ import annotations
 
@@ -56,6 +58,19 @@ CASES = {
     "corpus-bool-after-kept": lambda: _kept_then(True),
     "corpus-whole-float-after-kept": lambda: _kept_then(1.0),
     "genus-options-float": lambda: corpus.genus_options("fig244", 1.5),
+    # wrongly shaped arguments: not a triple, not a term, not iterable
+    "ideal-generator-int": lambda: MonomialIdeal([5]),
+    "ideal-generators-int": lambda: MonomialIdeal(5),
+    "poly-term-int": lambda: DensePoly([5]),
+    "poly-term-triple": lambda: DensePoly([((1, 0, 0), 1, 2)]),
+    "poly-terms-int": lambda: DensePoly(5),
+    "poly-exponents-int": lambda: DensePoly([(5, 1)]),
+    "weights-pair": lambda: WeightedPoly((1, 1), []),
+    "weights-int": lambda: WeightedPoly(5, []),
+    "wh-term-int": lambda: WeightedPoly((1, 1, 1), [5]),
+    "a-invariant-weights-pair": lambda: a_invariant((1, 1), 3),
+    "a-invariant-weights-int": lambda: a_invariant(5, 3),
+    "graded-dim-weights-pair": lambda: graded_dim((1, 1), 3, 1),
 }
 
 
