@@ -85,10 +85,6 @@ class MonomialIdeal:
             return None
         return tuple(caps)
 
-    @property
-    def is_zero_dimensional(self) -> bool:
-        return self.pure_power_caps() is not None
-
     def plus_pure_powers(self, n: int) -> MonomialIdeal:
         return MonomialIdeal(
             list(self.generators) + [(n, 0, 0), (0, n, 0), (0, 0, n)]

@@ -401,7 +401,7 @@ def enumerate_antinef_upto(g: DualGraph, c: Cycle) -> list[Cycle]:
     """Every effective anti-nef cycle D with 0 <= D <= C, by a scan of
     that box, one interval per row along the first vertex (guarded by the
     enumeration budget, which counts every candidate of the box)."""
-    if c.graph != g:
+    if not isinstance(c, Cycle) or c.graph != g:
         raise InputError("cycle does not live on this graph")
     if not c.is_effective:
         raise InputError("bounding cycle must be effective")
@@ -418,7 +418,7 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
     that the total cycle C_m (equivalently -K) meets trivially.  Violations
     raise InternalCheckError; the return value records what was checked.
     """
-    if seq.graph != g:
+    if not isinstance(seq, EllipticSequence) or seq.graph != g:
         raise InputError("sequence belongs to a different graph")
     m = seq.m
     # one product per index: Z_t . E_i for every i gives Z_t^2 and F_t
@@ -461,7 +461,7 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
             raise InternalCheckError(
                 "minus-one-chain-structure", f"{v.id} is not a genus-0 (-2)-curve"
             )
-        if t + 1 < m and f[t + 1] not in g.neighbours[f[t]]:
+        if t + 1 < m and f[t + 1] not in (j for j, _ in g.rows[f[t]][1:]):
             raise InternalCheckError(
                 "minus-one-chain-structure",
                 f"chain break between {v.id} and {g.vertices[f[t + 1]].id}",

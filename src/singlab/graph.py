@@ -11,11 +11,13 @@ Sylvester's criterion holds on the pivots.  It keeps the rows, from which
 ``canonical_cycle`` back-substitutes K and the chi >= 0 sweep walks; no
 floating point is used anywhere in this package.
 
-The form itself is kept as sparse rows, the diagonal entry and then one
+The form is stored once, as sparse rows, the diagonal entry and then one
 entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,
 ``is_anti_nef`` and through them the cycles and the elliptic sequence)
-costs O(n + |E|).  The dense ``matrix`` serves the box kernels, the
-printed matrix of ``graph analyze`` and the sampled chi sweep.
+costs O(n + |E|).  The dense ``matrix`` is built from the rows on each
+read and kept nowhere; its readers take it once each: the elimination
+at construction, the printed matrix of ``graph analyze``, the sampled
+chi sweep and the anti-nef box scan.
 
 A graph object keeps, in ``_cache`` and only through ``per_graph``: Z_E
 (``fundamental_cycle`` of every vertex, without ``rng``), K, the chi >= 0
@@ -51,17 +53,16 @@ class DualGraph:
     never by index).  ``edges`` is normalized to ``(id_a, id_b, mult)``
     with ``a`` preceding ``b`` in vertex order and one entry per pair;
     duplicate pairs in the input have their multiplicities summed.
-    ``neighbours[i]`` lists the indices adjacent to vertex ``i``, ascending,
-    and ``rows[i]`` is row i of the form as ``((i, m_ii), (j, m_ij), ...)``
-    over those neighbours j.
+    ``rows[i]`` is row i of the form as ``((i, m_ii), (j, m_ij), ...)``
+    over the neighbours j of vertex ``i``, ascending, and the one stored
+    copy of the form; ``matrix`` is a dense view built from it on demand.
     ``adjunction[i]`` is K . E_i = 2 g_i - 2 - E_i^2, and ``elimination``
     the rows of ``is_negative_definite``.  The constructor rejects with
     InputError anything that is not a connected resolution graph, a form
     that is not negative definite included.
     """
 
-    __slots__ = ("vertices", "edges", "neighbours", "rows", "adjunction", "elimination",
-                 "_index", "_matrix", "_cache")
+    __slots__ = ("vertices", "edges", "rows", "adjunction", "elimination", "_index", "_cache")
 
     def __init__(self, vertices, edges):
         verts = []
@@ -107,17 +108,8 @@ class DualGraph:
             key = (min(index[a], index[b]), max(index[a], index[b]))
             mult[key] = mult.get(key, 0) + m
 
-        n = len(verts)
-        matrix = [[0] * n for _ in range(n)]
-        nbrs = [[] for _ in range(n)]
         rows = [[(i, v.self_int)] for i, v in enumerate(verts)]
-        for i, v in enumerate(verts):
-            matrix[i][i] = v.self_int
         for (i, j), m in sorted(mult.items()):
-            matrix[i][j] = m
-            matrix[j][i] = m
-            nbrs[i].append(j)
-            nbrs[j].append(i)
             rows[i].append((j, m))
             rows[j].append((i, m))
 
@@ -125,15 +117,13 @@ class DualGraph:
         self.edges = tuple(
             (verts[i].id, verts[j].id, mult[(i, j)]) for (i, j) in sorted(mult)
         )
-        self.neighbours = tuple(tuple(row) for row in nbrs)
         self.rows = tuple(tuple(row) for row in rows)
         self.adjunction = tuple(2 * v.genus - 2 - v.self_int for v in verts)
         self.elimination = None
         self._index = index
-        self._matrix = tuple(tuple(row) for row in matrix)
         self._cache = {}
 
-        components = connected_components(self, range(n))
+        components = connected_components(self, range(len(verts)))
         if len(components) != 1:
             missing = verts[min(components[1])].id
             raise InputError(f"graph is disconnected (vertex {missing!r} unreachable)")
@@ -156,8 +146,13 @@ class DualGraph:
             raise InputError(f"unknown vertex id {vid!r}") from None
 
     @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return self._matrix
+    def matrix(self) -> list[list[int]]:
+        """The dense form, a new n x n table filled from ``rows`` on each read."""
+        out = [[0] * len(self.rows) for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j, m in row:
+                out[i][j] = m
+        return out
 
     @property
     def is_minimal(self) -> bool:
@@ -234,9 +229,6 @@ class Cycle:
 
     def support(self) -> tuple[str, ...]:
         return tuple(v.id for v, c in zip(self.graph.vertices, self.coeffs) if c != 0)
-
-    def to_rational(self) -> QCycle:
-        return QCycle(self.graph, tuple(Fraction(c) for c in self.coeffs))
 
     def _binop(self, other, op):
         if not isinstance(other, Cycle) or other.graph != self.graph:
@@ -466,7 +458,7 @@ def connected_components(g: DualGraph, indices) -> list[set[int]]:
         comp = {start}
         stack = [start]
         while stack:
-            for j in g.neighbours[stack.pop()]:
+            for j, _ in g.rows[stack.pop()]:
                 if j in left and j not in comp:
                     comp.add(j)
                     stack.append(j)

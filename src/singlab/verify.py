@@ -24,6 +24,7 @@ input), and ``run_all`` folds that into a pass/fail table.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from . import _engine, corpus
@@ -39,7 +40,7 @@ from .elliptic import (
     minimally_elliptic_cycle,
 )
 from .errors import InputError, InternalCheckError
-from .graph import Cycle, pairing, parse_graph, serialize_graph
+from .graph import Cycle, mat_vec, pairing, parse_graph, serialize_graph
 from .wh import WeightedPoly, br_maximal_ideal_brieskorn, pg_brieskorn, pg_weighted_homogeneous
 
 
@@ -113,14 +114,9 @@ def check_elliptic_sequences() -> int:
             t.eq(z.coeffs, expected, f"fig2312({n}) Z_{i}")
             t.eq(pairing(g, z, z), -1, f"fig2312({n}) Z_{i}^2")
         for i in range(seq.m + 1):
-            ci = seq.partial_sum(i)
+            image = mat_vec(g, seq.partial_sum(i).coeffs)  # C_i . E_j for every j
             for j in range(len(g)):
-                expected = -1 if i == j else 0
-                t.eq(
-                    pairing(g, ci, Cycle.unit(g, g.vertices[j].id)),
-                    expected,
-                    f"fig2312({n}) C_{i}.E_{j}",
-                )
+                t.eq(image[j], -1 if i == j else 0, f"fig2312({n}) C_{i}.E_{j}")
         for _, holds, detail in _sequence_identities(seq):
             t.ok(holds, detail)
     for m in range(0, 7):
@@ -145,8 +141,10 @@ def check_elliptic_sequences() -> int:
     return t.count
 
 
+@cache
 def _classification_runs():
-    """(graph, p_g, report) for every corpus classification in the suite."""
+    """(graph, p_g, report) for every corpus classification in the suite,
+    each pair classified once per cold cache."""
     runs = []
     for n in range(1, 6):
         g = corpus.fig2312(n)
@@ -158,7 +156,7 @@ def _classification_runs():
     for m in range(0, 4):
         g = corpus.brell3(m)
         runs.append((g, m + 1, classify_gorenstein_elliptic_ideals(g, m + 1)))
-    return runs
+    return tuple(runs)
 
 
 def check_classification() -> int:
@@ -232,12 +230,13 @@ def check_artinian_oracle() -> int:
         for j in range(1, n + 1):
             ideal = MonomialIdeal.from_text(f"x,y,z^{j}")
             t.eq(colength(f, ideal), j, f"colength({text}, (x,y,z^{j}))")
+    reports = {(g, p_g): rep for g, p_g, rep in _classification_runs()}
     for m in range(0, 4):
         _, text = corpus.fig244_equation(m)
         f = DensePoly.from_text(text)
         g = corpus.fig244(m)
         seq = elliptic_sequence(g)
-        rep = classify_gorenstein_elliptic_ideals(g, m + 1)
+        rep = reports[g, m + 1]
         for i in range(1, m + 2):
             t.eq(colength(f, MonomialIdeal.from_text(f"x,y,z^{i}")), i,
                  f"colength({text}, (x,y,z^{i}))")

@@ -112,8 +112,8 @@ def test_canonical_cycle_resubstitutes():
     for g in [fig2312(3), fig244(3), brell3(3), d4_star()]:
         k = canonical_cycle(g)
         rhs = [2 * v.genus - 2 - v.self_int for v in g.vertices]
-        for i in range(len(g)):
-            assert sum(g.matrix[i][j] * k.coeffs[j] for j in range(len(g))) == rhs[i]
+        for row, r in zip(g.matrix, rhs):
+            assert sum(m * c for m, c in zip(row, k.coeffs)) == r
 
 
 def test_non_gorenstein_cone_point():

@@ -537,3 +537,17 @@ def test_verify_paper_runs_one_whole_graph_laufer_loop_per_graph(monkeypatch, ca
     capsys.readouterr()
     assert len(whole) == len({id(g) for g in whole}) == 20
     assert len(randomized) == 1100  # the random-order Laufer checks still run
+
+
+def test_verify_paper_classifies_each_pair_once(monkeypatch):
+    # 61 classifications before the runs were kept: three checks each ran
+    # the 19 (graph, p_g) pairs and the Artinian oracle four more
+    for family in (fig2312, fig244, brell3):
+        family.cache_clear()
+    verify._classification_runs.cache_clear()
+    calls = []
+    classify = verify.classify_gorenstein_elliptic_ideals
+    monkeypatch.setattr(verify, "classify_gorenstein_elliptic_ideals",
+                        lambda g, p_g: calls.append((g, p_g)) or classify(g, p_g))
+    assert all(result.passed for result in verify.run_all())
+    assert len(calls) == len(set(calls)) == 19

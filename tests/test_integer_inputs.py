@@ -3,7 +3,9 @@ that is not a bool, and for a coefficient an int or a Fraction.  A float,
 a bool or a string is refused with InputError, never truncated, parsed or
 turned into a binary Fraction; so is an argument of the wrong shape (a
 pair of weights, a bare int for a triple, a term or a list of terms),
-never met with a TypeError or ValueError."""
+never met with a TypeError or ValueError.  A string where a cycle or an
+elliptic sequence is due is refused with InputError too, not met with an
+AttributeError."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from singlab import InputError, corpus
 from singlab.artinian import DensePoly, MonomialIdeal
 from singlab.classify import classify_gorenstein_elliptic_ideals, normal_hilbert_data
 from singlab.cycles import riemann_roch_colength
+from singlab.elliptic import check_minus_one_chains, enumerate_antinef_upto
 from singlab.graph import Cycle
 from singlab.wh import WeightedPoly, a_invariant, graded_dim, pg_brieskorn
 
@@ -78,6 +81,18 @@ CASES = {
 def test_entry_points_refuse_what_is_not_an_integer(case):
     with pytest.raises(InputError, match="integer|exponent triple"):
         CASES[case]()
+
+
+OBJECT_CASES = {
+    "antinef-bound-str": lambda: enumerate_antinef_upto(corpus.fig244(1), "x"),
+    "chains-sequence-str": lambda: check_minus_one_chains(corpus.fig2312(1), "x"),
+}
+
+
+@pytest.mark.parametrize("case", list(OBJECT_CASES))
+def test_entry_points_refuse_what_is_not_a_cycle_or_sequence(case):
+    with pytest.raises(InputError, match="does not live on this graph|different graph"):
+        OBJECT_CASES[case]()
 
 
 def test_fractions_and_kept_graphs_still_answer():

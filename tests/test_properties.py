@@ -50,7 +50,7 @@ def test_reduced_cycles_away_from_minimal_cycle(g):
     emin = minimally_elliptic_cycle(g)
     banned = {g.index_of(v) for v in emin.support()}
     allowed = [i for i in range(len(g)) if i not in banned]
-    adjacency = [[g.matrix[i][j] != 0 for j in range(len(g))] for i in range(len(g))]
+    adjacency = [[m != 0 for m in row] for row in g.matrix]
     for subset in connected_subsets(adjacency, allowed):
         d = Cycle(g, tuple(1 if i in subset else 0 for i in range(len(g))))
         assert pairing(g, emin, d) <= 1, subset
@@ -64,9 +64,9 @@ def test_partial_sums_exhaust_antinef_cycles(g):
     cm = seq.partial_sum(seq.m)
     sums = {seq.partial_sum(t).coeffs for t in range(-1, seq.m + 1)}
     found = set()
-    n = len(g)
+    matrix = g.matrix
     for coeffs in product(*(range(c + 1) for c in cm.coeffs)):
-        s = [sum(g.matrix[i][j] * coeffs[j] for j in range(n)) for i in range(n)]
+        s = [sum(m * c for m, c in zip(row, coeffs)) for row in matrix]
         if all(x <= 0 for x in s):
             found.add(coeffs)
     assert found == sums
