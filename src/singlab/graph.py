@@ -419,7 +419,7 @@ def cycle_to_json(d) -> dict:
 def intersection_matrix(g: DualGraph) -> list[list[int]]:
     """Symmetric matrix: self-intersections on the diagonal, edge
     multiplicities off it."""
-    return [list(row) for row in g.matrix]
+    return g.matrix
 
 
 def mat_vec(g: DualGraph, coeffs) -> list:

@@ -143,26 +143,18 @@ def check_elliptic_sequences() -> int:
 
 @cache
 def _classification_runs():
-    """(graph, p_g, report) for every corpus classification in the suite,
-    each pair classified once per cold cache."""
-    runs = []
-    for n in range(1, 6):
-        g = corpus.fig2312(n)
-        runs.append((g, n + 1, classify_gorenstein_elliptic_ideals(g, n + 1)))
-        runs.append((g, 2 * n + 1, classify_gorenstein_elliptic_ideals(g, 2 * n + 1)))
-    for m in range(0, 5):
-        g = corpus.fig244(m)
-        runs.append((g, m + 1, classify_gorenstein_elliptic_ideals(g, m + 1)))
-    for m in range(0, 4):
-        g = corpus.brell3(m)
-        runs.append((g, m + 1, classify_gorenstein_elliptic_ideals(g, m + 1)))
-    return tuple(runs)
+    """(graph, p_g) -> report for every corpus classification in the suite,
+    in a fixed order, each pair classified once per cold cache."""
+    pairs = [(corpus.fig2312(n), p_g) for n in range(1, 6) for p_g in (n + 1, 2 * n + 1)]
+    pairs += [(corpus.fig244(m), m + 1) for m in range(0, 5)]
+    pairs += [(corpus.brell3(m), m + 1) for m in range(0, 4)]
+    return {(g, p_g): classify_gorenstein_elliptic_ideals(g, p_g) for g, p_g in pairs}
 
 
 def check_classification() -> int:
     """zeta, the admissible index sets, and the colength ladders."""
     t = _Tally()
-    reports = {(g, p_g): rep for g, p_g, rep in _classification_runs()}
+    reports = _classification_runs()
     for n in range(1, 6):
         g = corpus.fig2312(n)
         rep = reports[g, n + 1]
@@ -193,7 +185,7 @@ def check_gorenstein_cone_numerics() -> int:
     """The shape of each classified ideal's record, then the identities
     classify raises on."""
     t = _Tally()
-    for g, _, rep in _classification_runs():
+    for (g, _), rep in _classification_runs().items():
         seq = elliptic_sequence(g)
         for ideal in rep.ideals:
             t.ok(ideal.t in rep.af.af, f"t={ideal.t} admissible")
@@ -207,7 +199,7 @@ def check_gorenstein_cone_numerics() -> int:
 def check_hilbert_data() -> int:
     """Riemann-Roch colength sequences versus the Hilbert polynomial."""
     t = _Tally()
-    for g, p_g, rep in _classification_runs():
+    for (g, p_g), rep in _classification_runs().items():
         for ideal in rep.ideals:
             hd = normal_hilbert_data(g, ideal.cycle, p_g, ideal.q, n_max=8)
             t.eq(hd.e0bar, -pairing(g, ideal.cycle, ideal.cycle), "e0bar = -Z^2")
@@ -230,7 +222,7 @@ def check_artinian_oracle() -> int:
         for j in range(1, n + 1):
             ideal = MonomialIdeal.from_text(f"x,y,z^{j}")
             t.eq(colength(f, ideal), j, f"colength({text}, (x,y,z^{j}))")
-    reports = {(g, p_g): rep for g, p_g, rep in _classification_runs()}
+    reports = _classification_runs()
     for m in range(0, 4):
         _, text = corpus.fig244_equation(m)
         f = DensePoly.from_text(text)

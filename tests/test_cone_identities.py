@@ -39,7 +39,7 @@ RUN_NAMES = (
 def _runs():
     runs = verify._classification_runs()
     assert len(runs) == len(RUN_NAMES)
-    return dict(zip(RUN_NAMES, runs))
+    return {name: (g, p_g, rep) for name, ((g, p_g), rep) in zip(RUN_NAMES, runs.items())}
 
 
 def _first_ideal_broken(**fields):

@@ -430,10 +430,8 @@ def test_a_failed_verification_is_raised_on_every_call(monkeypatch):
     assert len(calls) == 2 and "sequence" not in g._cache
 
 
-def test_verify_paper_verifies_each_sequence_once(monkeypatch, capsys):
+def test_verify_paper_verifies_each_sequence_once(monkeypatch, capsys, cold_caches):
     # 20 distinct graphs; the sequence used to be rebuilt on 153 calls
-    for family in (fig2312, fig244, brell3):
-        family.cache_clear()
     calls = _count_verifications(monkeypatch)
     assert cli.main(["verify-paper", "--format", "json"]) == 0
     capsys.readouterr()
@@ -518,10 +516,9 @@ def test_fundamental_cycle_is_kept_on_the_graph(monkeypatch):
     assert ze == fundamental_cycle(template)
 
 
-def test_verify_paper_runs_one_whole_graph_laufer_loop_per_graph(monkeypatch, capsys):
+def test_verify_paper_runs_one_whole_graph_laufer_loop_per_graph(monkeypatch, capsys,
+                                                                cold_caches):
     # 93 whole-graph loops without rng on these 20 graphs before Z_E was kept
-    for family in (fig2312, fig244, brell3):
-        family.cache_clear()
     whole, randomized = [], []
     laufer = cycles_module._laufer_loop
 
@@ -539,12 +536,9 @@ def test_verify_paper_runs_one_whole_graph_laufer_loop_per_graph(monkeypatch, ca
     assert len(randomized) == 1100  # the random-order Laufer checks still run
 
 
-def test_verify_paper_classifies_each_pair_once(monkeypatch):
+def test_verify_paper_classifies_each_pair_once(monkeypatch, cold_caches):
     # 61 classifications before the runs were kept: three checks each ran
     # the 19 (graph, p_g) pairs and the Artinian oracle four more
-    for family in (fig2312, fig244, brell3):
-        family.cache_clear()
-    verify._classification_runs.cache_clear()
     calls = []
     classify = verify.classify_gorenstein_elliptic_ideals
     monkeypatch.setattr(verify, "classify_gorenstein_elliptic_ideals",

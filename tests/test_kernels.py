@@ -323,7 +323,7 @@ def test_sparse_rows_equal_the_dense_form_on_random_graphs(shape):
         n = rng.randint(3 if shape == "cusp" else 1, 9)
         g = _random_graph(rng, shape, n, 0.3)
         matrix = _matrix(g.vertices, g.edges)
-        assert [list(row) for row in g.matrix] == matrix
+        assert g.matrix == matrix
         for i, row in enumerate(g.rows):
             off = tuple(j for j in range(n) if j != i and matrix[i][j])
             assert row == ((i, matrix[i][i]),) + tuple((j, matrix[i][j]) for j in off)
