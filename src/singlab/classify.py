@@ -27,8 +27,8 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .cycles import canonical_cycle, chi, is_numerically_gorenstein, riemann_roch_colength
-from .elliptic import elliptic_sequence, is_elliptic
+from .cycles import _canonical_degree, chi, riemann_roch_colength
+from .elliptic import elliptic_sequence
 from .errors import InputError, InternalCheckError, _is_int, _raise_at_first_failure
 from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, pairing
 
@@ -175,20 +175,17 @@ def classify_gorenstein_elliptic_ideals(
 ) -> ClassificationReport:
     """All elliptic ideals whose normal tangent cone is Gorenstein.
 
-    Requires a minimal, elliptic, numerically Gorenstein graph and a p_g
-    consistent with the sequence length.  In the non-maximal case the
-    classification is only valid in residue characteristic zero; pass
-    char0=False to get a refusal instead of an unwarranted answer.
+    Requires a minimal, elliptic, numerically Gorenstein graph (the last
+    two refused by ``elliptic_sequence``) and a p_g consistent with the
+    sequence length.  In the non-maximal case the classification is only
+    valid in residue characteristic zero; pass char0=False to get a
+    refusal instead of an unwarranted answer.
     """
     if not g.is_minimal:
         bad = next(v.id for v in g.vertices if v.genus == 0 and v.self_int == -1)
         raise InputError(
             f"graph is not minimal: vertex {bad} is a genus-0 (-1)-curve"
         )
-    if not is_elliptic(g):
-        raise InputError("graph is not elliptic")
-    if not is_numerically_gorenstein(g):
-        raise InputError("graph is not numerically Gorenstein")
     seq = elliptic_sequence(g)
     af = derive_af(seq.m, p_g)
     if not af.maximal and not char0:
@@ -197,7 +194,6 @@ def classify_gorenstein_elliptic_ideals(
             "this graph with p_g = %d is not maximally elliptic" % p_g
         )
 
-    k = canonical_cycle(g)
     ideals = []
     for rank, t in enumerate(af.af):
         zt2 = pairing(g, seq.cycles[t], seq.cycles[t])
@@ -211,7 +207,7 @@ def classify_gorenstein_elliptic_ideals(
                 cycle=ct,
                 colength=colength,
                 e0=-pairing(g, ct, ct),
-                kz=int(pairing(g, k, ct)),
+                kz=_canonical_degree(g, ct),
                 chi=chi(g, ct),
                 eb2=colength,
                 q=p_g - colength,
@@ -244,8 +240,8 @@ def classify_gorenstein_elliptic_ideals(
 def _ideal_identities(report: ClassificationReport):
     """The identities each classified ideal satisfies, one ``(check, holds,
     detail)`` per assertion, read off its record: chi(C_t) = 0,
-    K.C_t = e0 = -C_t^2 and colength <= p_g.  ``detail`` is None where the
-    identity holds."""
+    K.C_t = e0 = -C_t^2 (``kz`` is a.C_t) and colength <= p_g.
+    ``detail`` is None where the identity holds."""
     p_g = report.p_g
     for ideal in report.ideals:
         t = ideal.t
@@ -315,16 +311,10 @@ def pg_ideal_gorenstein_test(g: DualGraph, z: Cycle) -> bool:
     """For a cycle representing an ideal with normal reduction number 1:
     the normal tangent cone is Gorenstein exactly when K.Z = 0.
 
-    The equivalent route 2*colength = e0 (colength taken with q = p_g) is
-    evaluated independently and compared.
+    The other form of the test, 2*colength = e0 (colength taken with
+    q = p_g), is this one restated: 2*chi(Z) = e0 - K.Z is how ``chi`` is
+    defined, with K.Z read as a.Z there as here, so it is not run.
     """
-    k = canonical_cycle(g)
-    kz = pairing(g, k, z)
-    two_chi = 2 * chi(g, z)
-    e0 = -pairing(g, z, z)
-    if (kz == 0) != (two_chi == e0):
-        raise InternalCheckError(
-            "pg-ideal-gorenstein-route-agreement",
-            f"K.Z = {kz} but 2*chi = {two_chi}, e0 = {e0}",
-        )
-    return kz == 0
+    if not isinstance(z, Cycle) or z.graph != g:
+        raise InputError("Z must be an integral cycle on this graph")
+    return _canonical_degree(g, z) == 0

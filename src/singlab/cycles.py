@@ -8,13 +8,17 @@ K solves the adjunction relations K . E_i = 2 g(E_i) - 2 - E_i^2 and is in
 general only rational; the singularity is numerically Gorenstein when K
 is integral.  K is read off the elimination the graph made of its form
 when it was built, by back substitution; nothing here eliminates again.
-Every product with the form (the Laufer loop's bump, chi, the check of K)
-runs along the graph's sparse rows, so costs O(n + |E|) per product.
+K . D is the integer a . D, a the adjunction vector (M K = a), so only
+the numerically Gorenstein test, ``graph analyze`` and the sequence's
+C_m = -K read the rational K.  Every product with the form (the Laufer
+loop's bump, chi, the check of K) runs along the graph's sparse rows, so
+costs O(n + |E|) per product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError, _is_int
@@ -116,6 +120,12 @@ def is_numerically_gorenstein(g: DualGraph) -> bool:
     return canonical_cycle(g).is_integral
 
 
+def _canonical_degree(g: DualGraph, d: Cycle) -> int:
+    """K . D of an integral cycle D, as a . D: M K = a, which
+    ``canonical_cycle`` checks on every solve."""
+    return sum(map(mul, g.adjunction, d.coeffs))
+
+
 def chi(g: DualGraph, d: Cycle) -> int:
     """Euler characteristic -(D^2 + D.K)/2 of an integral cycle, as an
     exact integer."""
@@ -123,7 +133,7 @@ def chi(g: DualGraph, d: Cycle) -> int:
         raise InputError("chi expects an integral cycle")
     if d.graph != g:
         raise InputError("cycle does not live on this graph")
-    two_chi = -(pairing(g, d, d) + sum(a * c for a, c in zip(g.adjunction, d.coeffs)))
+    two_chi = -(pairing(g, d, d) + _canonical_degree(g, d))
     if two_chi % 2 != 0:
         raise InternalCheckError(
             "euler-characteristic-integrality", f"2*chi = {two_chi} is odd"

@@ -365,7 +365,9 @@ def _sequence_identities(seq: EllipticSequence):
     chi(Z_t) = 0 and (K + C'_t) . E_v = 0 for each v in B_t; and C_m = -K.
     ``detail`` says what failed, and is None where the identity holds.
     One product M Z_t per t, and per t one each for the anti-nef test,
-    K + C'_t and the three chi."""
+    C'_t and the three chi.  (K + C'_t) . E_v is read as a_v + C'_t . E_v,
+    a the adjunction vector (M K = a); only C_m = -K reads the rational K,
+    coefficient by coefficient, so the list is whole on any graph."""
     g = seq.graph
     m = seq.m
     images = [mat_vec(g, z.coeffs) for z in seq.cycles]
@@ -377,7 +379,7 @@ def _sequence_identities(seq: EllipticSequence):
     t = next((t for t in range(m) if -selfints[t] < -selfints[t + 1]), None)
     yield ("elliptic-sequence-degrees-monotone", t is None, None if t is None else
            f"-Z_{t}^2 = {-selfints[t]} < -Z_{t+1}^2 = {-selfints[t+1]}")
-    k = canonical_cycle(g).to_cycle()
+    adj = g.adjunction
     for t in range(m + 1):
         ct, cpt = seq.partial_sum(t), seq.tail_sum(t)
         ok = is_anti_nef(g, ct)
@@ -386,13 +388,14 @@ def _sequence_identities(seq: EllipticSequence):
             ok = chi(g, d) == 0
             yield ("elliptic-sequence-euler-characteristic-zero", ok,
                    None if ok else f"chi({name}_{t}) != 0")
-        shifted = mat_vec(g, (k + cpt).coeffs)
+        cpt_dot = mat_vec(g, cpt.coeffs)
         for vid in seq.supports[t]:
-            ok = shifted[g.index_of(vid)] == 0
+            v = g.index_of(vid)
+            ok = adj[v] + cpt_dot[v] == 0
             yield ("elliptic-sequence-canonical-restriction", ok,
                    None if ok else f"(K + C'_{t}) . {vid} != 0")
-    total = seq.partial_sum(m)
-    ok = total == -k
+    total, k = seq.partial_sum(m), canonical_cycle(g)
+    ok = all(c == -q for c, q in zip(total.coeffs, k.coeffs))
     yield ("elliptic-sequence-total-is-anticanonical", ok,
            None if ok else f"C_{m} = {total} but -K = {-k}")
 
@@ -415,8 +418,10 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
 
     Whenever some Z_j has self-intersection -1, each Z_i with j <= i < m
     must split as Z_m plus a chain of genus-0 (-2)-curves F_{m-1}, ..., F_i
-    that the total cycle C_m (equivalently -K) meets trivially.  Violations
-    raise InternalCheckError; the return value records what was checked.
+    that the total cycle C_m (equivalently -K) meets trivially.  Stated by
+    telescoping: each such Z_t meets exactly one curve F_t negatively, with
+    pairing -1 and coefficient 1, and Z_t - Z_{t+1} = F_t.  Violations raise
+    InternalCheckError; the return value records what was checked.
     """
     if not isinstance(seq, EllipticSequence) or seq.graph != g:
         raise InputError("sequence belongs to a different graph")
@@ -429,7 +434,6 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
         return MinusOneChainReport(js, ())
 
     j0 = js[0]
-    adj = g.adjunction
     cm_dot = mat_vec(g, seq.partial_sum(m).coeffs)  # C_m . E_i for every i
     f: dict[int, int] = {}  # t -> vertex index of F_t
     for t in range(j0, m):
@@ -442,34 +446,24 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
             )
         f[t] = negatives[0]
 
-    # Z_m + F_{m-1} + ... + F_i for every i, by one running sum from the top
-    acc = list(seq.cycles[m].coeffs)
-    expected = {}
-    for t in range(m - 1, j0 - 1, -1):
-        acc[f[t]] += 1
-        expected[t] = tuple(acc)
-    for i in range(j0, m):
-        if expected[i] != seq.cycles[i].coeffs:
-            raise InternalCheckError(
-                "minus-one-chain-structure",
-                f"Z_{i} - Z_{m} is not the chain F_{m-1} + ... + F_{i}",
-            )
-
+    # Z_t - Z_{t+1} = F_t for each t is Z_i - Z_m = F_{m-1} + ... + F_i for each i.
+    # The chain needs no adjacency test: Z_t . F_{t+1} = -1 + F_t . F_{t+1}.
+    # F_{t+1} = F_t would make it -1 + F_t^2 = -3, not -1; any other curve Z_t
+    # meets non-negatively, so F_t . F_{t+1} >= 1.  Nor does K need a test:
+    # K . F_t = 2g - 2 - F_t^2 = 0 on a genus-0 (-2)-curve.
     for t in range(j0, m):
         v = g.vertices[f[t]]
+        step = [a - b for a, b in zip(seq.cycles[t].coeffs, seq.cycles[t + 1].coeffs)]
+        step[f[t]] -= 1
+        if any(step):
+            raise InternalCheckError(
+                "minus-one-chain-structure", f"Z_{t} - Z_{t + 1} is not the curve F_{t} = {v.id}"
+            )
         if v.self_int != -2 or v.genus != 0:
             raise InternalCheckError(
                 "minus-one-chain-structure", f"{v.id} is not a genus-0 (-2)-curve"
             )
-        if t + 1 < m and f[t + 1] not in (j for j, _ in g.rows[f[t]][1:]):
-            raise InternalCheckError(
-                "minus-one-chain-structure",
-                f"chain break between {v.id} and {g.vertices[f[t + 1]].id}",
-            )
-        if cm_dot[f[t]] != 0 or adj[f[t]] != 0:
-            raise InternalCheckError(
-                "minus-one-chain-structure",
-                f"total cycle or canonical cycle meets {v.id}",
-            )
+        if cm_dot[f[t]] != 0:
+            raise InternalCheckError("minus-one-chain-structure", f"total cycle meets {v.id}")
     chain = tuple(g.vertices[f[t]].id for t in range(j0, m))
     return MinusOneChainReport(js, chain)

@@ -8,8 +8,9 @@ definite.  That is an invariant of every ``DualGraph``, however it was
 built: the constructor eliminates [[-M, -a], [-a^T, 0]], a the adjunction
 vector, once (``is_negative_definite``) and raises InputError unless
 Sylvester's criterion holds on the pivots.  It keeps the rows, from which
-``canonical_cycle`` back-substitutes K and the chi >= 0 sweep walks; no
-floating point is used anywhere in this package.
+``canonical_cycle`` back-substitutes K and the chi >= 0 sweep walks.  K is
+in general rational, but K . D never needs it: M K = a makes it the
+integer a . D.  No floating point is used anywhere in this package.
 
 The form is stored once, as sparse rows, the diagonal entry and then one
 entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,

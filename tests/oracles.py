@@ -7,8 +7,10 @@ are the box kernels the package used before it pruned its scans: they
 visit every row or every candidate, and the pruned kernels must return
 exactly what they return, in the same order; the linear solve the
 package used for the canonical cycle before it read K off the graph's one
-elimination; and the Laufer loop as it ran on the dense matrix before the
-form became sparse rows.
+elimination; the Laufer loop as it ran on the dense matrix before the
+form became sparse rows; and the check of the -1 chains as it stood
+before it was telescoped, with its chain-adjacency test and its
+adjunction clause.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from itertools import product
 
 from singlab._linalg import eliminate
 from singlab.errors import InputError, InternalCheckError
-from singlab.graph import Cycle, connected_components
+from singlab.elliptic import EllipticSequence, MinusOneChainReport
+from singlab.graph import Cycle, DualGraph, connected_components, mat_vec as sparse_mat_vec
 
 
 def mat_vec(matrix, vec):
@@ -327,3 +330,68 @@ def dense_fundamental_cycle(g, support=None, rng=None) -> Cycle:
                 "the intersection form cannot be negative definite",
             )
     return Cycle(g, coeffs)
+
+
+def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChainReport:
+    """Validate the chain structure forced by Z_j^2 = -1.
+
+    Whenever some Z_j has self-intersection -1, each Z_i with j <= i < m
+    must split as Z_m plus a chain of genus-0 (-2)-curves F_{m-1}, ..., F_i
+    that the total cycle C_m (equivalently -K) meets trivially.  Violations
+    raise InternalCheckError; the return value records what was checked.
+    """
+    if not isinstance(seq, EllipticSequence) or seq.graph != g:
+        raise InputError("sequence belongs to a different graph")
+    m = seq.m
+    # one product per index: Z_t . E_i for every i gives Z_t^2 and F_t
+    images = [sparse_mat_vec(g, z.coeffs) for z in seq.cycles]
+    js = tuple(t for t in range(m + 1)
+               if sum(a * b for a, b in zip(seq.cycles[t].coeffs, images[t])) == -1)
+    if not js or js[0] == m:
+        return MinusOneChainReport(js, ())
+
+    j0 = js[0]
+    adj = g.adjunction
+    cm_dot = sparse_mat_vec(g, seq.partial_sum(m).coeffs)  # C_m . E_i for every i
+    f: dict[int, int] = {}  # t -> vertex index of F_t
+    for t in range(j0, m):
+        z, mz = seq.cycles[t], images[t]
+        negatives = [i for i in range(len(g)) if mz[i] < 0]
+        if len(negatives) != 1 or mz[negatives[0]] != -1 or z.coeffs[negatives[0]] != 1:
+            raise InternalCheckError(
+                "minus-one-chain-structure",
+                f"Z_{t} has no unique curve of pairing -1",
+            )
+        f[t] = negatives[0]
+
+    # Z_m + F_{m-1} + ... + F_i for every i, by one running sum from the top
+    acc = list(seq.cycles[m].coeffs)
+    expected = {}
+    for t in range(m - 1, j0 - 1, -1):
+        acc[f[t]] += 1
+        expected[t] = tuple(acc)
+    for i in range(j0, m):
+        if expected[i] != seq.cycles[i].coeffs:
+            raise InternalCheckError(
+                "minus-one-chain-structure",
+                f"Z_{i} - Z_{m} is not the chain F_{m-1} + ... + F_{i}",
+            )
+
+    for t in range(j0, m):
+        v = g.vertices[f[t]]
+        if v.self_int != -2 or v.genus != 0:
+            raise InternalCheckError(
+                "minus-one-chain-structure", f"{v.id} is not a genus-0 (-2)-curve"
+            )
+        if t + 1 < m and f[t + 1] not in (j for j, _ in g.rows[f[t]][1:]):
+            raise InternalCheckError(
+                "minus-one-chain-structure",
+                f"chain break between {v.id} and {g.vertices[f[t + 1]].id}",
+            )
+        if cm_dot[f[t]] != 0 or adj[f[t]] != 0:
+            raise InternalCheckError(
+                "minus-one-chain-structure",
+                f"total cycle or canonical cycle meets {v.id}",
+            )
+    chain = tuple(g.vertices[f[t]].id for t in range(j0, m))
+    return MinusOneChainReport(js, chain)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import io
+import sys
+
 import pytest
 
 from singlab import (
@@ -15,7 +18,9 @@ from singlab import (
     pairing,
     pg_ideal_gorenstein_test,
 )
-from singlab.corpus import fig244, fig2312
+from singlab import cli, verify
+from singlab.corpus import brell3, fig244, fig2312, genus_options
+from singlab.graph import QCycle, serialize_graph
 
 
 # -- derive_af ---------------------------------------------------------------
@@ -193,3 +198,28 @@ def test_pg_ideal_gorenstein_test_positive_case():
     g = DualGraph([Vertex("E", -2)], [])
     assert pg_ideal_gorenstein_test(g, Cycle(g, (1,)))
     assert pg_ideal_gorenstein_test(g, Cycle(g, (3,)))
+
+
+def test_no_product_reads_the_rational_canonical_cycle(monkeypatch, capsys, cold_caches):
+    # K . D is read as a . D everywhere: pairing, wherever it is imported,
+    # refuses a QCycle through a cold verify-paper and classify on the corpus
+    original = pairing
+    rational = []
+
+    def integral_pairing(g, d1, d2):
+        if isinstance(d1, QCycle) or isinstance(d2, QCycle):
+            rational.append((d1, d2))
+            raise TypeError("pairing given a rational cycle")
+        return original(g, d1, d2)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "singlab" and getattr(module, "pairing", None) is original:
+            monkeypatch.setattr(module, "pairing", integral_pairing)
+    assert all(result.passed for result in verify.run_all())
+    for family in (fig2312, fig244, brell3):
+        for param in (1, 2, 3, 4):
+            for p_g in genus_options(family.__name__, param):
+                doc = serialize_graph(family(param))
+                monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+                assert cli.main(["classify", "-", "--pg", str(p_g), "--format", "json"]) == 0
+    assert rational == []

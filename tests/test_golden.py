@@ -5,6 +5,9 @@ Every run feeds a ``corpus emit`` document on stdin to ``graph analyze``,
 and again with ``--format text`` (whose renderer prints each dict in
 insertion order, so a reordered key shows there), for fig2312, fig244 and
 brell3 at parameters 1-4; ``verify-paper --format json`` runs once.
+``elliptic sequence`` and ``classify --pg 2`` also run, in JSON, on two
+documents no family emits: one not elliptic and one elliptic but not
+numerically Gorenstein, to pin the refusals.
 ``--help`` at the top level, on each group and on each leaf command, and
 six malformed command lines, pin the help and usage text at a terminal
 width of 80 columns.  A refactor that keeps the answers keeps every
@@ -47,6 +50,15 @@ HELP = ((), ("graph",), ("elliptic",), ("artinian",), ("corpus",),
 # command, an unknown command
 MALFORMED = (("classify", "-", "--pg", "abc"), ("brieskorn", "2", "3"), ("graph",), (),
              ("nosuch",), ("wh", "--weights", "1,1,1"))
+# (name, document): a rational (-2)-curve; a genus-1 (-2)-curve with a (-3)
+# leaf, elliptic with K = (-7/5, -4/5)
+REFUSED = (
+    ("not-elliptic", '{"vertices": [{"id": "A", "self": -2, "genus": 0}], "edges": []}'),
+    ("not-gorenstein", '{"vertices": [{"id": "A", "self": -2, "genus": 1}, '
+                       '{"id": "B", "self": -3, "genus": 0}], '
+                       '"edges": [{"ends": ["A", "B"], "mult": 1}]}'),
+)
+REFUSED_COMMANDS = ((("elliptic", "sequence"), ()), (("classify",), ("--pg", "2")))
 TABLE = Path(__file__).with_name("golden_digests.json")
 
 
@@ -99,6 +111,15 @@ def _text_records(family: str, param: int) -> dict:
     return records
 
 
+def _refused_records() -> dict:
+    records = {}
+    for name, doc in REFUSED:
+        for words, options in REFUSED_COMMANDS:
+            argv = [*words, "-", *options, "--format", "json"]
+            records[" ".join([name, *words, *options])] = _record(*_run(argv, doc))
+    return records
+
+
 def _verify_record() -> dict:
     return _record(*_run(["verify-paper", "--format", "json"]))
 
@@ -141,6 +162,7 @@ def _all_records() -> dict:
         for param in PARAMS:
             records.update(_family_records(family, param))
             records.update(_text_records(family, param))
+    records.update(_refused_records())
     records["verify-paper"] = _verify_record()
     records.update(_cli_records())
     return records
@@ -167,6 +189,15 @@ def test_corpus_text_outputs_match_golden(family, param):
     actual = _text_records(family, param)
     assert len(actual) == len(COMMANDS)
     for key, record in actual.items():
+        assert record == expected[key], key
+
+
+def test_refusals_match_golden():
+    expected = _expected()
+    actual = _refused_records()
+    assert len(actual) == len(REFUSED) * len(REFUSED_COMMANDS)
+    for key, record in actual.items():
+        assert record["exit"] == 1, key
         assert record == expected[key], key
 
 
@@ -205,6 +236,7 @@ def test_leaf_parsers_match_the_full_tree():
 
 def test_golden_table_covers_every_run():
     assert len(_expected()) == (2 * len(FAMILIES) * len(PARAMS) * len(COMMANDS) + 1
+                                + len(REFUSED) * len(REFUSED_COMMANDS)
                                 + len(HELP) + len(MALFORMED))
 
 

@@ -20,8 +20,9 @@ from singlab.elliptic import (
     _verify_sequence,
     elliptic_sequence,
 )
+from singlab.cycles import fundamental_cycle
 from singlab.errors import InternalCheckError
-from singlab.graph import Cycle
+from singlab.graph import Cycle, DualGraph, Vertex
 
 PREFIX = "elliptic-sequence-"
 VERIFY_PAPER_GRAPHS = {
@@ -134,3 +135,17 @@ def test_the_oracle_agrees_on_broken_sequences(name):
     seq, _ = BROKEN[name](elliptic_sequence(brell3(1)))
     expected = _oracle_identities(seq.graph, [z.coeffs for z in seq.cycles], seq.supports)
     assert [(check, holds) for check, holds, _ in _sequence_identities(seq)] == expected
+
+
+def test_the_list_is_whole_on_a_graph_that_is_not_numerically_gorenstein():
+    # a genus-1 (-2)-curve with a (-3) leaf is elliptic with K = (-7/5, -4/5);
+    # elliptic_sequence refuses it, but a sequence built by hand gets every
+    # item, with C_m = -K false
+    g = DualGraph([Vertex("A", -2, 1), Vertex("B", -3)], [("A", "B", 1)])
+    seq = EllipticSequence(g, (g.ids,), (fundamental_cycle(g),))
+    items = list(_sequence_identities(seq))
+    expected = _oracle_identities(g, [z.coeffs for z in seq.cycles], seq.supports)
+    assert [(check, holds) for check, holds, _ in items] == expected
+    check, holds, detail = items[-1]
+    assert (check, holds) == (PREFIX + "total-is-anticanonical", False)
+    assert "7/5" in detail
