@@ -25,9 +25,10 @@ at its first failing item, and ``verify-paper`` counts their items.
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
-from .cycles import _canonical_degree, chi, riemann_roch_colength
+from .cycles import _canonical_degree, _chi_of, riemann_roch_colength
 from .elliptic import elliptic_sequence
 from .errors import InputError, InternalCheckError, _is_int, _raise_at_first_failure
 from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, pairing
@@ -196,19 +197,18 @@ def classify_gorenstein_elliptic_ideals(
 
     ideals = []
     for rank, t in enumerate(af.af):
-        zt2 = pairing(g, seq.cycles[t], seq.cycles[t])
-        if not (-zt2 >= 2 or (not af.maximal and t < seq.m)):
+        if not (-seq.self_intersection(t) >= 2 or (not af.maximal and t < seq.m)):
             continue
-        ct = seq.partial_sum(t)
+        ct, mct = seq.partial_sum(t), seq.partial_image(t)
         colength = rank + 1
         ideals.append(
             EllipticIdealClass(
                 t=t,
                 cycle=ct,
                 colength=colength,
-                e0=-pairing(g, ct, ct),
+                e0=-sum(map(mul, ct.coeffs, mct)),
                 kz=_canonical_degree(g, ct),
-                chi=chi(g, ct),
+                chi=_chi_of(g, ct, mct),
                 eb2=colength,
                 q=p_g - colength,
                 kind="strongly-elliptic" if colength == 1 else "elliptic",
@@ -218,13 +218,13 @@ def classify_gorenstein_elliptic_ideals(
     zeta = len(ideals)
     report = ClassificationReport(af=af, ideals=tuple(ideals), zeta=zeta, m=seq.m, p_g=p_g)
     _raise_at_first_failure(_ideal_identities(report))
-    zm2 = pairing(g, seq.cycles[seq.m], seq.cycles[seq.m])
+    zm2 = seq.self_intersection(seq.m)
     if (zeta == p_g) != (-zm2 >= 2):
         raise InternalCheckError(
             "gorenstein-cone-count-criterion",
             f"zeta = {zeta}, p_g = {p_g}, Z_m^2 = {zm2}",
         )
-    if af.maximal and pairing(g, seq.cycles[0], seq.cycles[0]) == -1:
+    if af.maximal and seq.self_intersection(0) == -1:
         if zeta != 0:
             raise InternalCheckError(
                 "gorenstein-cone-count-criterion",

@@ -9,10 +9,10 @@ general only rational; the singularity is numerically Gorenstein when K
 is integral.  K is read off the elimination the graph made of its form
 when it was built, by back substitution; nothing here eliminates again.
 K . D is the integer a . D, a the adjunction vector (M K = a), so only
-the numerically Gorenstein test, ``graph analyze`` and the sequence's
-C_m = -K read the rational K.  Every product with the form (the Laufer
-loop's bump, chi, the check of K) runs along the graph's sparse rows, so
-costs O(n + |E|) per product.
+the numerically Gorenstein test and ``graph analyze`` read the rational
+K.  Every product with the form (the Laufer loop's bump, chi, the check
+of K) runs along the graph's sparse rows, so costs O(n + |E|) per
+product; ``_chi_of`` reads chi off an image M D a caller already has.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from operator import mul
 
 from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError, _is_int
-from .graph import (Cycle, DualGraph, QCycle, connected_components, is_anti_nef, mat_vec,
-                    pairing, per_graph)
+from .graph import Cycle, DualGraph, QCycle, connected_components, is_anti_nef, mat_vec, per_graph
 
 __all__ = [
     "adjunction_vector",
@@ -133,7 +132,12 @@ def chi(g: DualGraph, d: Cycle) -> int:
         raise InputError("chi expects an integral cycle")
     if d.graph != g:
         raise InputError("cycle does not live on this graph")
-    two_chi = -(pairing(g, d, d) + _canonical_degree(g, d))
+    return _chi_of(g, d, mat_vec(g, d.coeffs))
+
+
+def _chi_of(g: DualGraph, d: Cycle, image) -> int:
+    """chi(D) of an integral cycle on ``g``, read off its image M D."""
+    two_chi = -(sum(map(mul, d.coeffs, image)) + _canonical_degree(g, d))
     if two_chi % 2 != 0:
         raise InternalCheckError(
             "euler-characteristic-integrality", f"2*chi = {two_chi} is odd"

@@ -11,31 +11,33 @@ finds it without enumerating cycles.  On a numerically Gorenstein
 elliptic graph the elliptic sequence Z_0 > Z_1 > ... > Z_m, ending at
 E_min, is built by repeatedly restricting to the curves orthogonal to the
 current cycle; its partial sums C_t and tail sums C'_t drive the ideal
-classification in ``singlab.classify``.  Products with the form run along
-the graph's sparse rows, one per step of the sequence; only the sampled chi
-sweep still multiplies by the dense matrix, held there until the
-benchmark's per-pass memory is mended (ROADMAP item 1).  The sweep's
-draws are the stream ``random.Random(0xE11).randint`` gives, read straight
-through ``getrandbits`` by the same rejection loop.
+classification in ``singlab.classify``.  Each step multiplies its cycle
+by the form once, along the sparse rows, and the sequence keeps M Z_t and
+M C_t: its identities, the -1 chains and the classification read every
+pairing of its cycles off them.  Only the sampled chi sweep multiplies by
+the dense matrix, until the benchmark's per-pass memory is mended; its
+draws are those of ``random.Random(0xE11).randint``, read through
+``getrandbits`` by the same rejection loop.
 
 Every structural fact the construction relies on is verified on the
-actual data and raises InternalCheckError when violated, naming the
-property; this is how inconsistent analytic inputs (a wrong geometric
-genus, say) surface instead of producing silent nonsense.  The identities
-of the finished sequence (orthogonality, degrees, C_t anti-nef, chi = 0,
-the restriction of K + C'_t to B_t, C_m = -K) are stated once, in the list
-``_sequence_identities`` yields: every build raises at its first failing
-item, and ``verify-paper`` counts its items.
+actual data and raises InternalCheckError naming the property, so that
+inconsistent analytic inputs (a wrong geometric genus, say) surface
+instead of producing silent nonsense.  The identities of the finished
+sequence are stated once, in the list ``_sequence_identities`` yields:
+every build raises at its first failing item and records the checks it
+walked, and ``verify-paper`` counts the items.
 """
 
 from __future__ import annotations
 
 import random
-from operator import mul
+from itertools import accumulate
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import _engine
 from .cycles import (
+    _chi_of,
     canonical_cycle,
     chi,
     connected_components,
@@ -43,7 +45,7 @@ from .cycles import (
     is_numerically_gorenstein,
 )
 from .errors import InputError, InternalCheckError, _raise_at_first_failure
-from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, mat_vec, per_graph
+from .graph import Cycle, DualGraph, cycle_to_json, mat_vec, per_graph
 
 __all__ = [
     "EllipticSequence",
@@ -82,22 +84,39 @@ class MinusOneChainReport(NamedTuple):
 
 
 class EllipticSequence:
-    """The cycles Z_0, ..., Z_m with their supports B_0 > ... > B_m.
+    """The cycles Z_0, ..., Z_m with their supports B_0 > ... > B_m and
+    their images M Z_t, ``images``.
 
-    Immutable and equal by its three fields.  The partial sums C_-1, C_0,
-    ..., C_m are one running sum taken at construction, so ``partial_sum``
-    and ``tail_sum`` cost one lookup or one subtraction.
+    Immutable and equal by its three fields.  The partial sums C_t and
+    their images M C_t are running sums taken at construction.  The
+    constructor multiplies each Z_t once; the build hands over the M Z_t it
+    took.  ``checks`` pairs each check the build walked with whether its
+    items held; it is empty on a sequence built by hand.
     """
 
-    __slots__ = ("graph", "supports", "cycles", "_prefix")
+    __slots__ = ("graph", "supports", "cycles", "images", "checks", "_prefix", "_image_prefix")
 
-    def __init__(self, graph: DualGraph, supports: tuple[tuple[str, ...], ...],
-                 cycles: tuple[Cycle, ...]):
-        acc = [Cycle.zero(graph)]
-        for z in cycles:
-            acc.append(acc[-1] + z)
+    def __init__(self, graph: DualGraph, supports: tuple, cycles: tuple[Cycle, ...]):
+        self._fill(graph, supports, cycles, None)
+
+    @classmethod
+    def _of(cls, graph, supports, cycles, images) -> EllipticSequence:
+        """A sequence whose images M Z_t its build already took."""
+        seq = object.__new__(cls)
+        seq._fill(graph, supports, cycles, images)
+        return seq
+
+    def _fill(self, graph, supports, cycles, images):
+        # the running sum comes first: it refuses a cycle of another graph
+        prefix = tuple(accumulate(cycles, add, initial=Cycle.zero(graph)))
+        if images is None:
+            images = [mat_vec(graph, z.coeffs) for z in cycles]
+        images = tuple(map(tuple, images))
+        image_prefix = tuple(accumulate(images, lambda u, v: tuple(map(add, u, v)),
+                                        initial=(0,) * len(graph)))
         for name, value in (("graph", graph), ("supports", supports), ("cycles", cycles),
-                            ("_prefix", tuple(acc))):
+                            ("images", images), ("checks", ()), ("_prefix", prefix),
+                            ("_image_prefix", image_prefix)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -140,6 +159,18 @@ class EllipticSequence:
         if not 0 <= t <= self.m + 1:
             raise InputError(f"tail sum index {t} outside [0, {self.m + 1}]")
         return self._prefix[-1] - self._prefix[t]
+
+    def self_intersection(self, t: int) -> int:
+        """Z_t^2, read off M Z_t."""
+        if not 0 <= t <= self.m:
+            raise InputError(f"cycle index {t} outside [0, {self.m}]")
+        return sum(map(mul, self.cycles[t].coeffs, self.images[t]))
+
+    def partial_image(self, t: int) -> tuple[int, ...]:
+        """M C_t, the C_t . E_i for every i  (M C_-1 = 0)."""
+        if not -1 <= t <= self.m:
+            raise InputError(f"partial sum index {t} outside [-1, {self.m}]")
+        return self._image_prefix[t + 1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,7 +330,8 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
 def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     """Build and fully verify the elliptic sequence of a numerically
     Gorenstein elliptic graph.  Each step multiplies its cycle Z by the
-    form once: Z . E_min and the curves orthogonal to Z are read off M Z."""
+    form once: Z . E_min and the curves orthogonal to Z are read off M Z,
+    which the sequence keeps for every later reader."""
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     if not is_numerically_gorenstein(g):
@@ -311,14 +343,14 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
 
     supports: list[tuple[str, ...]] = [g.ids]
     cycles: list[Cycle] = [fundamental_cycle(g)]
-    mz = mat_vec(g, cycles[-1].coeffs)
-    while sum(map(mul, emin.coeffs, mz)) == 0:  # Z . E_min, read off M Z
+    images = [mat_vec(g, cycles[-1].coeffs)]
+    while sum(map(mul, emin.coeffs, images[-1])) == 0:  # Z . E_min, read off M Z
         if len(cycles) > len(g):
             raise InternalCheckError(
                 "elliptic-sequence-termination",
                 "more restriction steps than vertices",
             )
-        orthogonal = {i for i in range(len(g)) if mz[i] == 0}
+        orthogonal = {i for i, x in enumerate(images[-1]) if x == 0}
         # connected component of the orthogonal locus containing E_min
         start = g.index_of(next(iter(emin_support)))
         if start not in orthogonal:
@@ -341,21 +373,23 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
             )
         supports.append(support)
         cycles.append(fundamental_cycle(g, support))
-        mz = mat_vec(g, cycles[-1].coeffs)
+        images.append(mat_vec(g, cycles[-1].coeffs))
 
-    seq = EllipticSequence(g, tuple(supports), tuple(cycles))
+    seq = EllipticSequence._of(g, tuple(supports), tuple(cycles), images)
     _verify_sequence(seq, emin)
     return seq
 
 
 def _verify_sequence(seq: EllipticSequence, emin: Cycle) -> None:
+    """Raise at the first failing identity, or record the checks walked."""
     m = seq.m
     if seq.cycles[m] != emin:
         raise InternalCheckError(
             "elliptic-sequence-ends-at-minimal-cycle",
             f"Z_{m} = {seq.cycles[m]} but the minimal cycle is {emin}",
         )
-    _raise_at_first_failure(_sequence_identities(seq))
+    walked = _raise_at_first_failure(_sequence_identities(seq))
+    object.__setattr__(seq, "checks", tuple(walked.items()))
 
 
 def _sequence_identities(seq: EllipticSequence):
@@ -364,40 +398,42 @@ def _sequence_identities(seq: EllipticSequence):
     non-increasing; for each t, C_t anti-nef, chi(C_t) = chi(C'_t) =
     chi(Z_t) = 0 and (K + C'_t) . E_v = 0 for each v in B_t; and C_m = -K.
     ``detail`` says what failed, and is None where the identity holds.
-    One product M Z_t per t, and per t one each for the anti-nef test,
-    C'_t and the three chi.  (K + C'_t) . E_v is read as a_v + C'_t . E_v,
-    a the adjunction vector (M K = a); only C_m = -K reads the rational K,
-    coefficient by coefficient, so the list is whole on any graph."""
+    Each item is read off the sequence's images, with no product: Z_i . Z_j
+    off the few nonzero entries of M Z_j, 2chi(D) as -(D . M D + a . D),
+    (K + C'_t) . E_v as a_v + C'_t . E_v and C_m = -K as M C_m = -a, a the
+    adjunction vector (M K = a).  Only a failing C_m = -K reads the
+    rational K, to print it, so the list is whole on any graph."""
     g = seq.graph
     m = seq.m
-    images = [mat_vec(g, z.coeffs) for z in seq.cycles]
-    selfints = [sum(map(mul, z.coeffs, mz)) for z, mz in zip(seq.cycles, images)]
+    cycles, images = seq.cycles, seq.images
+    nonzero = [[(v, x) for v, x in enumerate(mz) if x] for mz in images]
     for i in range(m + 1):
+        zi = cycles[i].coeffs
         for j in range(i + 1, m + 1):
-            ok = sum(map(mul, seq.cycles[i].coeffs, images[j])) == 0
+            ok = sum(zi[v] * x for v, x in nonzero[j]) == 0
             yield "elliptic-sequence-orthogonality", ok, None if ok else f"Z_{i} . Z_{j} != 0"
+    selfints = [seq.self_intersection(t) for t in range(m + 1)]
     t = next((t for t in range(m) if -selfints[t] < -selfints[t + 1]), None)
     yield ("elliptic-sequence-degrees-monotone", t is None, None if t is None else
            f"-Z_{t}^2 = {-selfints[t]} < -Z_{t+1}^2 = {-selfints[t+1]}")
-    adj = g.adjunction
+    adj, mcm = g.adjunction, seq.partial_image(m)
     for t in range(m + 1):
-        ct, cpt = seq.partial_sum(t), seq.tail_sum(t)
-        ok = is_anti_nef(g, ct)
+        ct, mct = seq.partial_sum(t), seq.partial_image(t)
+        cpt, mcpt = seq.tail_sum(t), tuple(map(sub, mcm, seq.partial_image(t - 1)))
+        ok = all(x <= 0 for x in mct)
         yield "elliptic-sequence-partial-sums-anti-nef", ok, None if ok else f"C_{t} is not anti-nef"
-        for name, d in (("C", ct), ("C'", cpt), ("Z", seq.cycles[t])):
-            ok = chi(g, d) == 0
+        for name, d, md in (("C", ct, mct), ("C'", cpt, mcpt), ("Z", cycles[t], images[t])):
+            ok = _chi_of(g, d, md) == 0
             yield ("elliptic-sequence-euler-characteristic-zero", ok,
                    None if ok else f"chi({name}_{t}) != 0")
-        cpt_dot = mat_vec(g, cpt.coeffs)
         for vid in seq.supports[t]:
             v = g.index_of(vid)
-            ok = adj[v] + cpt_dot[v] == 0
+            ok = adj[v] + mcpt[v] == 0
             yield ("elliptic-sequence-canonical-restriction", ok,
                    None if ok else f"(K + C'_{t}) . {vid} != 0")
-    total, k = seq.partial_sum(m), canonical_cycle(g)
-    ok = all(c == -q for c, q in zip(total.coeffs, k.coeffs))
+    ok = all(x == -a for x, a in zip(mcm, adj))  # M C_m = -a = M(-K), and M is nonsingular
     yield ("elliptic-sequence-total-is-anticanonical", ok,
-           None if ok else f"C_{m} = {total} but -K = {-k}")
+           None if ok else f"C_{m} = {seq.partial_sum(m)} but -K = {-canonical_cycle(g)}")
 
 
 def enumerate_antinef_upto(g: DualGraph, c: Cycle) -> list[Cycle]:
@@ -426,18 +462,16 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
     if not isinstance(seq, EllipticSequence) or seq.graph != g:
         raise InputError("sequence belongs to a different graph")
     m = seq.m
-    # one product per index: Z_t . E_i for every i gives Z_t^2 and F_t
-    images = [mat_vec(g, z.coeffs) for z in seq.cycles]
-    js = tuple(t for t in range(m + 1)
-               if sum(a * b for a, b in zip(seq.cycles[t].coeffs, images[t])) == -1)
+    # Z_t^2 and F_t are read off M Z_t, and C_m . E_i off M C_m
+    js = tuple(t for t in range(m + 1) if seq.self_intersection(t) == -1)
     if not js or js[0] == m:
         return MinusOneChainReport(js, ())
 
     j0 = js[0]
-    cm_dot = mat_vec(g, seq.partial_sum(m).coeffs)  # C_m . E_i for every i
+    cm_dot = seq.partial_image(m)
     f: dict[int, int] = {}  # t -> vertex index of F_t
     for t in range(j0, m):
-        z, mz = seq.cycles[t], images[t]
+        z, mz = seq.cycles[t], seq.images[t]
         negatives = [i for i in range(len(g)) if mz[i] < 0]
         if len(negatives) != 1 or mz[negatives[0]] != -1 or z.coeffs[negatives[0]] != 1:
             raise InternalCheckError(

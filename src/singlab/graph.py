@@ -292,7 +292,7 @@ class QCycle:
         if not all(map(_is_exact, coeffs)):
             raise InputError("rational cycle coefficients must be integers or Fractions")
         self.graph = graph
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
     @property
     def is_integral(self) -> bool:
@@ -429,12 +429,12 @@ def mat_vec(g: DualGraph, coeffs) -> list:
     return [sum([m * coeffs[j] for j, m in row]) for row in g.rows]
 
 
-def pairing(g: DualGraph, d1, d2):
-    """Exact intersection number D1 . D2 (int for integer cycles,
-    Fraction as soon as one side is rational)."""
+def pairing(g: DualGraph, d1: Cycle, d2: Cycle) -> int:
+    """Exact intersection number D1 . D2 of two integral cycles; K . D is
+    the integer a . D, so nothing pairs with the rational K."""
     for d in (d1, d2):
-        if not isinstance(d, (Cycle, QCycle)):
-            raise InputError("pairing expects cycles")
+        if not isinstance(d, Cycle):
+            raise InputError("pairing expects integral cycles")
         if d.graph != g:
             raise InputError("cycle does not live on this graph")
     return sum(a * b for a, b in zip(d1.coeffs, mat_vec(g, d2.coeffs)))

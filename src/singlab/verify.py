@@ -40,7 +40,7 @@ from .elliptic import (
     minimally_elliptic_cycle,
 )
 from .errors import InputError, InternalCheckError
-from .graph import Cycle, mat_vec, pairing, parse_graph, serialize_graph
+from .graph import Cycle, pairing, parse_graph, serialize_graph
 from .wh import WeightedPoly, br_maximal_ideal_brieskorn, pg_brieskorn, pg_weighted_homogeneous
 
 
@@ -112,9 +112,9 @@ def check_elliptic_sequences() -> int:
         for i, z in enumerate(seq.cycles):
             expected = tuple(1 if j >= i else 0 for j in range(2 * n + 1))
             t.eq(z.coeffs, expected, f"fig2312({n}) Z_{i}")
-            t.eq(pairing(g, z, z), -1, f"fig2312({n}) Z_{i}^2")
+            t.eq(seq.self_intersection(i), -1, f"fig2312({n}) Z_{i}^2")
         for i in range(seq.m + 1):
-            image = mat_vec(g, seq.partial_sum(i).coeffs)  # C_i . E_j for every j
+            image = seq.partial_image(i)  # C_i . E_j for every j
             for j in range(len(g)):
                 t.eq(image[j], -1 if i == j else 0, f"fig2312({n}) C_{i}.E_{j}")
         for _, holds, detail in _sequence_identities(seq):
@@ -135,7 +135,7 @@ def check_elliptic_sequences() -> int:
         g = corpus.brell3(m)
         seq = elliptic_sequence(g)
         t.eq(seq.m, m, f"brell3({m}) sequence length")
-        t.eq(pairing(g, seq.cycles[m], seq.cycles[m]), -3, f"brell3({m}) Z_m^2")
+        t.eq(seq.self_intersection(m), -3, f"brell3({m}) Z_m^2")
         for _, holds, detail in _sequence_identities(seq):
             t.ok(holds, detail)
     return t.count
@@ -175,7 +175,7 @@ def check_classification() -> int:
         t.eq(rep.zeta, m + 1, f"brell3({m}) zeta")
     for (g, p_g), rep in reports.items():
         seq = elliptic_sequence(g)
-        zm2 = pairing(g, seq.cycles[seq.m], seq.cycles[seq.m])
+        zm2 = seq.self_intersection(seq.m)
         t.ok(rep.zeta <= p_g, "zeta <= p_g")
         t.eq(rep.zeta == p_g, -zm2 >= 2, "zeta = p_g iff -Z_m^2 >= 2")
     return t.count

@@ -189,7 +189,7 @@ def test_pg_ideal_gorenstein_test_anticanonical_cycle():
     g = fig244(1)
     seq = elliptic_sequence(g)
     c1 = seq.partial_sum(1)  # equals -K; K.C1 = -K^2 = 4 != 0
-    assert pairing(g, canonical_cycle(g), c1) == 4
+    assert pairing(g, canonical_cycle(g).to_cycle(), c1) == 4
     assert not pg_ideal_gorenstein_test(g, c1)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from singlab import graph as graph_module
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.errors import InternalCheckError
-from singlab.graph import is_negative_definite
+from singlab.graph import is_negative_definite, serialize_graph
 
 
 def single(self_int, genus=0):
@@ -227,37 +229,70 @@ def test_check_minus_one_chains_fig2312():
     assert report.chain == ("E0", "E1")
 
 
-def test_check_minus_one_chains_multiplies_each_cycle_once(monkeypatch):
-    # one product per Z_t gives both Z_t^2 and its curve of pairing -1,
-    # plus one for C_m
+def _spy_mat_vec(monkeypatch):
+    """Every call of ``mat_vec``, in each singlab module that holds it."""
+    calls = []
+    original = graph_module.mat_vec
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "singlab" and getattr(module, "mat_vec", None) is original:
+            monkeypatch.setattr(module, "mat_vec",
+                                lambda g, coeffs: calls.append(coeffs) or original(g, coeffs))
+    return calls
+
+
+def test_check_minus_one_chains_reads_the_stored_images(monkeypatch):
+    # Z_t^2, its curve of pairing -1 and C_m . E_i are read off the images
+    # the sequence keeps (m + 2 products when it multiplied them again)
     g = fig2312(6)
     seq = elliptic_sequence(g)
-    calls = []
-    original = elliptic_module.mat_vec
-    monkeypatch.setattr(elliptic_module, "mat_vec",
-                        lambda g, coeffs: calls.append(coeffs) or original(g, coeffs))
+    calls = _spy_mat_vec(monkeypatch)
     report = check_minus_one_chains(g, seq)
     assert report.minus_one_indices == tuple(range(seq.m + 1))
-    assert len(calls) == seq.m + 2
+    assert calls == []
 
 
 def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
     # one product M Z per step gives both Z . E_min and the curves
-    # orthogonal to Z: m + 1 in the build loop (2m + 1 when Z . E_min was a
-    # product of its own, 136 calls in all); the rest is the verification,
-    # 51 in _verify_sequence's own products, 51 in its chi, 1 in K's check
+    # orthogonal to Z, and the sequence keeps it: m + 1 in the build loop
+    # and 1 in K's check; the identities read the images (120 calls when
+    # they multiplied again)
     template = fig2312(8)
     g = DualGraph(template.vertices, template.edges)
     assert is_elliptic(g)
     minimally_elliptic_cycle(g)
-    calls = []
-    original = graph_module.mat_vec
-    for module in (graph_module, cycles_module, elliptic_module):
-        monkeypatch.setattr(module, "mat_vec",
-                            lambda g, coeffs: calls.append(coeffs) or original(g, coeffs))
+    calls = _spy_mat_vec(monkeypatch)
     seq = elliptic_sequence(g)
     assert seq.m == 16
-    assert len(calls) == 120
+    assert len(calls) == seq.m + 2
+    assert [tuple(c) for c in calls[1:]] == [z.coeffs for z in seq.cycles]
+
+
+# one product for K, one for chi(Z_E), n + 1 for E_min and one per Z_t;
+# the counts when every reader multiplied the cycles again are in comments
+@pytest.mark.parametrize("argv, param, count", [
+    (["elliptic", "sequence", "-"], 8, 37),  # 157
+    (["elliptic", "sequence", "-"], 30, 125),  # 553
+    (["classify", "-", "--pg", "9"], 8, 37),  # 165
+    (["classify", "-", "--pg", "17"], 8, 37),  # 158
+    (["classify", "-", "--pg", "31"], 30, 125),  # 583
+    (["classify", "-", "--pg", "61"], 30, 125),  # 554
+], ids=["sequence-8", "sequence-30", "classify-8-pg9", "classify-8-pg17", "classify-30-pg31",
+        "classify-30-pg61"])
+def test_cold_cli_runs_multiply_each_sequence_cycle_once(monkeypatch, capsys, cold_caches,
+                                                         argv, param, count):
+    calls = _spy_mat_vec(monkeypatch)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(fig2312(param))))
+    assert cli.main([*argv, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == count
+
+
+def test_verify_paper_products_are_pinned(monkeypatch, capsys, cold_caches):
+    # 2804 when the sequence's readers multiplied its cycles again
+    calls = _spy_mat_vec(monkeypatch)
+    assert cli.main(["verify-paper", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1241
 
 
 def test_check_minus_one_chains_vacuous_fig244():

@@ -17,7 +17,7 @@ from singlab import InputError, corpus
 from singlab.artinian import DensePoly, MonomialIdeal
 from singlab.classify import classify_gorenstein_elliptic_ideals, normal_hilbert_data
 from singlab.cycles import riemann_roch_colength
-from singlab.elliptic import check_minus_one_chains, enumerate_antinef_upto
+from singlab.elliptic import EllipticSequence, check_minus_one_chains, enumerate_antinef_upto
 from singlab.graph import Cycle
 from singlab.wh import WeightedPoly, a_invariant, graded_dim, pg_brieskorn
 
@@ -86,6 +86,10 @@ def test_entry_points_refuse_what_is_not_an_integer(case):
 OBJECT_CASES = {
     "antinef-bound-str": lambda: enumerate_antinef_upto(corpus.fig244(1), "x"),
     "chains-sequence-str": lambda: check_minus_one_chains(corpus.fig2312(1), "x"),
+    # the constructor refuses a foreign cycle before it multiplies one by the form
+    "sequence-cycle-str": lambda: EllipticSequence(corpus.fig2312(1), (("E0",),), ("x",)),
+    "sequence-cycle-other-graph": lambda: EllipticSequence(
+        corpus.fig2312(1), (("E0",),), (Cycle(corpus.fig244(1), (1, 1, 1)),)),
 }
 
 

@@ -314,7 +314,7 @@ def test_a_built_graph_keeps_no_dense_copy(shape):
 def test_sparse_rows_equal_the_dense_form_on_random_graphs(shape):
     """Every product along ``DualGraph.rows`` against the dense matrix on
     seeded draws, multiplicity-2 edges and genera included: the rows
-    themselves, ``mat_vec``, ``pairing`` on integral and rational cycles,
+    themselves, ``mat_vec``, ``pairing`` on integral cycles (it refuses rational ones),
     ``is_anti_nef``, ``chi``, and ``fundamental_cycle`` (whole graph and a
     connected support, first violator and random picks) against the dense
     Laufer loop."""
@@ -340,12 +340,10 @@ def test_sparse_rows_equal_the_dense_form_on_random_graphs(shape):
             assert 2 * chi(g, d) == two_chi(matrix, adj, c)
             other = [rng.randint(-3, 3) for _ in range(n)]
             assert pairing(g, Cycle(g, other), d) == sum(a * b for a, b in zip(other, image))
-            q = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-            expected = sum(a * b for a, b in zip(q, image))
-            for value in (pairing(g, QCycle(g, q), d), pairing(g, d, QCycle(g, q))):
-                assert isinstance(value, Fraction) and value == expected
-            assert pairing(g, QCycle(g, q), QCycle(g, q)) == sum(
-                a * b for a, b in zip(q, dense_mat_vec(matrix, q)))
+            q = QCycle(g, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
+            for pair in ((q, d), (d, q), (q, q)):
+                with pytest.raises(InputError, match="integral cycles"):
+                    pairing(g, *pair)
 
         picked = {i for i in range(n) if rng.random() < 0.6} or {0}
         part = [g.vertices[i].id for i in min(connected_components(g, picked), key=min)]
