@@ -25,13 +25,12 @@ at its first failing item, and ``verify-paper`` counts their items.
 from __future__ import annotations
 
 from math import comb
-from operator import mul
 from typing import NamedTuple
 
 from .cycles import _canonical_degree, _chi_of, riemann_roch_colength
 from .elliptic import elliptic_sequence
 from .errors import InputError, InternalCheckError, _is_int, _raise_at_first_failure
-from .graph import Cycle, DualGraph, cycle_to_json, is_anti_nef, pairing
+from .graph import Cycle, DualGraph, _dot, cycle_to_json, is_anti_nef, pairing
 
 __all__ = [
     "AfStructure",
@@ -206,7 +205,7 @@ def classify_gorenstein_elliptic_ideals(
                 t=t,
                 cycle=ct,
                 colength=colength,
-                e0=-sum(map(mul, ct.coeffs, mct)),
+                e0=-_dot(ct, mct),
                 kz=_canonical_degree(g, ct),
                 chi=_chi_of(g, ct, mct),
                 eb2=colength,

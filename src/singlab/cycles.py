@@ -18,11 +18,11 @@ product; ``_chi_of`` reads chi off an image M D a caller already has.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError, _is_int
-from .graph import Cycle, DualGraph, QCycle, connected_components, is_anti_nef, mat_vec, per_graph
+from .graph import (Cycle, DualGraph, QCycle, _dot, connected_components, is_anti_nef, mat_vec,
+                    per_graph)
 
 __all__ = [
     "adjunction_vector",
@@ -122,7 +122,7 @@ def is_numerically_gorenstein(g: DualGraph) -> bool:
 def _canonical_degree(g: DualGraph, d: Cycle) -> int:
     """K . D of an integral cycle D, as a . D: M K = a, which
     ``canonical_cycle`` checks on every solve."""
-    return sum(map(mul, g.adjunction, d.coeffs))
+    return _dot(d, g.adjunction)
 
 
 def chi(g: DualGraph, d: Cycle) -> int:
@@ -137,7 +137,7 @@ def chi(g: DualGraph, d: Cycle) -> int:
 
 def _chi_of(g: DualGraph, d: Cycle, image) -> int:
     """chi(D) of an integral cycle on ``g``, read off its image M D."""
-    two_chi = -(sum(map(mul, d.coeffs, image)) + _canonical_degree(g, d))
+    two_chi = -(_dot(d, image) + _canonical_degree(g, d))
     if two_chi % 2 != 0:
         raise InternalCheckError(
             "euler-characteristic-integrality", f"2*chi = {two_chi} is odd"

@@ -11,21 +11,22 @@ finds it without enumerating cycles.  On a numerically Gorenstein
 elliptic graph the elliptic sequence Z_0 > Z_1 > ... > Z_m, ending at
 E_min, is built by repeatedly restricting to the curves orthogonal to the
 current cycle; its partial sums C_t and tail sums C'_t drive the ideal
-classification in ``singlab.classify``.  Each step multiplies its cycle
-by the form once, along the sparse rows, and the sequence keeps M Z_t and
-M C_t: its identities, the -1 chains and the classification read every
-pairing of its cycles off them.  Only the sampled chi sweep multiplies by
-the dense matrix, until the benchmark's per-pass memory is mended; its
-draws are those of ``random.Random(0xE11).randint``, read through
-``getrandbits`` by the same rejection loop.
+classification in ``singlab.classify``.  Each step of the build multiplies
+its cycle by the form once, along the sparse rows, to find the next
+support; the finished sequence multiplies each Z_t once more and keeps
+M Z_t and M C_t, and its identities, the -1 chains and the classification
+read every pairing of its cycles off them.  Only the sampled chi sweep
+multiplies by the dense matrix, until the benchmark's per-pass memory is
+mended; its draws are those of ``random.Random(0xE11).randint``, read
+through ``getrandbits`` by the same rejection loop.
 
 Every structural fact the construction relies on is verified on the
 actual data and raises InternalCheckError naming the property, so that
 inconsistent analytic inputs (a wrong geometric genus, say) surface
 instead of producing silent nonsense.  The identities of the finished
 sequence are stated once, in the list ``_sequence_identities`` yields:
-every build raises at its first failing item and records the checks it
-walked, and ``verify-paper`` counts the items.
+every build raises at its first failing item, and ``verify-paper`` counts
+its items.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .cycles import (
     is_numerically_gorenstein,
 )
 from .errors import InputError, InternalCheckError, _raise_at_first_failure
-from .graph import Cycle, DualGraph, cycle_to_json, mat_vec, per_graph
+from .graph import Cycle, DualGraph, _dot, cycle_to_json, mat_vec, per_graph
 
 __all__ = [
     "EllipticSequence",
@@ -87,35 +88,23 @@ class EllipticSequence:
     """The cycles Z_0, ..., Z_m with their supports B_0 > ... > B_m and
     their images M Z_t, ``images``.
 
-    Immutable and equal by its three fields.  The partial sums C_t and
-    their images M C_t are running sums taken at construction.  The
-    constructor multiplies each Z_t once; the build hands over the M Z_t it
-    took.  ``checks`` pairs each check the build walked with whether its
-    items held; it is empty on a sequence built by hand.
+    Immutable and equal by its three fields.  The constructor multiplies
+    each Z_t by the form once; the partial sums C_t and their images M C_t
+    are running sums taken there, so ``partial_sum``, ``tail_sum`` and
+    ``partial_image`` cost one lookup or one subtraction.
     """
 
-    __slots__ = ("graph", "supports", "cycles", "images", "checks", "_prefix", "_image_prefix")
+    __slots__ = ("graph", "supports", "cycles", "images", "_prefix", "_image_prefix")
 
-    def __init__(self, graph: DualGraph, supports: tuple, cycles: tuple[Cycle, ...]):
-        self._fill(graph, supports, cycles, None)
-
-    @classmethod
-    def _of(cls, graph, supports, cycles, images) -> EllipticSequence:
-        """A sequence whose images M Z_t its build already took."""
-        seq = object.__new__(cls)
-        seq._fill(graph, supports, cycles, images)
-        return seq
-
-    def _fill(self, graph, supports, cycles, images):
+    def __init__(self, graph: DualGraph, supports: tuple[tuple[str, ...], ...],
+                 cycles: tuple[Cycle, ...]):
         # the running sum comes first: it refuses a cycle of another graph
         prefix = tuple(accumulate(cycles, add, initial=Cycle.zero(graph)))
-        if images is None:
-            images = [mat_vec(graph, z.coeffs) for z in cycles]
-        images = tuple(map(tuple, images))
+        images = tuple(tuple(mat_vec(graph, z.coeffs)) for z in cycles)
         image_prefix = tuple(accumulate(images, lambda u, v: tuple(map(add, u, v)),
                                         initial=(0,) * len(graph)))
         for name, value in (("graph", graph), ("supports", supports), ("cycles", cycles),
-                            ("images", images), ("checks", ()), ("_prefix", prefix),
+                            ("images", images), ("_prefix", prefix),
                             ("_image_prefix", image_prefix)):
             object.__setattr__(self, name, value)
 
@@ -164,7 +153,7 @@ class EllipticSequence:
         """Z_t^2, read off M Z_t."""
         if not 0 <= t <= self.m:
             raise InputError(f"cycle index {t} outside [0, {self.m}]")
-        return sum(map(mul, self.cycles[t].coeffs, self.images[t]))
+        return _dot(self.cycles[t], self.images[t])
 
     def partial_image(self, t: int) -> tuple[int, ...]:
         """M C_t, the C_t . E_i for every i  (M C_-1 = 0)."""
@@ -330,8 +319,7 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
 def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     """Build and fully verify the elliptic sequence of a numerically
     Gorenstein elliptic graph.  Each step multiplies its cycle Z by the
-    form once: Z . E_min and the curves orthogonal to Z are read off M Z,
-    which the sequence keeps for every later reader."""
+    form once: Z . E_min and the curves orthogonal to Z are read off M Z."""
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     if not is_numerically_gorenstein(g):
@@ -343,14 +331,14 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
 
     supports: list[tuple[str, ...]] = [g.ids]
     cycles: list[Cycle] = [fundamental_cycle(g)]
-    images = [mat_vec(g, cycles[-1].coeffs)]
-    while sum(map(mul, emin.coeffs, images[-1])) == 0:  # Z . E_min, read off M Z
+    mz = mat_vec(g, cycles[-1].coeffs)
+    while _dot(emin, mz) == 0:  # Z . E_min, read off M Z
         if len(cycles) > len(g):
             raise InternalCheckError(
                 "elliptic-sequence-termination",
                 "more restriction steps than vertices",
             )
-        orthogonal = {i for i, x in enumerate(images[-1]) if x == 0}
+        orthogonal = {i for i in range(len(g)) if mz[i] == 0}
         # connected component of the orthogonal locus containing E_min
         start = g.index_of(next(iter(emin_support)))
         if start not in orthogonal:
@@ -373,23 +361,21 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
             )
         supports.append(support)
         cycles.append(fundamental_cycle(g, support))
-        images.append(mat_vec(g, cycles[-1].coeffs))
+        mz = mat_vec(g, cycles[-1].coeffs)
 
-    seq = EllipticSequence._of(g, tuple(supports), tuple(cycles), images)
+    seq = EllipticSequence(g, tuple(supports), tuple(cycles))
     _verify_sequence(seq, emin)
     return seq
 
 
 def _verify_sequence(seq: EllipticSequence, emin: Cycle) -> None:
-    """Raise at the first failing identity, or record the checks walked."""
     m = seq.m
     if seq.cycles[m] != emin:
         raise InternalCheckError(
             "elliptic-sequence-ends-at-minimal-cycle",
             f"Z_{m} = {seq.cycles[m]} but the minimal cycle is {emin}",
         )
-    walked = _raise_at_first_failure(_sequence_identities(seq))
-    object.__setattr__(seq, "checks", tuple(walked.items()))
+    _raise_at_first_failure(_sequence_identities(seq))
 
 
 def _sequence_identities(seq: EllipticSequence):

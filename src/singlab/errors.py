@@ -100,13 +100,9 @@ class InternalCheckError(SinglabError):
         super().__init__(msg)
 
 
-def _raise_at_first_failure(items) -> dict[str, bool]:
+def _raise_at_first_failure(items) -> None:
     """Raise InternalCheckError(check, detail) at the first of the
-    ``(check, holds, detail)`` items that does not hold; otherwise return
-    each check walked, in order, with whether its items held."""
-    walked = {}
+    ``(check, holds, detail)`` items that does not hold."""
     for check, holds, detail in items:
         if not holds:
             raise InternalCheckError(check, detail)
-        walked[check] = holds
-    return walked

@@ -33,6 +33,7 @@ import functools
 import json
 import re
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from ._linalg import factor_bordered
@@ -437,7 +438,12 @@ def pairing(g: DualGraph, d1: Cycle, d2: Cycle) -> int:
             raise InputError("pairing expects integral cycles")
         if d.graph != g:
             raise InputError("cycle does not live on this graph")
-    return sum(a * b for a, b in zip(d1.coeffs, mat_vec(g, d2.coeffs)))
+    return _dot(d1, mat_vec(g, d2.coeffs))
+
+
+def _dot(d: Cycle, image) -> int:
+    """D . D' of an integral cycle D, read off the image M D' of D'."""
+    return sum(map(mul, d.coeffs, image))
 
 
 def is_negative_definite(g: DualGraph) -> bool:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import signal
@@ -12,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from singlab import Cycle, EnumerationLimitError, elliptic, enumerate_antinef_upto
+from singlab import Cycle, EnumerationLimitError, enumerate_antinef_upto
 from singlab.cli import main
-from singlab.corpus import brell3, fig2312
+from singlab.corpus import fig2312
 from singlab.graph import serialize_graph
 
 
@@ -65,25 +64,6 @@ def test_elliptic_sequence_command(tmp_path, capsys):
     ]
     assert doc["Emin"] == {"E0": 0, "E1": 0, "E2": 1}
     assert doc["checks"]["minus_one_chains"]["chain"] == ["E0", "E1"]
-
-
-@pytest.mark.parametrize("walked, expected", [
-    # m = 0 walks no orthogonality item, and that check holds
-    ({}, True),
-    ({"elliptic-sequence-degrees-monotone": False}, False),
-])
-def test_sequence_checks_block_reads_what_the_build_walked(monkeypatch, capsys, walked,
-                                                           expected):
-    monkeypatch.setattr(elliptic, "_raise_at_first_failure", lambda items: walked)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(brell3(0))))
-    code, out, _ = run(capsys, "elliptic", "sequence", "-", "--format", "json")
-    assert code == 0
-    checks = json.loads(out)["checks"]
-    assert checks.pop("degrees_monotone") is expected
-    assert checks.pop("minus_one_chains") == {"indices": [], "chain": []}
-    assert checks == dict.fromkeys(("orthogonality", "partial_sums_anti_nef",
-                                    "canonical_restriction", "euler_characteristic_zero",
-                                    "total_is_anticanonical"), True)
 
 
 def test_classify_command(tmp_path, capsys):

@@ -12,7 +12,6 @@ import pytest
 
 from singlab import (
     Cycle,
-    EllipticSequence,
     InputError,
     Vertex,
     check_minus_one_chains,
@@ -100,27 +99,16 @@ def test_partial_and_tail_sums_are_explicit_sums(n):
 @pytest.mark.parametrize("family, param", [(fig2312, 3), (fig244, 2), (brell3, 2), (brell3, 0)])
 def test_sequence_images_are_the_products_of_its_cycles(family, param):
     g = family(param)
-    built = elliptic_sequence(g)
-    by_hand = EllipticSequence(g, built.supports, built.cycles)
-    assert by_hand == built and by_hand.checks == ()
-    for seq in (built, by_hand):
-        assert seq.images == tuple(tuple(mat_vec(g, z.coeffs)) for z in seq.cycles)
-        for t in range(-1, seq.m + 1):
-            assert seq.partial_image(t) == tuple(mat_vec(g, seq.partial_sum(t).coeffs))
-        for t in range(seq.m + 1):
-            assert seq.self_intersection(t) == pairing(g, seq.cycles[t], seq.cycles[t])
-        for bad, read in ((seq.m + 1, seq.self_intersection), (-1, seq.self_intersection),
-                          (seq.m + 1, seq.partial_image), (-2, seq.partial_image)):
-            with pytest.raises(InputError):
-                read(bad)
-    # the build records each check it walked, all held; m = 0 has no pairs
-    names = [check for check, _ in built.checks]
-    assert all(holds for _, holds in built.checks)
-    assert names == [f"elliptic-sequence-{c}" for c in (
-        ["orthogonality"] * (built.m > 0) + ["degrees-monotone", "partial-sums-anti-nef",
-                                             "euler-characteristic-zero",
-                                             "canonical-restriction",
-                                             "total-is-anticanonical"])]
+    seq = elliptic_sequence(g)
+    assert seq.images == tuple(tuple(mat_vec(g, z.coeffs)) for z in seq.cycles)
+    for t in range(-1, seq.m + 1):
+        assert seq.partial_image(t) == tuple(mat_vec(g, seq.partial_sum(t).coeffs))
+    for t in range(seq.m + 1):
+        assert seq.self_intersection(t) == pairing(g, seq.cycles[t], seq.cycles[t])
+    for bad, read in ((seq.m + 1, seq.self_intersection), (-1, seq.self_intersection),
+                      (seq.m + 1, seq.partial_image), (-2, seq.partial_image)):
+        with pytest.raises(InputError):
+            read(bad)
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
