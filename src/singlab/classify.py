@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .cycles import _canonical_degree, _chi_of, riemann_roch_colength
 from .elliptic import elliptic_sequence
 from .errors import InputError, InternalCheckError, _is_int, _raise_at_first_failure
-from .graph import Cycle, DualGraph, _dot, cycle_to_json, is_anti_nef, pairing
+from .graph import Cycle, DualGraph, _dot, cycle_to_json, mat_vec
 
 __all__ = [
     "AfStructure",
@@ -261,17 +261,22 @@ def normal_hilbert_data(g: DualGraph, z: Cycle, p_g: int, q: int, n_max: int = 8
 
     Verifies on the way that the degree-2 polynomial built from the three
     coefficients reproduces the colength of every power up to n_max + 1.
+    Z is multiplied by the form once, for its anti-nef test and e0bar;
+    each power n Z is multiplied on its own in ``riemann_roch_colength``,
+    so the polynomial is checked against colengths computed apart from
+    it.
     """
     if not isinstance(z, Cycle) or z.graph != g:
         raise InputError("cycle does not live on this graph")
-    if not is_anti_nef(g, z) or z.is_zero or not z.is_effective:
+    image = mat_vec(g, z.coeffs)  # anti-nefness and e0bar off one product
+    if not all(x <= 0 for x in image) or z.is_zero or not z.is_effective:
         raise InputError("Z must be a non-zero effective anti-nef cycle")
     if not _is_int(n_max) or n_max < 1:
         raise InputError("n_max must be an integer >= 1")
     colengths = tuple(
         riemann_roch_colength(g, n * z, p_g, q) for n in range(1, n_max + 2)
     )
-    e0bar = -pairing(g, z, z)
+    e0bar = -_dot(z, image)
     e2bar = p_g - q
     e1bar = e0bar - colengths[0] + e2bar
     for prev, nxt in zip(colengths, colengths[1:]):

@@ -15,8 +15,9 @@ Subcommands:
 
 Every subcommand takes --format json|text.  Exit codes: 0 success, 1 input
 error (a malformed command line included) or stdout closed early, 2 internal
-invariant violation.  A call builds the argument parser of its own leaf
-command only; help and usage errors above the leaves use the full tree.
+invariant violation.  A call builds one argument parser, that of its own
+leaf command; help and usage errors above the leaves use the full tree,
+whose leaves are filled by the same ``_fill``.
 """
 
 from __future__ import annotations
@@ -270,16 +271,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _fill(parser, arguments, handler):
+    """Declare a leaf's arguments on ``parser``: --format, which every leaf
+    takes, then its own, in order; its handler is the default."""
+    parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
     )
-    return common
-
-
-def _fill(parser, arguments, handler):
     for flags, options in arguments:
         parser.add_argument(*flags, **options)
     parser.set_defaults(handler=handler)
@@ -288,7 +286,6 @@ def _fill(parser, arguments, handler):
 
 def _build_parser() -> argparse.ArgumentParser:
     """The full command tree, for help and usage errors above the leaves."""
-    common = _common()
     parser = _Parser(
         prog="singlab",
         description="Exact invariants of resolution graphs of normal surface singularities.",
@@ -303,16 +300,15 @@ def _build_parser() -> argparse.ArgumentParser:
                 group = sub.add_parser(words[0], help=_GROUPS[words[0]])
                 groups[words[0]] = group.add_subparsers(dest="subcommand", required=True)
             target = groups[words[0]]
-        leaf = target.add_parser(words[-1], parents=[common], help=help_text)
-        _fill(leaf, arguments, handler)
+        _fill(target.add_parser(words[-1], help=help_text), arguments, handler)
     return parser
 
 
 def _leaf_parser(entry) -> argparse.ArgumentParser:
-    """One leaf command's parser alone, as ``_build_parser`` builds it."""
+    """One leaf command's parser alone, the one parser a call builds: the
+    same ``_Parser`` filled by the same ``_fill`` as in ``_build_parser``."""
     words, _, arguments, handler = entry
-    leaf = _Parser(prog=" ".join(("singlab", *words)), parents=[_common()])
-    return _fill(leaf, arguments, handler)
+    return _fill(_Parser(prog=" ".join(("singlab", *words))), arguments, handler)
 
 
 def _parse(argv: list):

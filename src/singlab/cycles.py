@@ -13,6 +13,9 @@ the numerically Gorenstein test and ``graph analyze`` read the rational
 K.  Every product with the form (the Laufer loop's bump, chi, the check
 of K) runs along the graph's sparse rows, so costs O(n + |E|) per
 product; ``_chi_of`` reads chi off an image M D a caller already has.
+The loop keeps M Z up to date as it bumps, and ``_laufer_loop`` hands
+that image back with Z, so E_min and the elliptic sequence read chi and
+the orthogonal locus of each fundamental cycle off it with no product.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from fractions import Fraction
 
 from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError, _is_int
-from .graph import (Cycle, DualGraph, QCycle, _dot, connected_components, is_anti_nef, mat_vec,
-                    per_graph)
+from .graph import Cycle, DualGraph, QCycle, _dot, connected_components, mat_vec, per_graph
 
 __all__ = [
     "adjunction_vector",
@@ -58,17 +60,18 @@ def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
             raise InputError("support must be connected")
     if rng is None and len(idxs) == len(g):
         return _whole_graph_fundamental_cycle(g)
-    return _laufer_loop(g, idxs, rng)
+    return _laufer_loop(g, idxs, rng)[0]
 
 
 @per_graph("fundamental")
 def _whole_graph_fundamental_cycle(g: DualGraph) -> Cycle:
-    return _laufer_loop(g, range(len(g)), None)
+    return _laufer_loop(g, range(len(g)), None)[0]
 
 
-def _laufer_loop(g: DualGraph, idxs, rng) -> Cycle:
+def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
     """The incremental loop of ``fundamental_cycle`` on the vertex
-    indices ``idxs`` (ascending, connected)."""
+    indices ``idxs`` (ascending, connected, not checked here), and the
+    image M Z of its cycle Z, which the loop keeps as it bumps."""
     rows = g.rows
     n = len(g)
     coeffs = [0] * n
@@ -95,7 +98,7 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> Cycle:
                 f"incremental loop exceeded {cap} steps; "
                 "the intersection form cannot be negative definite",
             )
-    return Cycle._of(g, tuple(coeffs))
+    return Cycle._of(g, tuple(coeffs)), s
 
 
 @per_graph("canonical")
@@ -162,9 +165,10 @@ def riemann_roch_colength(g: DualGraph, z: Cycle, p_g: int, q: int) -> int:
         raise InputError(f"need 0 <= q <= p_g, got q={q}, p_g={p_g}")
     if not z.is_effective or z.is_zero:
         raise InputError("Z must be a non-zero effective cycle")
-    if not is_anti_nef(g, z):
+    image = mat_vec(g, z.coeffs)  # anti-nefness and chi off one product
+    if not all(x <= 0 for x in image):
         raise InputError("Z must be anti-nef")
-    ell = chi(g, z) + p_g - q
+    ell = _chi_of(g, z, image) + p_g - q
     if ell <= 0:
         raise InputError(
             f"inconsistent data: colength {ell} is not positive "

@@ -11,14 +11,21 @@ finds it without enumerating cycles.  On a numerically Gorenstein
 elliptic graph the elliptic sequence Z_0 > Z_1 > ... > Z_m, ending at
 E_min, is built by repeatedly restricting to the curves orthogonal to the
 current cycle; its partial sums C_t and tail sums C'_t drive the ideal
-classification in ``singlab.classify``.  Each step of the build multiplies
-its cycle by the form once, along the sparse rows, to find the next
-support; the finished sequence multiplies each Z_t once more and keeps
-M Z_t and M C_t, and its identities, the -1 chains and the classification
-read every pairing of its cycles off them.  Only the sampled chi sweep
-multiplies by the dense matrix, until the benchmark's per-pass memory is
-mended; its draws are those of ``random.Random(0xE11).randint``, read
-through ``getrandbits`` by the same rejection loop.
+classification in ``singlab.classify``.
+
+E_min and the sequence run their Laufer loops on the vertex-index sets
+``connected_components`` has just returned, so no support is checked
+again, and each loop hands back the image M Z it keeps as it bumps: chi
+of a subgraph's fundamental cycle and the next orthogonal locus are read
+off it.  The build multiplies only Z_0 = Z_E by the form, along the
+sparse rows; the finished sequence multiplies each Z_t once more and
+keeps M Z_t and M C_t, and its identities, the -1 chains and the
+classification read every pairing of its cycles off them.  Vertex ids
+are built only for the sequence's supports and for error text.  Only
+the sampled chi sweep multiplies by the dense matrix, until the
+benchmark's per-pass memory is mended; its draws are those of
+``random.Random(0xE11).randint``, read through ``getrandbits`` by the
+same rejection loop.
 
 Every structural fact the construction relies on is verified on the
 actual data and raises InternalCheckError naming the property, so that
@@ -39,14 +46,14 @@ from typing import NamedTuple
 from . import _engine
 from .cycles import (
     _chi_of,
+    _laufer_loop,
     canonical_cycle,
     chi,
-    connected_components,
     fundamental_cycle,
     is_numerically_gorenstein,
 )
 from .errors import InputError, InternalCheckError, _raise_at_first_failure
-from .graph import Cycle, DualGraph, _dot, cycle_to_json, mat_vec, per_graph
+from .graph import Cycle, DualGraph, _dot, connected_components, cycle_to_json, mat_vec, per_graph
 
 __all__ = [
     "EllipticSequence",
@@ -254,15 +261,19 @@ def is_elliptic(g: DualGraph) -> bool:
     return result
 
 
+def _ids(g: DualGraph, idxs) -> list[str]:
+    return [g.vertices[i].id for i in sorted(idxs)]
+
+
 def _subgraph_chi(g: DualGraph, comp: set[int]) -> int:
-    """chi of the fundamental cycle of a connected subgraph: 0 or 1 on an
-    elliptic graph (1 exactly when the subgraph is rational)."""
-    ids = [g.vertices[i].id for i in sorted(comp)]
-    value = chi(g, fundamental_cycle(g, ids))
+    """chi of the fundamental cycle of the connected subgraph on the
+    vertex indices ``comp``: 0 or 1 on an elliptic graph (1 exactly when
+    the subgraph is rational), read off the image its Laufer loop keeps."""
+    value = _chi_of(g, *_laufer_loop(g, sorted(comp), None))
     if value not in (0, 1):
         raise InternalCheckError(
             "minimally-elliptic-subgraph-chi",
-            f"chi = {value} on the connected subgraph {ids}",
+            f"chi = {value} on the connected subgraph {_ids(g, comp)}",
         )
     return value
 
@@ -303,11 +314,10 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
             if _subgraph_chi(g, comp) == 0:
                 raise InternalCheckError(
                     "minimally-elliptic-uniqueness",
-                    f"G - {g.vertices[v].id} holds a chi = 0 subgraph "
-                    f"{[g.vertices[i].id for i in sorted(comp)]}",
+                    f"G - {g.vertices[v].id} holds a chi = 0 subgraph {_ids(g, comp)}",
                 )
-    emin = fundamental_cycle(g, [g.vertices[i].id for i in sorted(support)])
-    if chi(g, emin) != 0 or not emin <= fundamental_cycle(g):
+    emin, image = _laufer_loop(g, sorted(support), None)
+    if _chi_of(g, emin, image) != 0 or not emin <= fundamental_cycle(g):
         raise InternalCheckError(
             "minimally-elliptic-existence",
             f"{emin} is not a chi = 0 cycle below the fundamental cycle",
@@ -318,8 +328,10 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
 @per_graph("sequence")
 def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     """Build and fully verify the elliptic sequence of a numerically
-    Gorenstein elliptic graph.  Each step multiplies its cycle Z by the
-    form once: Z . E_min and the curves orthogonal to Z are read off M Z."""
+    Gorenstein elliptic graph.  Z . E_min and the curves orthogonal to Z
+    are read off M Z: one product for Z_0 = Z_E, and for each later Z_t
+    the image its Laufer loop keeps.  Supports are vertex-index sets until
+    the finished sequence records their ids."""
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     if not is_numerically_gorenstein(g):
@@ -327,9 +339,10 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
             "graph is not numerically Gorenstein (canonical cycle is non-integral)"
         )
     emin = minimally_elliptic_cycle(g)
-    emin_support = set(emin.support())
+    emin_support = {i for i, c in enumerate(emin.coeffs) if c}
+    start = min(emin_support)
 
-    supports: list[tuple[str, ...]] = [g.ids]
+    supports: list[set[int]] = [set(range(len(g)))]
     cycles: list[Cycle] = [fundamental_cycle(g)]
     mz = mat_vec(g, cycles[-1].coeffs)
     while _dot(emin, mz) == 0:  # Z . E_min, read off M Z
@@ -340,30 +353,27 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
             )
         orthogonal = {i for i in range(len(g)) if mz[i] == 0}
         # connected component of the orthogonal locus containing E_min
-        start = g.index_of(next(iter(emin_support)))
         if start not in orthogonal:
             raise InternalCheckError(
                 "elliptic-sequence-orthogonal-locus",
                 "minimal cycle support not orthogonal to the current cycle",
             )
         comp = next(c for c in connected_components(g, orthogonal) if start in c)
-        if not {g.index_of(v) for v in emin_support} <= comp:
+        if not emin_support <= comp:
             raise InternalCheckError(
                 "elliptic-sequence-orthogonal-locus",
                 "minimal cycle support split across components",
             )
-        support = tuple(v.id for i, v in enumerate(g.vertices) if i in comp)
-        prev = set(supports[-1])
-        if not set(support) < prev:
+        if not comp < supports[-1]:
             raise InternalCheckError(
                 "elliptic-sequence-supports-strictly-decrease",
-                f"{support} does not shrink {supports[-1]}",
+                f"{tuple(_ids(g, comp))} does not shrink {tuple(_ids(g, supports[-1]))}",
             )
-        supports.append(support)
-        cycles.append(fundamental_cycle(g, support))
-        mz = mat_vec(g, cycles[-1].coeffs)
+        supports.append(comp)
+        z, mz = _laufer_loop(g, sorted(comp), None)
+        cycles.append(z)
 
-    seq = EllipticSequence(g, tuple(supports), tuple(cycles))
+    seq = EllipticSequence(g, tuple(tuple(_ids(g, b)) for b in supports), tuple(cycles))
     _verify_sequence(seq, emin)
     return seq
 

@@ -15,7 +15,8 @@ same way gorenstein-cone-numerics and hilbert-data-consistency count the
 items of the lists ``classify`` raises on (``classify._ideal_identities``
 and ``classify._hilbert_identities``) plus their own assertions on the
 shape of each record: t in A_f, the cycle is C_t and e2bar = colength for
-an ideal; e0bar = -Z^2 and the e1bar relation for its Hilbert data.
+an ideal; e0bar = -Z^2, with Z^2 read off the sequence's image M C_t,
+and the e1bar relation for its Hilbert data.
 
 Each check returns the number of assertions it made; a failure raises
 (InternalCheckError for a mathematical mismatch, InputError for broken
@@ -40,7 +41,7 @@ from .elliptic import (
     minimally_elliptic_cycle,
 )
 from .errors import InputError, InternalCheckError
-from .graph import Cycle, pairing, parse_graph, serialize_graph
+from .graph import Cycle, _dot, parse_graph, serialize_graph
 from .wh import WeightedPoly, br_maximal_ideal_brieskorn, pg_brieskorn, pg_weighted_homogeneous
 
 
@@ -200,9 +201,10 @@ def check_hilbert_data() -> int:
     """Riemann-Roch colength sequences versus the Hilbert polynomial."""
     t = _Tally()
     for (g, p_g), rep in _classification_runs().items():
+        seq = elliptic_sequence(g)
         for ideal in rep.ideals:
             hd = normal_hilbert_data(g, ideal.cycle, p_g, ideal.q, n_max=8)
-            t.eq(hd.e0bar, -pairing(g, ideal.cycle, ideal.cycle), "e0bar = -Z^2")
+            t.eq(hd.e0bar, -_dot(ideal.cycle, seq.partial_image(ideal.t)), "e0bar = -Z^2")
             t.eq(
                 hd.e1bar - hd.e0bar + hd.colengths[0],
                 p_g - ideal.q,
@@ -235,7 +237,8 @@ def check_artinian_oracle() -> int:
             sat = colength_saturating(f, MonomialIdeal.from_text(f"y,z^{i}"))
             ci = seq.partial_sum(i - 1)
             t.eq(sat, 2 * i, f"saturating colength({text}, (y,z^{i}))")
-            t.eq(sat, -pairing(g, ci, ci), f"saturating colength = -C_{i - 1}^2")
+            t.eq(sat, -_dot(ci, seq.partial_image(i - 1)),
+                 f"saturating colength = -C_{i - 1}^2")
             t.eq(rep.ideals[i - 1].colength, i, f"classified colength at t={i - 1}")
     return t.count
 

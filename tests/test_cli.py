@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from singlab import Cycle, EnumerationLimitError, enumerate_antinef_upto
+from singlab import Cycle, EnumerationLimitError, cli, enumerate_antinef_upto
 from singlab.cli import main
 from singlab.corpus import fig2312
 from singlab.graph import serialize_graph
@@ -277,12 +277,34 @@ def test_a_leaf_command_builds_only_its_own_parser(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert main(["brieskorn", "3", "5", "5"]) == 0
-    assert built == [None, "singlab brieskorn"]  # --format's parent and the leaf
+    assert built == ["singlab brieskorn"]  # the leaf alone, --format included
     built.clear()
     with pytest.raises(SystemExit):  # a bare group needs the full tree's usage
         main(["graph"])
-    assert len(built) == 14
+    assert len(built) == 13
     capsys.readouterr()
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("entry", cli._COMMANDS, ids=[" ".join(e[0]) for e in cli._COMMANDS])
+@pytest.mark.parametrize("argv", [["--help"], ["--format", "xml"]], ids=["help", "usage-error"])
+def test_a_leaf_parser_reads_as_the_full_tree_leaf(entry, argv, capsys):
+    # the one parser a call builds prints the same help and usage errors,
+    # byte for byte, as the same leaf of the full tree
+    words = list(entry[0])
+    alone = _exit_of(cli._leaf_parser(entry).parse_args, argv, capsys)
+    in_tree = _exit_of(cli._build_parser().parse_args, words + argv, capsys)
+    assert alone == in_tree
+    code, out, err = alone
+    text = out or err
+    assert text.startswith(f"usage: singlab {' '.join(words)} [-h] [--format {{text,json}}]")
+    assert (code, bool(out)) == ((0, True) if argv == ["--help"] else (1, False))
 
 
 def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():

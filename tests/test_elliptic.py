@@ -252,10 +252,12 @@ def test_check_minus_one_chains_reads_the_stored_images(monkeypatch):
 
 
 def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
-    # one product M Z per step gives both Z . E_min and the curves
-    # orthogonal to Z: m + 1 in the build loop, m + 1 more where the
-    # finished sequence keeps its images, and 1 in K's check; the
-    # identities read the images (120 calls when they multiplied again)
+    # one image M Z per step gives both Z . E_min and the curves
+    # orthogonal to Z: a product for Z_0 = Z_E and the Laufer loop's own
+    # image for each later Z_t, then m + 1 products where the finished
+    # sequence keeps its images, and 1 in K's check; the identities read
+    # the images (2m + 3 when the build loop multiplied each Z_t, 120 when
+    # the identities multiplied again)
     template = fig2312(8)
     g = DualGraph(template.vertices, template.edges)
     assert is_elliptic(g)
@@ -263,24 +265,26 @@ def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
     calls = _spy_mat_vec(monkeypatch)
     seq = elliptic_sequence(g)
     assert seq.m == 16
-    assert len(calls) == 2 * seq.m + 3
-    assert [tuple(c) for c in calls[1:]] == 2 * [z.coeffs for z in seq.cycles]
+    assert len(calls) == seq.m + 3
+    assert [tuple(c) for c in calls[1:]] == [seq.cycles[0].coeffs] + [z.coeffs for z in seq.cycles]
 
 
-# one product for K, one for chi(Z_E), n + 1 for E_min, and two per Z_t:
-# one in the build loop and one where the sequence keeps its image; the
-# counts when every reader multiplied the cycles again are in comments
+# one product for K, one for chi(Z_E), one for Z_0 = Z_E in the build
+# loop and one per Z_t where the sequence keeps its image; E_min and the
+# later steps read the images their Laufer loops keep.  The counts when E_min
+# and each step multiplied again (n + 1 and m + 1 more) come first in the
+# comments, then those when every reader multiplied the cycles again
 @pytest.mark.parametrize("argv, param, count", [
-    (["elliptic", "sequence", "-"], 8, 54),  # 157
-    (["elliptic", "sequence", "-"], 30, 186),  # 553
-    (["classify", "-", "--pg", "9"], 8, 54),  # 165
-    (["classify", "-", "--pg", "17"], 8, 54),  # 158
-    (["classify", "-", "--pg", "31"], 30, 186),  # 583
-    (["classify", "-", "--pg", "61"], 30, 186),  # 554
+    (["elliptic", "sequence", "-"], 8, 20),  # 54, 157
+    (["elliptic", "sequence", "-"], 30, 64),  # 186, 553
+    (["classify", "-", "--pg", "9"], 8, 20),  # 54, 165
+    (["classify", "-", "--pg", "17"], 8, 20),  # 54, 158
+    (["classify", "-", "--pg", "31"], 30, 64),  # 186, 583
+    (["classify", "-", "--pg", "61"], 30, 64),  # 186, 554
 ], ids=["sequence-8", "sequence-30", "classify-8-pg9", "classify-8-pg17", "classify-30-pg31",
         "classify-30-pg61"])
-def test_cold_cli_runs_multiply_each_sequence_cycle_twice(monkeypatch, capsys, cold_caches,
-                                                         argv, param, count):
+def test_cold_cli_runs_multiply_each_sequence_cycle_once(monkeypatch, capsys, cold_caches,
+                                                        argv, param, count):
     calls = _spy_mat_vec(monkeypatch)
     monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(fig2312(param))))
     assert cli.main([*argv, "--format", "json"]) == 0
@@ -289,11 +293,13 @@ def test_cold_cli_runs_multiply_each_sequence_cycle_twice(monkeypatch, capsys, c
 
 
 def test_verify_paper_products_are_pinned(monkeypatch, capsys, cold_caches):
+    # 1345 when E_min and the sequence steps multiplied each Laufer cycle
+    # again and the Hilbert data multiplied each power n Z and Z twice;
     # 2804 when the sequence's readers multiplied its cycles again
     calls = _spy_mat_vec(monkeypatch)
     assert cli.main(["verify-paper", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1345
+    assert len(calls) == 599
 
 
 def test_check_minus_one_chains_vacuous_fig244():

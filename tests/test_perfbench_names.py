@@ -5,15 +5,22 @@
 ``verify.CHECKS`` and two ``_engine`` names; a rename in the package
 would stop every benchmark run with AttributeError.  The tables are read
 from the source with ``ast``, so the harness is neither run nor imported.
+The tracer finds the modules it patches in ``sys.modules`` after a bare
+``import singlab.cli``, so each must be loaded by that import: a lazy
+import would stop every benchmark run with KeyError.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tables():
@@ -43,3 +50,16 @@ def test_names_the_runner_reads_resolve():
                                  for name, fn in verify.CHECKS)
     assert isinstance(_engine.USING_COMPILED, bool)
     assert _engine.max_enum() >= 1
+
+
+def test_importing_the_cli_loads_every_module_the_tracer_patches():
+    tables = _tables()
+    needed = {"verify"} | {entry[0] for entry in tables["SPANS"] + tables["MARKS"]}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, singlab.cli; print(' '.join(n for n in sys.modules if n.startswith('singlab.')))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    loaded = {name[len("singlab."):] for name in proc.stdout.split()}
+    assert needed <= loaded, sorted(needed - loaded)
