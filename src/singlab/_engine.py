@@ -1,34 +1,28 @@
-"""Lattice-box scans and the enumeration budget.
+"""Lattice-box kernels and the enumeration budget.
 
-Both kernels cover every integer vector D with 0 <= D <= bounds in
-mixed-radix odometer order, index 0 fastest, and answer exactly as a scan
-of every candidate would, in that order, without visiting them all.
-Python ints keep the arithmetic exact for any input size; no float or
-Fraction is used.
+Both kernels answer for every integer vector D with 0 <= D <= bounds
+without visiting them all.  Python ints keep the arithmetic exact for any
+input size; no float or Fraction is used.
 
-``antinef_in_box`` steps the odometer over axes 1..n-1 only, keeping M.D
-up to date along the sparse columns of M (O(degree) per step) together
-with the number of positive entries that column 0 cannot change.  While
-that number is zero, the anti-nef points of a row along axis 0 form one
-interval, read off the rows of M that column 0 meets; otherwise the row
-holds none.  The cost is O(rows * degree + output).
+``antinef_in_box`` lists the anti-nef D in mixed-radix odometer order,
+index 0 fastest, as a scan of every candidate would.  It steps the
+odometer over axes 1..n-1 only, keeping M.D up to date along the sparse
+columns of M (O(degree) per step) together with the number of positive
+entries that column 0 cannot change.  While that number is zero, the
+anti-nef points of a row along axis 0 form one interval, read off the
+rows of M that column 0 meets; otherwise the row holds none.  The cost
+is O(rows * degree + output).
 
-``min_twochi_in_box`` certifies the box by an exact Fincke-Pohst walk.
-It reads the graph's one elimination (``_linalg.factor_bordered``, kept
-on the graph when it is built), which writes
-2chi = const + sum_i N_i^2 / (4 p_i p_(i+1)), with p_i the leading
-minors of -M and N_i an integer linear form in d_i..d_(n-1).  A depth
-first walk over axes n-1..1 in increasing value (the odometer order)
-skips a subtree only when the partial sum, a lower bound for every
-candidate in it, is strictly above the best value met so far; each
-level's values come from one ``isqrt``, and each row along axis 0 is
-settled in closed form.  Every candidate of the box is certified.
+``min_twochi_cut`` certifies the whole box at once: the least 2chi on it
+and the largest D attaining it are one s-t minimum cut of a network with
+one node per unit of each bound, built on the graph's sparse rows, so the
+cost is polynomial in the bounds and the edges, not in the box.
 
 ``check_budget`` guards the scans whose length the caller's numbers pick:
 the anti-nef enumeration and the p_g lattice count of ``singlab.wh``.  It
 counts every candidate of the box, however few a kernel visits, so the
 budget, like the chi sweep's 200k cap and sampled mode in
-``singlab.elliptic``, does not depend on the pruning.  ``check_count``
+``singlab.elliptic``, does not depend on how a box is certified.  ``check_count``
 holds any other count to the same budget: ``singlab.artinian`` checks
 its staircase box and its matrix size with it before it allocates.
 
@@ -39,7 +33,8 @@ Environment variables:
 from __future__ import annotations
 
 import os
-from math import isqrt, prod
+from itertools import accumulate
+from math import prod
 
 from .errors import EnumerationLimitError, InputError
 
@@ -143,92 +138,84 @@ def antinef_in_box(matrix, bounds):
                 positive += (new > 0) - (old > 0)
 
 
-def min_twochi_in_box(rows, bounds):
-    """Minimum of -(D.M.D + adj.D) over D != 0 in the box, with a witness.
 
-    ``rows`` is the elimination of [[-M, -adj], [-adj^T, 0]] by
-    ``_linalg.factor_bordered``, so M is negative definite.  Returns
-    (min_value, witness_tuple), or (None, None) when the box holds only
-    D = 0; the value is twice the minimal Euler characteristic.  The
-    witness is the first minimiser in odometer order, index 0 fastest.
 
-    With A = -M and g = -adj, row a_i of the elimination has the leading
-    minor p_(i+1) of A as its pivot (p_0 = 1), and the last row has
-    W_n = -g.adj(A).g in its corner, so that
-    2chi = (W_n / 4 p_n) + sum_i N_i^2 / (4 p_i p_(i+1)) with
-    N_i = 2 sum_(j >= i) a_ij d_j + a_in.  Once d_i..d_(n-1) are fixed,
-    the partial sum is the minimum of 2chi over real d_0..d_(i-1), kept
-    scaled as the integer W_i = 4 p_i * (that minimum), and
-    W_i = (p_i W_(i+1) + N_i^2) / p_(i+1) exactly.  A value of d_i is
-    kept while N_i^2 <= p_i (4 p_(i+1) best - W_(i+1)), an interval found
-    by ``isqrt``.  With the other entries fixed, 2chi = c - beta*x +
-    a*x^2 in x = d_0 (a = p_1), so the row minimum lies at
-    floor(beta / 2a) or one above it, clamped to the row.
+def min_twochi_cut(rows, adj, bounds):
+    """(least value, largest minimiser) of 2chi(D) = -(D.M.D + adj.D) over
+    the whole box 0 <= D <= bounds, D = 0 included, by one minimum cut.
+
+    ``rows`` are the sparse rows of M (``DualGraph.rows``), negative on the
+    diagonal and >= 0 off it, so 2chi is submodular and one s-t cut holds
+    it exactly (Kolmogorov and Zabih 2004) on Ishikawa's network: d_i
+    becomes the nodes x_ik = [d_i >= k], k = 1..b_i, and x_ik = 1 puts a
+    node on the sink side.  Raising d_i to k costs -m_ii (2k - 1) - adj_i;
+    for i < j, -2 m_ij d_i d_j = sum_kl (2m (1 - x_ik) x_jl - 2m x_jl) is
+    an arc x_ik -> x_jl of capacity 2m for each pair and -2m b_i on each
+    x_jl.  A node's cost c is an arc from the source (c > 0) or to the
+    sink with the constant c (c < 0), kept as its excess.  The costs along
+    a chain increase (-m_ii > 0) and each neighbour's arcs meet its nodes
+    alike, so a cut out of order along a chain costs more than that chain
+    sorted: every minimum cut is a D, with no arc to enforce it.  After a greedy
+    push along single arcs, shortest augmenting paths run the flow up to
+    maximum; the nodes it leaves unreached from the source are the sink
+    side of the largest minimum cut, so the largest minimiser, which the
+    minimisers of a submodular function, a lattice, have.  Exact ints.
     """
-    n = len(bounds)
-    if n == 0:
-        return None, None
-    p = [1, *(rows[i][i] for i in range(n))]
-    # column j of 2 a_ij over i < j: how d_j moves N_i
-    cols = [[(i, 2 * m) for i, m in col if i < j]
-            for j, col in enumerate(_sparse_columns(rows, n))]
-    k = [rows[i][n] for i in range(n)]  # N_i - 2 p_(i+1) d_i
-    w = [0] * n + [rows[n][n]]
-    d = [0] * n
-    a = p[1]
-    b0 = bounds[0]
-    best = witness = None
-    lo0 = 1  # the first row settled is the one through D = 0, which is skipped
-    i = n - 1
-    start = 0  # the least value of d_i still to try
+    first = list(accumulate(bounds, initial=0))  # node of x_i1
+    size = first[-1]
+    excess = [0] * size
+    graph = [[] for _ in range(size)]  # arc e runs into head[e], e ^ 1 back
+    head, cap = [], []
+    for i, row in enumerate(rows):
+        u, b = first[i], bounds[i]
+        for j, m in row:
+            if j == i:
+                for k in range(b):
+                    excess[u + k] -= m * (2 * k + 1) + adj[i]
+            elif j > i:
+                for v in range(first[j], first[j + 1]):
+                    excess[v] -= 2 * m * b
+                    for x in range(u, u + b):
+                        graph[x].append(len(head))
+                        graph[v].append(len(head) + 1)
+                        head += (v, x)
+                        cap += (2 * m, 0)
+
+    def push(path, u, t):
+        """Push all it can from source-side u along ``path`` to sink-side t."""
+        flow = min(excess[u], -excess[t], *(cap[e] for e in path))
+        for e in path:
+            cap[e] -= flow
+            cap[e ^ 1] += flow
+        excess[u] -= flow
+        excess[t] += flow
+        return flow
+
+    value = sum(c for c in excess if c < 0)
+    for x in range(size):
+        for e in graph[x]:
+            if excess[x] <= 0:
+                break
+            if cap[e] and excess[head[e]] < 0:
+                value += push((e,), x, head[e])
     while True:
-        if i == 0:
-            beta = -k[0]
-            if lo0 <= b0:
-                x = beta // (2 * a)
-                if x < lo0:
-                    x = lo0
-                elif x > b0:
-                    x = b0
-                val = (a * x - beta) * x
-                if x < b0:
-                    # f(x+1) - f(x) = a(2x+1) - beta; a tie keeps the smaller x
-                    up = a * (2 * x + 1) - beta
-                    if up < 0:
-                        x += 1
-                        val += up
-                val += (w[1] + beta * beta) // (4 * a)
-                if best is None or val < best:
-                    best = val
-                    witness = (x, *d[1:])
-            if n == 1:
-                return best, witness
-            lo0 = 0
-            i = 1
-            start = d[1] + 1
-            continue
-        pi, two = p[i], 2 * p[i + 1]
-        lo, hi = start, bounds[i]
-        if best is not None:
-            q = pi * (2 * two * best - w[i + 1])
-            if q < 0:
-                hi = -1
-            else:
-                r = isqrt(q)
-                lo = max(lo, -((r + k[i]) // two))
-                hi = min(hi, (r - k[i]) // two)
-        step = (lo if lo <= hi else 0) - d[i]
-        if step:
-            for j, e in cols[i]:
-                k[j] += e * step
-            d[i] += step
-        if lo > hi:
-            i += 1
-            if i == n:
-                return best, witness
-            start = d[i] + 1
-            continue
-        nv = two * lo + k[i]
-        w[i] = (pi * w[i + 1] + nv * nv) // p[i + 1]
-        i -= 1
-        start = 0
+        reached = [None] * size  # the arc into each node reached, -1 at a source
+        queue = [u for u in range(size) if excess[u] > 0]
+        for u in queue:
+            reached[u] = -1
+        for t in queue:
+            if excess[t] < 0:
+                break
+            for e in graph[t]:
+                if cap[e] and reached[head[e]] is None:
+                    reached[head[e]] = e
+                    queue.append(head[e])
+        else:
+            return value, tuple(sum(reached[x] is None for x in range(first[i], first[i + 1]))
+                                for i in range(len(bounds)))
+        path = []
+        u = t
+        while reached[u] >= 0:
+            path.append(reached[u])
+            u = head[reached[u] ^ 1]
+        value += push(path, u, t)

@@ -4,9 +4,8 @@ Everything here is one fraction-free Gaussian elimination in the style of
 Bareiss, ``eliminate``: ranks of rational matrices after clearing
 denominators, and the one factorization of each graph's form,
 ``factor_bordered``, which ``graph.is_negative_definite`` runs when a
-``DualGraph`` is built.  Sylvester's criterion is read off its pivots, K
-off its rows by ``back_substitute``, and ``_engine.min_twochi_in_box``
-walks the same rows.  No floating point anywhere.
+``DualGraph`` is built.  Sylvester's criterion is read off its pivots
+and K off its rows by ``back_substitute``.  No floating point anywhere.
 """
 
 from __future__ import annotations

@@ -175,17 +175,12 @@ def classify_gorenstein_elliptic_ideals(
 ) -> ClassificationReport:
     """All elliptic ideals whose normal tangent cone is Gorenstein.
 
-    Requires a minimal, elliptic, numerically Gorenstein graph (the last
-    two refused by ``elliptic_sequence``) and a p_g consistent with the
+    Requires a minimal, elliptic, numerically Gorenstein graph
+    (``elliptic_sequence`` refuses any other) and a p_g consistent with the
     sequence length.  In the non-maximal case the classification is only
     valid in residue characteristic zero; pass char0=False to get a
     refusal instead of an unwarranted answer.
     """
-    if not g.is_minimal:
-        bad = next(v.id for v in g.vertices if v.genus == 0 and v.self_int == -1)
-        raise InputError(
-            f"graph is not minimal: vertex {bad} is a genus-0 (-1)-curve"
-        )
     seq = elliptic_sequence(g)
     af = derive_af(seq.m, p_g)
     if not af.maximal and not char0:

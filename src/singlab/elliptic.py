@@ -207,10 +207,11 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     coordinate by coordinate, taken by ``_sample_draws`` through
     ``getrandbits``; each is multiplied by the dense matrix, a product
     held as it is until ROADMAP item 1 lands.
-    The exhaustive sweep certifies the whole box without visiting every
-    candidate: an exact lower bound on 2chi (from the elimination the
-    graph made of its form when it was built) rules out each sub-box it
-    skips, and each row along the first vertex is settled in closed form.
+    The exhaustive sweep certifies the whole box by one minimum cut
+    (``_engine.min_twochi_cut``): the least 2chi, D = 0 included, and the
+    largest D attaining it, the witness.  On an elliptic graph that D is
+    nonzero, since chi(Z_E) = 0; where D = 0 alone attains it, one more
+    cut per vertex v with d_v >= 1 finds the least value over D != 0.
     ``checked`` counts the nonzero candidates certified.  The 200k cap and
     the draws do not depend on how the box is certified.  Raises
     InternalCheckError with a witness if a negative Euler characteristic
@@ -221,7 +222,18 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     size = _engine.box_size(bounds)
     exhaustive = size <= _AUTO_SWEEP_CAP
     if exhaustive:
-        min2, witness = _engine.min_twochi_in_box(g.elimination, bounds)
+        min2, witness = _engine.min_twochi_cut(g.rows, adj, bounds)
+        if not any(witness):  # D = 0 alone attains it: cut again with each d_v >= 1
+            forced = []
+            for v, row in enumerate(g.rows):
+                if bounds[v]:  # 2chi(e_v + D) = 2chi(e_v) - (D.M.D + (adj + 2 M e_v).D)
+                    shifted = list(adj)
+                    for j, m in row:
+                        shifted[j] += 2 * m
+                    value, d = _engine.min_twochi_cut(
+                        g.rows, shifted, (*bounds[:v], bounds[v] - 1, *bounds[v + 1:]))
+                    forced.append((value - row[0][1] - adj[v], (*d[:v], d[v] + 1, *d[v + 1:])))
+            min2, witness = min(forced, default=(None, None))
         checked = size - 1
     else:
         n = len(bounds)
@@ -331,7 +343,11 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     Gorenstein elliptic graph.  Z . E_min and the curves orthogonal to Z
     are read off M Z: one product for Z_0 = Z_E, and for each later Z_t
     the image its Laufer loop keeps.  Supports are vertex-index sets until
-    the finished sequence records their ids."""
+    the finished sequence records their ids.  A graph that is not minimal
+    is refused first: a genus-0 (-1)-curve breaks the sequence's identities."""
+    if not g.is_minimal:
+        bad = next(v.id for v in g.vertices if v.genus == 0 and v.self_int == -1)
+        raise InputError(f"graph is not minimal: vertex {bad} is a genus-0 (-1)-curve")
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     if not is_numerically_gorenstein(g):

@@ -8,17 +8,18 @@ definite.  That is an invariant of every ``DualGraph``, however it was
 built: the constructor eliminates [[-M, -a], [-a^T, 0]], a the adjunction
 vector, once (``is_negative_definite``) and raises InputError unless
 Sylvester's criterion holds on the pivots.  It keeps the rows, from which
-``canonical_cycle`` back-substitutes K and the chi >= 0 sweep walks.  K is
-in general rational, but K . D never needs it: M K = a makes it the
-integer a . D.  No floating point is used anywhere in this package.
+``canonical_cycle`` back-substitutes K.  K is in general rational, but
+K . D never needs it: M K = a makes it the integer a . D.  No floating
+point is used anywhere in this package.
 
 The form is stored once, as sparse rows, the diagonal entry and then one
 entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,
 ``is_anti_nef`` and through them the cycles and the elliptic sequence)
-costs O(n + |E|).  The dense ``matrix`` is built from the rows on each
-read and kept nowhere; its readers take it once each: the elimination
-at construction, the printed matrix of ``graph analyze``, the sampled
-chi sweep and the anti-nef box scan.
+costs O(n + |E|).  The exhaustive chi >= 0 sweep builds its minimum-cut
+network on the same rows.  The dense ``matrix`` is built from the rows
+on each read and kept nowhere; its readers take it once each: the
+elimination at construction, the printed matrix of ``graph analyze``,
+the sampled chi sweep and the anti-nef box scan.
 
 A graph object keeps, in ``_cache`` and only through ``per_graph``: Z_E
 (``fundamental_cycle`` of every vertex, without ``rng``), K, the chi >= 0

@@ -294,11 +294,12 @@ def check_enumeration_properties() -> int:
 
 def _below_every_chi_zero(g, e, ze) -> bool:
     """Whether E lies below every chi = 0 cycle 0 < D <= Z_E: any other D
-    has d_v < e_v for some v, so 2chi > 0 (or only D = 0) on each such
-    sub-box of Z_E decides, by one walk of the graph's elimination per v."""
-    minima = (_engine.min_twochi_in_box(g.elimination, (*ze[:v], e_v - 1, *ze[v + 1:]))[0]
-              for v, e_v in enumerate(e) if e_v)
-    return all(best is None or best > 0 for best in minima)
+    has d_v < e_v for some v, so it holds exactly when, on each such
+    sub-box of Z_E, one minimum cut finds the least 2chi to be 0 with
+    D = 0 its only minimiser."""
+    cuts = (_engine.min_twochi_cut(g.rows, g.adjunction, (*ze[:v], e_v - 1, *ze[v + 1:]))
+            for v, e_v in enumerate(e) if e_v)
+    return all(value == 0 and not any(d) for value, d in cuts)
 
 
 CHECKS = (

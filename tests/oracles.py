@@ -5,7 +5,10 @@ loops over itertools boxes, deliberately sharing no code path with the
 package's kernels or incremental algorithms.  The exceptions, at the end,
 are the box kernels the package used before it pruned its scans: they
 visit every row or every candidate, and the pruned kernels must return
-exactly what they return, in the same order; the linear solve the
+exactly what they return, in the same order; the pruned walk of the
+graph's one elimination that certified the chi >= 0 boxes before one
+minimum cut did (it still imports ``_engine._sparse_columns``, which the
+anti-nef scan keeps); the linear solve the
 package used for the canonical cycle before it read K off the graph's one
 elimination; the Laufer loop as it ran on the dense matrix before the
 form became sparse rows; and the check of the -1 chains as it stood
@@ -17,7 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
+from singlab._engine import _sparse_columns
 from singlab._linalg import eliminate
 from singlab.errors import InputError, InternalCheckError
 from singlab.elliptic import EllipticSequence, MinusOneChainReport
@@ -50,6 +55,37 @@ def first_min_two_chi(matrix, adj, bounds):
             if best is None or value < best:
                 best, witness = value, d
     return best, witness
+
+
+def min_two_chi_join(matrix, adj, bounds):
+    """(min, join): the least two_chi over the whole box, D = 0 included,
+    and the componentwise maximum of every D attaining it."""
+    values = {d: two_chi(matrix, adj, list(d)) for d in product(*(range(b + 1) for b in bounds))}
+    best = min(values.values())
+    minimisers = [d for d, value in values.items() if value == best]
+    return best, tuple(max(d[i] for d in minimisers) for i in range(len(bounds)))
+
+
+def sparse_rows(matrix):
+    """The rows of a dense form as ``DualGraph.rows`` lays them out: the
+    diagonal entry, then each nonzero entry off it."""
+    return tuple(((i, row[i]),) + tuple((j, m) for j, m in enumerate(row) if j != i and m)
+                 for i, row in enumerate(matrix))
+
+
+def least_forced_two_chi(matrix, adj, bounds):
+    """The least, over v with bounds[v] >= 1, of (min two_chi over the D in
+    the box with d_v >= 1, the join of the D attaining it), or (None, None):
+    the least value over D != 0, and the witness ``chi_nonnegative_check``
+    reports where D = 0 alone attains the box's minimum."""
+    values = {d: two_chi(matrix, adj, list(d)) for d in product(*(range(b + 1) for b in bounds))}
+    out = []
+    for v, b in enumerate(bounds):
+        if b:
+            best = min(value for d, value in values.items() if d[v])
+            minimisers = [d for d, value in values.items() if d[v] and value == best]
+            out.append((best, tuple(map(max, zip(*minimisers)))))
+    return min(out, default=(None, None))
 
 
 def is_antinef(matrix, vec):
@@ -270,6 +306,102 @@ def row_min_twochi_in_box(matrix, adj, bounds):
         d[j] += 1
         for i, m in cols[j]:
             s[i] += m
+
+
+# The chi walk the package ran on the graph's one elimination before one
+# minimum cut certified each box: the first minimiser over D != 0, in
+# odometer order.
+
+
+def min_twochi_in_box(rows, bounds):
+    """Minimum of -(D.M.D + adj.D) over D != 0 in the box, with a witness.
+
+    ``rows`` is the elimination of [[-M, -adj], [-adj^T, 0]] by
+    ``_linalg.factor_bordered``, so M is negative definite.  Returns
+    (min_value, witness_tuple), or (None, None) when the box holds only
+    D = 0; the value is twice the minimal Euler characteristic.  The
+    witness is the first minimiser in odometer order, index 0 fastest.
+
+    With A = -M and g = -adj, row a_i of the elimination has the leading
+    minor p_(i+1) of A as its pivot (p_0 = 1), and the last row has
+    W_n = -g.adj(A).g in its corner, so that
+    2chi = (W_n / 4 p_n) + sum_i N_i^2 / (4 p_i p_(i+1)) with
+    N_i = 2 sum_(j >= i) a_ij d_j + a_in.  Once d_i..d_(n-1) are fixed,
+    the partial sum is the minimum of 2chi over real d_0..d_(i-1), kept
+    scaled as the integer W_i = 4 p_i * (that minimum), and
+    W_i = (p_i W_(i+1) + N_i^2) / p_(i+1) exactly.  A value of d_i is
+    kept while N_i^2 <= p_i (4 p_(i+1) best - W_(i+1)), an interval found
+    by ``isqrt``.  With the other entries fixed, 2chi = c - beta*x +
+    a*x^2 in x = d_0 (a = p_1), so the row minimum lies at
+    floor(beta / 2a) or one above it, clamped to the row.
+    """
+    n = len(bounds)
+    if n == 0:
+        return None, None
+    p = [1, *(rows[i][i] for i in range(n))]
+    # column j of 2 a_ij over i < j: how d_j moves N_i
+    cols = [[(i, 2 * m) for i, m in col if i < j]
+            for j, col in enumerate(_sparse_columns(rows, n))]
+    k = [rows[i][n] for i in range(n)]  # N_i - 2 p_(i+1) d_i
+    w = [0] * n + [rows[n][n]]
+    d = [0] * n
+    a = p[1]
+    b0 = bounds[0]
+    best = witness = None
+    lo0 = 1  # the first row settled is the one through D = 0, which is skipped
+    i = n - 1
+    start = 0  # the least value of d_i still to try
+    while True:
+        if i == 0:
+            beta = -k[0]
+            if lo0 <= b0:
+                x = beta // (2 * a)
+                if x < lo0:
+                    x = lo0
+                elif x > b0:
+                    x = b0
+                val = (a * x - beta) * x
+                if x < b0:
+                    # f(x+1) - f(x) = a(2x+1) - beta; a tie keeps the smaller x
+                    up = a * (2 * x + 1) - beta
+                    if up < 0:
+                        x += 1
+                        val += up
+                val += (w[1] + beta * beta) // (4 * a)
+                if best is None or val < best:
+                    best = val
+                    witness = (x, *d[1:])
+            if n == 1:
+                return best, witness
+            lo0 = 0
+            i = 1
+            start = d[1] + 1
+            continue
+        pi, two = p[i], 2 * p[i + 1]
+        lo, hi = start, bounds[i]
+        if best is not None:
+            q = pi * (2 * two * best - w[i + 1])
+            if q < 0:
+                hi = -1
+            else:
+                r = isqrt(q)
+                lo = max(lo, -((r + k[i]) // two))
+                hi = min(hi, (r - k[i]) // two)
+        step = (lo if lo <= hi else 0) - d[i]
+        if step:
+            for j, e in cols[i]:
+                k[j] += e * step
+            d[i] += step
+        if lo > hi:
+            i += 1
+            if i == n:
+                return best, witness
+            start = d[i] + 1
+            continue
+        nv = two * lo + k[i]
+        w[i] = (pi * w[i + 1] + nv * nv) // p[i + 1]
+        i -= 1
+        start = 0
 
 
 def solve(matrix, rhs) -> list[Fraction]:

@@ -212,6 +212,18 @@ def test_graph_analyze_rejects_non_definite_forms(tmp_path, capsys):
         assert err == "error: intersection matrix is not negative definite\n"
 
 
+def test_elliptic_sequence_refuses_a_graph_that_is_not_minimal(tmp_path, capsys):
+    # V1 is a genus-0 (-1)-curve: refused as input, as classify refuses it
+    doc = {"vertices": [{"id": "V0", "self": -2, "genus": 1}, {"id": "V1", "self": -1, "genus": 0}],
+           "edges": [{"ends": ["V0", "V1"], "mult": 1}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    for words, options in ((["elliptic", "sequence"], []), (["classify"], ["--pg", "1"])):
+        code, out, err = run(capsys, *words, str(path), *options, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: graph is not minimal: vertex V1 is a genus-0 (-1)-curve"]
+
+
 def test_overlong_integer_literal_is_an_input_error(capsys):
     poly = "x^" + "9" * 5000 + "+y"
     code, _, err = run(capsys, "artinian", "colength", "--poly", poly, "--ideal", "x^3,y^3,z^3")

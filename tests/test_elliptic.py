@@ -342,6 +342,8 @@ def test_chi_sweep_exhaustive_and_sampled():
     assert sweep.exhaustive
     assert sweep.min_chi == 0
     assert sweep.checked == 3 ** 5 - 1
+    # the largest D with chi(D) = 0 in the box, which the minimum cut reads off
+    assert sweep.witness == (1, 2, 2, 2, 2)
     # fig2312(6): 3^13 = 1594323 candidates, above the cap, so sampled
     sampled = chi_nonnegative_check(fig2312(6))
     assert not sampled.exhaustive
@@ -355,9 +357,8 @@ def test_is_elliptic_keeps_its_chi_sweep(n, monkeypatch):
     g = DualGraph(fig2312(n).vertices, fig2312(n).edges)
     expected = chi_nonnegative_check(fig2312(n))
     calls = []
-    sweep_box = _engine.min_twochi_in_box
-    monkeypatch.setattr(_engine, "min_twochi_in_box",
-                        lambda *args: calls.append(args) or sweep_box(*args))
+    cut = _engine.min_twochi_cut
+    monkeypatch.setattr(_engine, "min_twochi_cut", lambda *args: calls.append(args) or cut(*args))
     assert is_elliptic(g)
     first = chi_nonnegative_check(g)
     assert chi_nonnegative_check(g) is first
@@ -366,8 +367,9 @@ def test_is_elliptic_keeps_its_chi_sweep(n, monkeypatch):
 
 
 def test_one_elimination_per_graph(monkeypatch):
-    # K, the exhaustive chi walk and the sequence all read the rows the
-    # constructor eliminated; a fresh copy, so nothing is cached yet
+    # K and the sequence read the rows the constructor eliminated, and the
+    # exhaustive chi sweep cuts the form's sparse rows with no elimination
+    # of its own; a fresh copy, so nothing is cached yet
     template = fig2312(3)
     calls = []
     eliminate = _linalg.eliminate
@@ -381,8 +383,8 @@ def test_one_elimination_per_graph(monkeypatch):
 
 def test_verify_paper_emin_rule_equals_the_box_scan():
     """verify-paper checks that E_min lies below every chi = 0 cycle
-    0 < D <= Z_E by one chi walk per vertex of supp E_min.  On its graphs
-    and on the E_min cases, the walks agree with a scan of the whole box,
+    0 < D <= Z_E by one minimum cut per vertex of supp E_min.  On its graphs
+    and on the E_min cases, the cuts agree with a scan of the whole box,
     for E_min and for Z_E posing as it, which both reject wherever the
     two differ."""
     graphs = ([fig2312(n) for n in range(1, 4)] + [fig244(m) for m in range(4)]

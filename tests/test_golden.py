@@ -5,9 +5,9 @@ Every run feeds a ``corpus emit`` document on stdin to ``graph analyze``,
 and again with ``--format text`` (whose renderer prints each dict in
 insertion order, so a reordered key shows there), for fig2312, fig244 and
 brell3 at parameters 1-4; ``verify-paper --format json`` runs once.
-``elliptic sequence`` and ``classify --pg 2`` also run, in JSON, on two
-documents no family emits: one not elliptic and one elliptic but not
-numerically Gorenstein, to pin the refusals.
+``elliptic sequence`` and ``classify --pg 2`` also run, in JSON, on three
+documents no family emits: one not elliptic, one elliptic but not
+numerically Gorenstein, and one not minimal, to pin the refusals.
 ``--help`` at the top level, on each group and on each leaf command, and
 six malformed command lines, pin the help and usage text at a terminal
 width of 80 columns.  A refactor that keeps the answers keeps every
@@ -51,12 +51,15 @@ HELP = ((), ("graph",), ("elliptic",), ("artinian",), ("corpus",),
 MALFORMED = (("classify", "-", "--pg", "abc"), ("brieskorn", "2", "3"), ("graph",), (),
              ("nosuch",), ("wh", "--weights", "1,1,1"))
 # (name, document): a rational (-2)-curve; a genus-1 (-2)-curve with a (-3)
-# leaf, elliptic with K = (-7/5, -4/5)
+# leaf, elliptic with K = (-7/5, -4/5); a genus-1 (-2)-curve with a genus-0
+# (-1) leaf, elliptic and numerically Gorenstein
 REFUSED = (
     ("not-elliptic", '{"vertices": [{"id": "A", "self": -2, "genus": 0}], "edges": []}'),
     ("not-gorenstein", '{"vertices": [{"id": "A", "self": -2, "genus": 1}, '
                        '{"id": "B", "self": -3, "genus": 0}], '
                        '"edges": [{"ends": ["A", "B"], "mult": 1}]}'),
+    ("not-minimal", '{"vertices":[{"id":"V0","self":-2,"genus":1},{"id":"V1","self":-1,"genus":0}],'
+                    '"edges":[{"ends":["V0","V1"],"mult":1}]}'),
 )
 REFUSED_COMMANDS = ((("elliptic", "sequence"), ()), (("classify",), ("--pg", "2")))
 TABLE = Path(__file__).with_name("golden_digests.json")

@@ -1,13 +1,17 @@
-"""The lattice-box scan kernels of ``_engine`` against plain oracle scans
-and against the row-by-row and candidate-by-candidate kernels they replace,
-the one factorization of a graph's form (definiteness, K and the chi
-walk) against Sylvester's criterion, the old solve and the row sweep, and
-the sparse rows of the form against the dense matrix and the dense Laufer
-loop."""
+"""The lattice-box kernels of ``_engine`` against plain oracle scans and
+against the kernels they replace: the anti-nef scan against the
+candidate-by-candidate scan, and the minimum cut of the chi >= 0 boxes
+against the row-by-row sweep, the pruned walk of the graph's elimination
+and a brute-force join of every minimiser.  The walk, kept as an oracle,
+still runs against the row sweep; the one factorization of a graph's
+form (definiteness, K and the walk) against Sylvester's criterion and
+the old solve; and the sparse rows of the form against the dense matrix
+and the dense Laufer loop."""
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -20,20 +24,26 @@ from oracles import (
     first_min_two_chi,
     fraction_det,
     is_antinef,
+    least_forced_two_chi,
+    min_two_chi_join,
+    min_twochi_in_box,
     odometer_antinef_in_box,
     row_min_twochi_in_box,
     solve,
+    sparse_rows,
     two_chi,
 )
 from singlab import (
     Cycle,
     DualGraph,
     InputError,
+    InternalCheckError,
     QCycle,
     Vertex,
     _engine,
     canonical_cycle,
     chi,
+    chi_nonnegative_check,
     elliptic_sequence,
     is_anti_nef,
     pairing,
@@ -46,7 +56,7 @@ from singlab.graph import connected_components, mat_vec
 
 def walk(matrix, adj, bounds):
     """The chi walk on one factorization of a raw negative definite form."""
-    return _engine.min_twochi_in_box(factor_bordered(matrix, adj), bounds)
+    return min_twochi_in_box(factor_bordered(matrix, adj), bounds)
 
 
 CASES = []
@@ -168,8 +178,9 @@ def test_kernels_equal_the_old_kernels_on_permuted_corpus_rungs(name, g):
     witness, the same anti-nef list in the same order.  The sweep box is
     2 Z_E as in ``chi_nonnegative_check``; the anti-nef boxes are 2 Z_E
     and C_m (as in verify-paper) where the old scan takes well under a
-    second, Z_E otherwise.  Each rung runs reversed and in one seeded
-    vertex order."""
+    second, Z_E otherwise.  The minimum cut of 2 Z_E finds the same least
+    value, 0, at a largest minimiser above the sweep's witness and Z_E.
+    Each rung runs reversed and in one seeded vertex order."""
     # reversed, fig2312 puts its (-1)-curve first and every leading minor of
     # -M is 1, so an off-by-one in the scaled bounds reaches the row values
     backwards = list(reversed(range(len(g))))
@@ -178,9 +189,11 @@ def test_kernels_equal_the_old_kernels_on_permuted_corpus_rungs(name, g):
         ze = fundamental_cycle(h).coeffs
         adj = adjunction_vector(h)
         twice = tuple(2 * c for c in ze)
-        assert _engine.min_twochi_in_box(h.elimination, twice) == row_min_twochi_in_box(
-            h.matrix, adj, twice
-        )
+        swept = row_min_twochi_in_box(h.matrix, adj, twice)
+        assert min_twochi_in_box(h.elimination, twice) == swept
+        value, largest = _engine.min_twochi_cut(h.rows, adj, twice)
+        assert value == swept[0] == two_chi(h.matrix, adj, largest) == 0
+        assert all(a <= c >= z for a, c, z in zip(swept[1], largest, ze))
         seq = elliptic_sequence(h)
         cm = seq.partial_sum(seq.m).coeffs
         boxes = [b for b in (twice, cm) if _engine.box_size(b) <= 60_000] or [ze]
@@ -195,12 +208,102 @@ def test_kernels_equal_the_old_kernels_on_random_graphs(shape):
         g = _random_graph(rng, shape, rng.randint(3 if shape == "cusp" else 1, 7), double=0.3)
         adj = adjunction_vector(g)
         bounds = tuple(rng.randint(0, 4) for _ in range(len(g)))
-        assert _engine.min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
+        assert min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
             g.matrix, adj, bounds
         )
         assert _engine.antinef_in_box(g.matrix, bounds) == odometer_antinef_in_box(
             g.matrix, bounds
         )
+
+
+@pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
+def test_cut_equals_the_sweeps_and_the_join_of_every_minimiser(shape):
+    """The minimum cut against the first odometer minimum (plain scan, row
+    sweep and the pruned walk, which agree) and a brute-force join of
+    every minimiser, on seeded graphs with genera 0 to 2 and double edges
+    in arbitrary boxes: its value is min(0, their minimum over D != 0),
+    and its minimiser the join of all of them, D = 0 included."""
+    rng = random.Random(f"cut-{shape}")
+    negative = unique_zero = 0
+    for _ in range(60):
+        g = _random_graph(rng, shape, rng.randint(3 if shape == "cusp" else 1, 5), double=0.3)
+        matrix, adj = g.matrix, adjunction_vector(g)
+        bounds = tuple(rng.randint(0, 3) for _ in range(len(g)))
+        first = first_min_two_chi(matrix, adj, bounds)
+        assert row_min_twochi_in_box(matrix, adj, bounds) == first
+        assert min_twochi_in_box(g.elimination, bounds) == first
+        cut = _engine.min_twochi_cut(g.rows, adj, bounds)
+        assert cut == min_two_chi_join(matrix, adj, bounds)
+        assert cut[0] == min(0, 0 if first[0] is None else first[0])
+        negative += cut[0] < 0
+        unique_zero += not any(cut[1])
+    assert negative >= 10 and unique_zero >= 10, (negative, unique_zero)
+
+
+def test_cut_equals_the_join_on_small_forms():
+    # arbitrary linear terms and diagonals on forms that need not be
+    # definite: the cut asks only for M negative on the diagonal
+    rng = random.Random("cut-small-forms")
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = rng.choice((0, 0, 1, 1, 2))
+            matrix[i][i] = rng.randint(-5, -1)
+        adj = tuple(rng.randint(-8, 8) for _ in range(n))
+        bounds = tuple(rng.randint(0, 3) for _ in range(n))
+        assert _engine.min_twochi_cut(sparse_rows(matrix), adj, bounds) == min_two_chi_join(
+            matrix, adj, bounds), (matrix, adj, bounds)
+
+
+@pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
+def test_chi_sweep_is_the_least_value_over_nonzero_cycles(shape):
+    """``chi_nonnegative_check`` on seeded graphs, elliptic or not, with
+    2 Z_E boxes of at most 3^5 candidates: the exact least 2chi over
+    D != 0 in the box, at the largest minimiser.  Where D = 0 alone
+    attains the box's minimum, as on a rational graph, that takes one
+    more cut per vertex v, each with d_v >= 1, and the witness is the
+    least (value, largest minimiser) of those; a negative value raises
+    with the largest minimiser."""
+    rng = random.Random(f"sweep-{shape}")
+    signs = set()
+    for _ in range(40):
+        g = _random_graph(rng, shape, rng.randint(3 if shape == "cusp" else 1, 5), 0.3)
+        matrix, adj = g.matrix, adjunction_vector(g)
+        twice = tuple(2 * c for c in fundamental_cycle(g).coeffs)
+        if _engine.box_size(twice) > 3 ** 5:
+            continue
+        best = first_min_two_chi(matrix, adj, twice)[0]
+        signs.add((best > 0) - (best < 0))
+        if best < 0:
+            largest = min_two_chi_join(matrix, adj, twice)[1]
+            with pytest.raises(InternalCheckError, match=re.escape(f"2*chi = {best} at {largest}")):
+                chi_nonnegative_check(g)
+            continue
+        sweep = chi_nonnegative_check(g)
+        assert sweep.exhaustive and sweep.checked == _engine.box_size(twice) - 1
+        assert 2 * sweep.min_chi == best == two_chi(matrix, adj, sweep.witness)
+        expected = min_two_chi_join(matrix, adj, twice) if best == 0 else (
+            least_forced_two_chi(matrix, adj, twice))
+        assert sweep.witness == expected[1]
+    assert signs == {-1, 0} | ({1} if shape != "cusp" else set())  # no cusp is rational
+
+
+@pytest.mark.parametrize("edges", [((0, 1), (0, 2), (0, 3)),
+                                   ((0, 1), (0, 2), (0, 3), (3, 4)),
+                                   ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5))],
+                         ids=["D4", "D5", "E6"])
+def test_chi_sweep_on_rational_double_points(edges):
+    # rational, so D = 0 alone attains the box's minimum; chi = 1 is the
+    # least value over D != 0, and Z_E (coefficients 2 and 3 included) the
+    # largest cycle with it
+    n = 1 + max(map(max, edges))
+    g = DualGraph([Vertex(f"A{i}", -2) for i in range(n)], [(f"A{i}", f"A{j}", 1) for i, j in edges])
+    twice = tuple(2 * c for c in fundamental_cycle(g).coeffs)
+    sweep = chi_nonnegative_check(g)
+    assert (2 * sweep.min_chi, sweep.witness) == least_forced_two_chi(
+        g.matrix, adjunction_vector(g), twice) == (2, fundamental_cycle(g).coeffs)
 
 
 def test_engine_exact_on_wide_entries():
@@ -209,6 +312,8 @@ def test_engine_exact_on_wide_entries():
     assert _engine.antinef_in_box(matrix, (1,)) == [(0,), (1,)]
     best, witness = walk(matrix, (0,), (1,))
     assert best == 2**40 and witness == (1,)
+    assert _engine.min_twochi_cut(sparse_rows(matrix), (0,), (1,)) == (0, (0,))
+    assert _engine.min_twochi_cut(sparse_rows(matrix), (2**41,), (3,)) == (-(2**40), (1,))
 
 
 def test_engine_budget_guard():
@@ -248,7 +353,7 @@ def test_kernels_equal_the_old_kernels_on_small_forms():
         if rows is None:
             continue
         tried += 1
-        pruned = _engine.min_twochi_in_box(rows, bounds)
+        pruned = min_twochi_in_box(rows, bounds)
         assert pruned == row_min_twochi_in_box(matrix, adj, bounds), (matrix, adj, bounds)
     assert tried > 2000
 
@@ -288,7 +393,7 @@ def test_one_factorization_on_random_graphs(shape):
         adj = adjunction_vector(g)
         assert canonical_cycle(g).coeffs == tuple(solve(matrix, adj))
         bounds = tuple(rng.randint(0, 3) for _ in range(n))
-        assert _engine.min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
+        assert min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
             matrix, adj, bounds
         )
     assert verdicts == {True, False}

@@ -1,5 +1,7 @@
 """Exhaustive structural property sweeps on the corpus graphs, and the
-chi-sweep kernel against its oracle on random small forms."""
+chi >= 0 kernels against their oracles on random small forms: the
+minimum cut against a brute-force join of every minimiser, and the
+pruned walk it replaced against the first odometer minimum."""
 
 from __future__ import annotations
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import connected_subsets, first_min_two_chi
+from oracles import (connected_subsets, first_min_two_chi, min_two_chi_join, min_twochi_in_box,
+                     sparse_rows)
 from singlab import (
     Cycle,
     chi,
@@ -101,4 +104,14 @@ def small_forms(draw):
 def test_row_kernel_is_the_first_odometer_minimum(form):
     matrix, adj, bounds = form
     rows = factor_bordered(matrix, adj)
-    assert _engine.min_twochi_in_box(rows, bounds) == first_min_two_chi(matrix, adj, bounds)
+    assert min_twochi_in_box(rows, bounds) == first_min_two_chi(matrix, adj, bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_forms())
+def test_cut_is_the_join_of_every_minimiser(form):
+    matrix, adj, bounds = form
+    value, largest = _engine.min_twochi_cut(sparse_rows(matrix), adj, bounds)
+    assert (value, largest) == min_two_chi_join(matrix, adj, bounds)
+    first = first_min_two_chi(matrix, adj, bounds)[0]
+    assert value == min(0, 0 if first is None else first)

@@ -3,7 +3,8 @@ brute-force oracles on seeded elliptic graphs beyond the corpus chains:
 stars and trees with a genus-1 vertex, cusp cycles of rational curves
 (a double edge is a cycle of two) with rational trees hanging off them,
 and double edges wherever the form stays negative definite.  Only
-minimal graphs are drawn: no genus-0 (-1)-curve."""
+minimal graphs are drawn: no genus-0 (-1)-curve.  The same draws with
+one vertex made a genus-0 (-1)-curve are refused as input."""
 
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ import pytest
 
 from oracles import chi_zero_in_box, dense_fundamental_cycle
 from oracles import mat_vec as dense_mat_vec
-from singlab import (DualGraph, InputError, Vertex, elliptic_sequence, is_elliptic,
-                     is_numerically_gorenstein, minimally_elliptic_cycle)
+from singlab import (DualGraph, InputError, Vertex, classify_gorenstein_elliptic_ideals,
+                     elliptic_sequence, is_elliptic, is_numerically_gorenstein,
+                     minimally_elliptic_cycle)
 from singlab import _engine
 from singlab.cycles import _laufer_loop, adjunction_vector, fundamental_cycle
 from singlab.graph import connected_components
@@ -111,3 +113,28 @@ def test_emin_sequence_and_loop_images_match_the_oracles(shape):
     # the draws reach every kind of graph the loop is run on
     assert seen["double edge"] and seen["partial E_min"] and seen["m >= 1"], seen
     assert (seen["genus 1"] > 0) == (shape != "cusp"), seen
+
+
+@pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
+def test_graphs_that_are_not_minimal_are_refused_as_input(shape):
+    """A genus-0 (-1)-curve on an elliptic, numerically Gorenstein draw:
+    the sequence and the classification refuse the graph with InputError
+    before any identity of the sequence is checked, so no such graph
+    ends in InternalCheckError."""
+    rng = random.Random(f"not-minimal-{shape}")
+    refused = 0
+    for _ in range(300):
+        vertices, edges = _draw(rng, shape)
+        v = rng.randrange(len(vertices))
+        vertices[v] = Vertex(vertices[v].id, -1, 0)
+        try:
+            g = DualGraph(vertices, edges)
+        except InputError:  # not negative definite
+            continue
+        if not (is_elliptic(g) and is_numerically_gorenstein(g)):
+            continue
+        for build in (elliptic_sequence, lambda g: classify_gorenstein_elliptic_ideals(g, 1)):
+            with pytest.raises(InputError, match=f"not minimal: vertex V{v} is a genus-0"):
+                build(g)
+        refused += 1
+    assert refused >= 5, refused
