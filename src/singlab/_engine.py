@@ -24,7 +24,8 @@ counts every candidate of the box, however few a kernel visits, so the
 budget, like the chi sweep's 200k cap and sampled mode in
 ``singlab.elliptic``, does not depend on how a box is certified.  ``check_count``
 holds any other count to the same budget: ``singlab.artinian`` checks
-its staircase box and its matrix size with it before it allocates.
+its staircase box and its matrix size with it before it allocates, and
+``DualGraph`` the n^2 entries of the dense form it eliminates.
 
 Environment variables:
     SINGLAB_MAX_ENUM  candidate budget for the guarded scans (default 10**7).

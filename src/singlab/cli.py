@@ -15,9 +15,12 @@ Subcommands:
 
 Every subcommand takes --format json|text.  Exit codes: 0 success, 1 input
 error (a malformed command line included) or stdout closed early, 2 internal
-invariant violation.  A call builds one argument parser, that of its own
-leaf command; help and usage errors above the leaves use the full tree,
-whose leaves are filled by the same ``_fill``.
+invariant violation.  A plain leaf command line (each option spelled in
+full and given once, every value one its type and choices accept) is read
+straight off ``_COMMANDS`` and builds no argument parser.  Any other line
+builds one, that of its own leaf command, so argparse writes every help
+text, usage line and error; help and usage errors above the leaves use
+the full tree, whose leaves are filled by the same ``_fill``.
 """
 
 from __future__ import annotations
@@ -218,6 +221,9 @@ def _cmd_verify_paper(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 _FILE = (("file",), {"help": "graph JSON document ('-' for stdin)"})
+# every leaf's first argument
+_FORMAT = (("--format",), {"choices": ("text", "json"), "default": "text",
+                           "help": "output format (default: text)"})
 
 # (command words, help, arguments in order as (flags, add_argument keywords),
 # handler); entries sharing a first word form a group, listed in this order
@@ -274,11 +280,7 @@ class _Parser(argparse.ArgumentParser):
 def _fill(parser, arguments, handler):
     """Declare a leaf's arguments on ``parser``: --format, which every leaf
     takes, then its own, in order; its handler is the default."""
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
-    )
-    for flags, options in arguments:
+    for flags, options in (_FORMAT, *arguments):
         parser.add_argument(*flags, **options)
     parser.set_defaults(handler=handler)
     return parser
@@ -305,16 +307,78 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _leaf_parser(entry) -> argparse.ArgumentParser:
-    """One leaf command's parser alone, the one parser a call builds: the
-    same ``_Parser`` filled by the same ``_fill`` as in ``_build_parser``."""
+    """One leaf command's parser alone, for the command lines that
+    ``_read_plain`` leaves to argparse: the same ``_Parser`` filled by the
+    same ``_fill`` as in ``_build_parser``."""
     words, _, arguments, handler = entry
     return _fill(_Parser(prog=" ".join(("singlab", *words))), arguments, handler)
 
 
-def _parse(argv: list):
-    """Parse with only the leaf parser that argv's command words name.
+def _read_plain(entry, argv) -> argparse.Namespace | None:
+    """The namespace the leaf parser of ``entry`` returns for ``argv``, read
+    straight off the entry, or None unless ``argv`` is plain.
 
-    It is built as the full tree builds that subparser, so its help and
+    Plain means: each option exact and given once, as ``--opt VALUE`` or
+    ``--opt=VALUE``, a ``store_true`` flag bare; no value or positional
+    that starts with '-', but '-' itself (stdin); every value accepted by
+    its ``type`` and ``choices``; every positional and required option
+    present and nothing else.  Help, abbreviations, '--' and every error
+    are argparse's, so it answers only where argparse reads the same.  It
+    reads the add_argument keywords ``_COMMANDS`` uses: ``type``,
+    ``choices``, ``required``, ``default`` and ``action="store_true"``.
+    """
+    _, _, arguments, handler = entry
+    specs = (_FORMAT, *arguments)
+    named = {flags[0]: options for flags, options in specs}
+    given, loose = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            loose.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        options = named.get(flag)
+        if options is None or flag in given:
+            return None
+        if options.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+            if value is None or value[:1] == "-" and value != "-":
+                return None
+        given[flag] = value
+    positionals = [flags[0] for flags, _ in specs if flags[0][0] != "-"]
+    if len(loose) != len(positionals):
+        return None
+    given.update(zip(positionals, loose))
+    out = {}
+    for (flag, *_), options in specs:
+        if flag in given:
+            value = given[flag]
+            if "type" in options:
+                try:
+                    value = options["type"](value)
+                except (TypeError, ValueError):
+                    return None
+            if value not in options.get("choices", (value,)):
+                return None
+        elif options.get("required"):
+            return None
+        else:
+            value = options.get("default", False if "action" in options else None)
+        out[flag[2:].replace("-", "_") if flag[0] == "-" else flag] = value
+    return argparse.Namespace(**out, handler=handler)
+
+
+def _parse(argv: list):
+    """Read argv's command words, then the rest of the line.
+
+    A plain leaf command line is read by ``_read_plain`` and builds no
+    parser.  Any other line after a leaf's words goes to that leaf's
+    parser, built as the full tree builds that subparser, so its help and
     errors read the same.  Anything else (no command, an unknown one, a
     bare group, top-level options, or arguments the leaf does not know,
     which the full tree reports at the top level) goes to the full tree.
@@ -322,7 +386,11 @@ def _parse(argv: list):
     for entry in _COMMANDS:
         words = entry[0]
         if tuple(argv[:len(words)]) == words:
-            args, rest = _leaf_parser(entry).parse_known_args(argv[len(words):])
+            tail = argv[len(words):]
+            args = _read_plain(entry, tail)
+            if args is not None:
+                return args
+            args, rest = _leaf_parser(entry).parse_known_args(tail)
             if not rest:
                 return args
             break

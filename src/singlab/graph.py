@@ -37,6 +37,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
+from . import _engine
 from ._linalg import factor_bordered
 from .errors import InputError, _is_exact, _is_int
 
@@ -62,7 +63,8 @@ class DualGraph:
     ``adjunction[i]`` is K . E_i = 2 g_i - 2 - E_i^2, and ``elimination``
     the rows of ``is_negative_definite``.  The constructor rejects with
     InputError anything that is not a connected resolution graph, a form
-    that is not negative definite included.
+    that is not negative definite included, and with EnumerationLimitError
+    a graph whose n^2 dense entries exceed ``SINGLAB_MAX_ENUM``.
     """
 
     __slots__ = ("vertices", "edges", "rows", "adjunction", "elimination", "_index", "_cache")
@@ -130,6 +132,8 @@ class DualGraph:
         if len(components) != 1:
             missing = verts[min(components[1])].id
             raise InputError(f"graph is disconnected (vertex {missing!r} unreachable)")
+        # the elimination reads the dense form: its n^2 entries are budgeted first
+        _engine.check_count(len(verts) ** 2, "the dense intersection form", "entries")
         if not is_negative_definite(self):
             raise InputError("intersection matrix is not negative definite")
 

@@ -10,6 +10,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singlab import Cycle, EnumerationLimitError, cli, enumerate_antinef_upto
 from singlab.cli import main
@@ -169,6 +171,20 @@ def test_graph_commands_ignore_the_enumeration_budget(tmp_path, capsys, monkeypa
         enumerate_antinef_upto(g, Cycle(g, (3, 3, 3)))
 
 
+def test_a_graph_past_the_budget_exits_1_before_its_dense_form(tmp_path, capsys, monkeypatch):
+    # n vertices take n^2 dense entries; a graph past the budget is an input
+    # error, so a huge corpus parameter is refused instead of exhausting memory
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(fig2312(10)))  # n = 21
+    fig2312.cache_clear()  # the corpus keeps the graph it built
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "100")
+    message = ("error: the dense intersection form needs 441 entries, above the budget of 100; "
+               "raise SINGLAB_MAX_ENUM to force it\n")
+    for argv in (["corpus", "emit", "fig2312", "10"], ["graph", "analyze", str(path)]):
+        assert run(capsys, *argv) == (1, "", message)
+    assert run(capsys, "corpus", "emit", "fig2312", "4")[0] == 0  # n = 9: 81 entries
+
+
 def test_artinian_command(capsys):
     code, out, _ = run(capsys, "artinian", "colength", "--poly", "x^2+z^7+y^4*z",
                        "--ideal", "x,y,z", "--format", "json")
@@ -289,12 +305,117 @@ def test_a_leaf_command_builds_only_its_own_parser(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert main(["brieskorn", "3", "5", "5"]) == 0
-    assert built == ["singlab brieskorn"]  # the leaf alone, --format included
+    assert built == []  # a plain line is read off _COMMANDS
+    for tail, code in ((["--help"], 0), (["--format", "xml"], 1), (["--fo", "json"], None)):
+        built.clear()
+        if code is None:  # an abbreviation is argparse's to read
+            assert main(["brieskorn", "3", "5", "5", *tail]) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(["brieskorn", "3", "5", "5", *tail])
+            assert exc.value.code == code
+        assert built == ["singlab brieskorn"]  # the leaf alone, --format included
     built.clear()
     with pytest.raises(SystemExit):  # a bare group needs the full tree's usage
         main(["graph"])
     assert len(built) == 13
     capsys.readouterr()
+
+
+# Tokens of the differential test below: values good and bad for every
+# type and choice, and the spellings that only argparse reads.
+_VALUES = ("0", "7", "-3", "\u0663", " 5", "", "x", "json", "xml", "x,y,z^2",
+           "-", "-x", "--", "-h", "--help")
+_NOISE = ("--", "-", "-h", "--help", "--fo", "--format", "--format=json", "--pg=",
+          "--no-char0", "-5", "7", "")
+
+
+def _good_values(options):
+    if "choices" in options:
+        return options["choices"]
+    if options.get("type") is int:
+        return ("0", "7", "12", "\u0663", " 5")
+    return ("x", "x^2+y^3", "x,y,z^2", "3,2,1", "-", "")
+
+
+@st.composite
+def _command_lines(draw):
+    """(entry, argv): a clean line of a leaf, each argument exact, once,
+    with a value its type and choices accept, in any order; then up to two
+    faults, each dropping, repeating or abbreviating an argument, giving
+    it a bad value (a bare flag gets an ``=`` value), or adding noise."""
+    entry = draw(st.sampled_from(cli._COMMANDS))
+    chunks = []
+    for (flag, *_), options in (cli._FORMAT, *entry[2]):
+        value = draw(st.sampled_from(_good_values(options)))
+        if flag[0] != "-":
+            chunks.append([value])
+        elif options.get("action") == "store_true":
+            chunks += [[flag]] * draw(st.integers(0, 1))
+        elif options.get("required") or draw(st.booleans()):
+            chunks.append(draw(st.sampled_from(([flag, value], [f"{flag}={value}"]))))
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(("drop", "repeat", "abbreviate", "value", "noise")))
+        if fault == "noise" or not chunks:
+            chunks.append([draw(st.sampled_from(_NOISE))])
+            continue
+        i = draw(st.integers(0, len(chunks) - 1))
+        flag, eq, value = chunks[i][0].partition("=")
+        if fault == "drop":
+            del chunks[i]
+        elif fault == "repeat":
+            chunks.append(chunks[i])
+        elif flag[:1] != "-":  # a positional's value
+            chunks[i] = [draw(st.sampled_from(_VALUES))]
+        elif fault == "abbreviate" and len(flag) > 3:
+            chunks[i] = [flag[:draw(st.integers(3, len(flag) - 1))] + eq + value, *chunks[i][1:]]
+        elif len(chunks[i]) == 2:
+            chunks[i] = [flag, draw(st.sampled_from(_VALUES))]
+        else:
+            chunks[i] = [f"{flag}={draw(st.sampled_from(_VALUES))}"]
+    return entry, [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+_LEAF = {" ".join(entry[0]): entry for entry in cli._COMMANDS}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_command_lines())
+@example((_LEAF["artinian colength"], ["--poly=--", "--ideal=x"]))  # argparse reads []
+@example((_LEAF["artinian colength"], ["--poly=x", "--ideal", "x", "--saturate="]))
+@example((_LEAF["classify"], ["-", "--pg=3", "--no-char0=1"]))
+@example((_LEAF["classify"], ["-", "--pg", "3", "--pg", "x"]))
+@example((_LEAF["brieskorn"], ["2", "3", "--", "5"]))
+@example((_LEAF["brieskorn"], ["2", "3", "-5"]))
+@example((_LEAF["corpus emit"], ["fig2312", "3", "--format=json", "--format", "xml"]))
+def test_a_plain_reading_is_the_leaf_parsers(case):
+    # whenever the reader off _COMMANDS answers, argparse reads the same
+    # line to an equal namespace with nothing left over
+    entry, argv = case
+    args = cli._read_plain(entry, argv)
+    if args is not None:
+        expected, rest = cli._leaf_parser(entry).parse_known_args(argv)
+        assert (vars(args), rest) == (vars(expected), [])
+
+
+def _benchmark_lines():
+    """Every command line the benchmark's elliptic-ladder, wide-graphs
+    and acceptance workloads send, by shape: one graph document on stdin
+    and JSON output, or verify-paper."""
+    lines = [["elliptic", "sequence", "-"], ["graph", "analyze", "-"], ["verify-paper"]]
+    lines += [["classify", "-", "--pg", str(pg)] for pg in range(1, 40)]
+    return [line + ["--format", "json"] for line in lines]
+
+
+@pytest.mark.parametrize("argv", _benchmark_lines(), ids=" ".join)
+def test_benchmark_command_lines_build_no_parser(argv, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a parser was built")
+
+    entry = next(e for e in cli._COMMANDS if tuple(argv[:len(e[0])]) == e[0])
+    expected = cli._leaf_parser(entry).parse_args(argv[len(entry[0]):])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert vars(cli._parse(argv)) == vars(expected)
 
 
 def _exit_of(parse, argv, capsys):

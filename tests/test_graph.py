@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from singlab import (
     Cycle,
     DualGraph,
+    EnumerationLimitError,
     InputError,
     QCycle,
     Vertex,
@@ -21,6 +22,7 @@ from singlab import (
     parse_graph,
     serialize_graph,
 )
+from singlab import graph as graph_module
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.cycles import fundamental_cycle
 
@@ -134,6 +136,27 @@ def test_semidefinite_and_zero_forms_are_rejected_at_construction():
         )
     with pytest.raises(InputError, match="not negative definite"):
         DualGraph([Vertex("A", 0)], [])
+
+
+def test_dense_form_past_the_budget_is_refused_before_it_is_built(monkeypatch):
+    # fig2312(10) has n = 21 vertices, so its elimination would read 441
+    # dense entries: past the budget, the constructor refuses it, built or
+    # parsed, before the elimination allocates anything
+    text = serialize_graph(fig2312(10))
+    fig2312.cache_clear()  # the corpus keeps the graph it built
+
+    def never(*args):
+        raise AssertionError("the dense form was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "factor_bordered", never)
+        patch.setenv("SINGLAB_MAX_ENUM", "440")
+        for build in (lambda: parse_graph(text), lambda: fig2312(10)):
+            with pytest.raises(EnumerationLimitError,
+                               match="needs 441 entries, above the budget of 440"):
+                build()
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "441")
+    assert parse_graph(text) == fig2312(10)
 
 
 def test_duplicate_edge_entries_merge():
