@@ -6,12 +6,13 @@ input size; no float or Fraction is used.
 
 ``antinef_in_box`` lists the anti-nef D in mixed-radix odometer order,
 index 0 fastest, as a scan of every candidate would.  It steps the
-odometer over axes 1..n-1 only, keeping M.D up to date along the sparse
-columns of M (O(degree) per step) together with the number of positive
-entries that column 0 cannot change.  While that number is zero, the
-anti-nef points of a row along axis 0 form one interval, read off the
-rows of M that column 0 meets; otherwise the row holds none.  The cost
-is O(rows * degree + output).
+odometer over axes 1..n-1 only, keeping M.D up to date along the
+graph's sparse rows, each a column of the symmetric M (O(degree) per
+step), together with the number of positive entries that column 0
+cannot change.  While that number is zero, the anti-nef points of a row
+along axis 0 form one interval, read off the rows of M that column 0
+meets; otherwise the row holds none.  The cost is O(rows * degree +
+output).
 
 ``min_twochi_cut`` certifies the whole box at once: the least 2chi on it
 and the largest D attaining it are one s-t minimum cut of a network with
@@ -80,18 +81,15 @@ def check_budget(bounds, what: str = "enumeration") -> int:
     return check_count(box_size(bounds), what)
 
 
-def _sparse_columns(matrix, n):
-    """The nonzero (i, m_ij) of each column j of the leading n x n block."""
-    return [[(i, matrix[i][j]) for i in range(n) if matrix[i][j]] for j in range(n)]
-
-
-def antinef_in_box(matrix, bounds):
+def antinef_in_box(rows, bounds):
     """All D in the box with M.D <= 0 componentwise (includes D = 0), in
     odometer order, index 0 fastest.
 
-    The odometer runs over axes 1..n-1 with s = M.D at d_0 = 0.  A row i
-    of M with m_i0 != 0 bounds x = d_0 by s_i + m_i0 x <= 0: from above
-    when m_i0 > 0, from below when m_i0 < 0 (row 0 of a negative definite
+    ``rows`` are the sparse rows of M (``DualGraph.rows``); M is
+    symmetric, so row j is also column j, the entries d_j moves.  The
+    odometer runs over axes 1..n-1 with s = M.D at d_0 = 0.  A row i of M
+    with m_i0 != 0 bounds x = d_0 by s_i + m_i0 x <= 0: from above when
+    m_i0 > 0, from below when m_i0 < 0 (row 0 of a negative definite
     form).  Any other row does not depend on x, so while none of them has
     s_i > 0 the row's anti-nef points are one interval of x, and none
     otherwise.
@@ -99,11 +97,12 @@ def antinef_in_box(matrix, bounds):
     n = len(bounds)
     if n == 0:
         return [()]
-    cols = _sparse_columns(matrix, n)
     b0 = bounds[0]
-    upper = [(i, m) for i, m in cols[0] if m > 0]
-    lower = [(i, -m) for i, m in cols[0] if m < 0]
-    free = [not row[0] for row in matrix]  # rows that x = d_0 leaves alone
+    upper = [(i, m) for i, m in rows[0] if m > 0]
+    lower = [(i, -m) for i, m in rows[0] if m < 0]
+    free = [True] * n  # rows that x = d_0 leaves alone
+    for i, m in rows[0]:
+        free[i] = not m
     d = [0] * n
     s = [0] * n  # M.D, with d_0 held at 0
     positive = 0  # free rows i with s_i > 0
@@ -122,7 +121,7 @@ def antinef_in_box(matrix, bounds):
         while j < n and d[j] == bounds[j]:
             k = d[j]
             if k:
-                for i, m in cols[j]:
+                for i, m in rows[j]:
                     old = s[i]
                     s[i] = new = old - k * m
                     if free[i]:
@@ -132,13 +131,11 @@ def antinef_in_box(matrix, bounds):
         if j == n:
             return out
         d[j] += 1
-        for i, m in cols[j]:
+        for i, m in rows[j]:
             old = s[i]
             s[i] = new = old + m
             if free[i]:
                 positive += (new > 0) - (old > 0)
-
-
 
 
 def min_twochi_cut(rows, adj, bounds):

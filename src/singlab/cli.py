@@ -15,12 +15,11 @@ Subcommands:
 
 Every subcommand takes --format json|text.  Exit codes: 0 success, 1 input
 error (a malformed command line included) or stdout closed early, 2 internal
-invariant violation.  A plain leaf command line (each option spelled in
-full and given once, every value one its type and choices accept) is read
-straight off ``_COMMANDS`` and builds no argument parser.  Any other line
-builds one, that of its own leaf command, so argparse writes every help
-text, usage line and error; help and usage errors above the leaves use
-the full tree, whose leaves are filled by the same ``_fill``.
+invariant violation.  A command line is read one of two ways.  A plain
+leaf command line (each option spelled in full and given once, every value
+one its type and choices accept) is read straight off ``_COMMANDS`` and
+builds no argument parser.  Any other line goes to the full command tree,
+so argparse writes every help text, usage line and error.
 """
 
 from __future__ import annotations
@@ -287,7 +286,7 @@ def _fill(parser, arguments, handler):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The full command tree, for help and usage errors above the leaves."""
+    """The full command tree, for every line ``_read_plain`` declines."""
     parser = _Parser(
         prog="singlab",
         description="Exact invariants of resolution graphs of normal surface singularities.",
@@ -306,24 +305,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _leaf_parser(entry) -> argparse.ArgumentParser:
-    """One leaf command's parser alone, for the command lines that
-    ``_read_plain`` leaves to argparse: the same ``_Parser`` filled by the
-    same ``_fill`` as in ``_build_parser``."""
-    words, _, arguments, handler = entry
-    return _fill(_Parser(prog=" ".join(("singlab", *words))), arguments, handler)
-
-
 def _read_plain(entry, argv) -> argparse.Namespace | None:
-    """The namespace the leaf parser of ``entry`` returns for ``argv``, read
-    straight off the entry, or None unless ``argv`` is plain.
+    """The namespace the full tree's leaf of ``entry`` returns for
+    ``argv``, read straight off the entry, or None unless ``argv`` is plain.
 
     Plain means: each option exact and given once, as ``--opt VALUE`` or
-    ``--opt=VALUE``, a ``store_true`` flag bare; no value or positional
-    that starts with '-', but '-' itself (stdin); every value accepted by
-    its ``type`` and ``choices``; every positional and required option
-    present and nothing else.  Help, abbreviations, '--' and every error
-    are argparse's, so it answers only where argparse reads the same.  It
+    ``--opt=VALUE``, a ``store_true`` flag bare; no separated value or
+    positional that starts with '-', but '-' itself (stdin), and no
+    ``=`` value '--' (argparse drops it); every value accepted by its
+    ``type`` and ``choices``; every positional and required option present
+    and nothing else.  Help, abbreviations, '--' and every error are
+    argparse's, so it answers only where argparse reads the same.  It
     reads the add_argument keywords ``_COMMANDS`` uses: ``type``,
     ``choices``, ``required``, ``default`` and ``action="store_true"``.
     """
@@ -347,7 +339,9 @@ def _read_plain(entry, argv) -> argparse.Namespace | None:
         else:
             if not eq:
                 value = next(tokens, None)
-            if value is None or value[:1] == "-" and value != "-":
+                if value is None or value[:1] == "-" and value != "-":
+                    return None
+            elif value == "--":
                 return None
         given[flag] = value
     positionals = [flags[0] for flags, _ in specs if flags[0][0] != "-"]
@@ -374,27 +368,26 @@ def _read_plain(entry, argv) -> argparse.Namespace | None:
 
 
 def _parse(argv: list):
-    """Read argv's command words, then the rest of the line.
+    """Read a command line: a plain leaf line by ``_read_plain``, which
+    builds no parser, and any other by the full tree.
 
-    A plain leaf command line is read by ``_read_plain`` and builds no
-    parser.  Any other line after a leaf's words goes to that leaf's
-    parser, built as the full tree builds that subparser, so its help and
-    errors read the same.  Anything else (no command, an unknown one, a
-    bare group, top-level options, or arguments the leaf does not know,
-    which the full tree reports at the top level) goes to the full tree.
+    argparse reads an ``=`` value '--' as an empty list and checks neither
+    its type nor its choices; no command takes a list, so such a line is
+    refused as a usage error.
     """
     for entry in _COMMANDS:
         words = entry[0]
         if tuple(argv[:len(words)]) == words:
-            tail = argv[len(words):]
-            args = _read_plain(entry, tail)
+            args = _read_plain(entry, argv[len(words):])
             if args is not None:
                 return args
-            args, rest = _leaf_parser(entry).parse_known_args(tail)
-            if not rest:
-                return args
             break
-    return _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return args
 
 
 def main(argv=None) -> int:

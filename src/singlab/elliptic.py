@@ -457,7 +457,7 @@ def enumerate_antinef_upto(g: DualGraph, c: Cycle) -> list[Cycle]:
     if not c.is_effective:
         raise InputError("bounding cycle must be effective")
     _engine.check_budget(c.coeffs, what="anti-nef enumeration")
-    found = _engine.antinef_in_box(g.matrix, c.coeffs)
+    found = _engine.antinef_in_box(g.rows, c.coeffs)
     return [Cycle(g, d) for d in found]
 
 

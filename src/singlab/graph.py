@@ -16,10 +16,10 @@ The form is stored once, as sparse rows, the diagonal entry and then one
 entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,
 ``is_anti_nef`` and through them the cycles and the elliptic sequence)
 costs O(n + |E|).  The exhaustive chi >= 0 sweep builds its minimum-cut
-network on the same rows.  The dense ``matrix`` is built from the rows
-on each read and kept nowhere; its readers take it once each: the
-elimination at construction, the printed matrix of ``graph analyze``,
-the sampled chi sweep and the anti-nef box scan.
+network on the same rows, and the anti-nef box scan walks them.  The
+dense ``matrix`` is built from the rows on each read and kept nowhere;
+its readers take it once each: the elimination at construction, the
+printed matrix of ``graph analyze`` and the sampled chi sweep.
 
 A graph object keeps, in ``_cache`` and only through ``per_graph``: Z_E
 (``fundamental_cycle`` of every vertex, without ``rng``), K, the chi >= 0

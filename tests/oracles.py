@@ -7,13 +7,13 @@ are the box kernels the package used before it pruned its scans: they
 visit every row or every candidate, and the pruned kernels must return
 exactly what they return, in the same order; the pruned walk of the
 graph's one elimination that certified the chi >= 0 boxes before one
-minimum cut did (it still imports ``_engine._sparse_columns``, which the
-anti-nef scan keeps); the linear solve the
-package used for the canonical cycle before it read K off the graph's one
-elimination; the Laufer loop as it ran on the dense matrix before the
-form became sparse rows; and the check of the -1 chains as it stood
-before it was telescoped, with its chain-adjacency test and its
-adjunction clause.
+minimum cut did; the linear solve the package used for the canonical
+cycle before it read K off the graph's one elimination; the Laufer loop
+as it ran on the dense matrix before the form became sparse rows; and
+the check of the -1 chains as it stood before it was telescoped, with
+its chain-adjacency test and its adjunction clause.  The kernels of the
+package take ``DualGraph.rows``; ``sparse_rows`` lays out a raw matrix
+the same way for them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from singlab._engine import _sparse_columns
 from singlab._linalg import eliminate
 from singlab.errors import InputError, InternalCheckError
 from singlab.elliptic import EllipticSequence, MinusOneChainReport
@@ -340,8 +339,7 @@ def min_twochi_in_box(rows, bounds):
         return None, None
     p = [1, *(rows[i][i] for i in range(n))]
     # column j of 2 a_ij over i < j: how d_j moves N_i
-    cols = [[(i, 2 * m) for i, m in col if i < j]
-            for j, col in enumerate(_sparse_columns(rows, n))]
+    cols = [[(i, 2 * rows[i][j]) for i in range(j) if rows[i][j]] for j in range(n)]
     k = [rows[i][n] for i in range(n)]  # N_i - 2 p_(i+1) d_i
     w = [0] * n + [rows[n][n]]
     d = [0] * n

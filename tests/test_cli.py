@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import signal
@@ -280,6 +281,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
                  "'verify-paper')"),
     (["wh", "--weights", "1,1,1"],
      "singlab wh: error: the following arguments are required: --poly"),
+    # argparse reads an = value '--' as [], unchecked; no command takes a list
+    (["wh", "--weights=--", "--poly=x"],
+     "singlab: error: argument --weights: expected one argument"),
+    (["corpus", "emit", "fig2312", "1", "--format=--"],
+     "singlab: error: argument --format: expected one argument"),
+    (["artinian", "colength", "--poly=--", "--ideal=x"],
+     "singlab: error: argument --poly: expected one argument"),
 ])
 def test_malformed_command_line_exits_1(argv, message):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
@@ -295,7 +303,7 @@ def test_malformed_command_line_exits_1(argv, message):
     assert exc.value.code == 1
 
 
-def test_a_leaf_command_builds_only_its_own_parser(monkeypatch, capsys):
+def test_a_leaf_command_builds_no_parser_or_the_full_tree(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -314,11 +322,7 @@ def test_a_leaf_command_builds_only_its_own_parser(monkeypatch, capsys):
             with pytest.raises(SystemExit) as exc:
                 main(["brieskorn", "3", "5", "5", *tail])
             assert exc.value.code == code
-        assert built == ["singlab brieskorn"]  # the leaf alone, --format included
-    built.clear()
-    with pytest.raises(SystemExit):  # a bare group needs the full tree's usage
-        main(["graph"])
-    assert len(built) == 13
+        assert len(built) == 13  # the full tree: the top, four groups, eight leaves
     capsys.readouterr()
 
 
@@ -382,6 +386,10 @@ _LEAF = {" ".join(entry[0]): entry for entry in cli._COMMANDS}
 @settings(max_examples=1000, deadline=None)
 @given(_command_lines())
 @example((_LEAF["artinian colength"], ["--poly=--", "--ideal=x"]))  # argparse reads []
+@example((_LEAF["artinian colength"], ["--poly=-x^2+y^3", "--ideal=x"]))
+@example((_LEAF["artinian colength"], ["--poly", "-x^2+y^3", "--ideal=x"]))
+@example((_LEAF["classify"], ["-", "--pg=-3"]))
+@example((_LEAF["wh"], ["--weights=3,2,1", "--poly=--x"]))
 @example((_LEAF["artinian colength"], ["--poly=x", "--ideal", "x", "--saturate="]))
 @example((_LEAF["classify"], ["-", "--pg=3", "--no-char0=1"]))
 @example((_LEAF["classify"], ["-", "--pg", "3", "--pg", "x"]))
@@ -389,33 +397,79 @@ _LEAF = {" ".join(entry[0]): entry for entry in cli._COMMANDS}
 @example((_LEAF["brieskorn"], ["2", "3", "-5"]))
 @example((_LEAF["corpus emit"], ["fig2312", "3", "--format=json", "--format", "xml"]))
 def test_a_plain_reading_is_the_leaf_parsers(case):
-    # whenever the reader off _COMMANDS answers, argparse reads the same
-    # line to an equal namespace with nothing left over
+    # whenever the reader off _COMMANDS answers, the full tree reads the
+    # same line to an equal namespace with nothing left over
     entry, argv = case
     args = cli._read_plain(entry, argv)
     if args is not None:
-        expected, rest = cli._leaf_parser(entry).parse_known_args(argv)
-        assert (vars(args), rest) == (vars(expected), [])
+        assert (vars(args), []) == _tree_reading(cli._build_parser(), [*entry[0], *argv])
 
 
-def _benchmark_lines():
-    """Every command line the benchmark's elliptic-ladder, wide-graphs
-    and acceptance workloads send, by shape: one graph document on stdin
-    and JSON output, or verify-paper."""
+def _tree_reading(tree, argv):
+    """(namespace dict, leftovers) of the full tree on argv, without the
+    command words it records under ``command`` and ``subcommand``."""
+    args, rest = tree.parse_known_args(argv)
+    out = vars(args)
+    out.pop("command")
+    out.pop("subcommand", None)
+    return out, rest
+
+
+def _refuse_parsers(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+
+
+def _shape_lines():
+    """Graph command lines by shape: one document on stdin and JSON output,
+    or verify-paper, with every genus up to 39, more than the seeded
+    workloads below reach."""
     lines = [["elliptic", "sequence", "-"], ["graph", "analyze", "-"], ["verify-paper"]]
     lines += [["classify", "-", "--pg", str(pg)] for pg in range(1, 40)]
     return [line + ["--format", "json"] for line in lines]
 
 
-@pytest.mark.parametrize("argv", _benchmark_lines(), ids=" ".join)
+@pytest.mark.parametrize("argv", _shape_lines(), ids=" ".join)
 def test_benchmark_command_lines_build_no_parser(argv, monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a parser was built")
+    expected = _tree_reading(cli._build_parser(), argv)
+    _refuse_parsers(monkeypatch)
+    assert (vars(cli._parse(argv)), []) == expected
 
-    entry = next(e for e in cli._COMMANDS if tuple(argv[:len(e[0])]) == e[0])
-    expected = cli._leaf_parser(entry).parse_args(argv[len(entry[0]):])
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
-    assert vars(cli._parse(argv)) == vars(expected)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("elliptic-ladder", "wide-graphs", "artinian-oracle", "acceptance")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's ``workloads`` module, imported from its directory
+    without writing bytecode there; ``checks`` is its sibling import."""
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        module = importlib.import_module("workloads")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("checks", None)
+    assert sorted(module.WORKLOADS) == sorted(WORKLOADS)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_command_lines_build_no_parser(workload, seed, workloads, monkeypatch):
+    # every line a benchmark operation sends is plain: read off
+    # _COMMANDS to the namespace the full tree reads
+    tree = cli._build_parser()
+    lines = [list(op.argv) for op in workloads.operations(workload, seed)]
+    expected = [_tree_reading(tree, argv) for argv in lines]
+    _refuse_parsers(monkeypatch)
+    for argv, reading in zip(lines, expected):
+        assert (vars(cli._parse(argv)), []) == reading, argv
 
 
 def _exit_of(parse, argv, capsys):
@@ -428,13 +482,9 @@ def _exit_of(parse, argv, capsys):
 @pytest.mark.parametrize("entry", cli._COMMANDS, ids=[" ".join(e[0]) for e in cli._COMMANDS])
 @pytest.mark.parametrize("argv", [["--help"], ["--format", "xml"]], ids=["help", "usage-error"])
 def test_a_leaf_parser_reads_as_the_full_tree_leaf(entry, argv, capsys):
-    # the one parser a call builds prints the same help and usage errors,
-    # byte for byte, as the same leaf of the full tree
+    # a leaf's help and usage errors are those of its leaf in the full tree
     words = list(entry[0])
-    alone = _exit_of(cli._leaf_parser(entry).parse_args, argv, capsys)
-    in_tree = _exit_of(cli._build_parser().parse_args, words + argv, capsys)
-    assert alone == in_tree
-    code, out, err = alone
+    code, out, err = _exit_of(cli._parse, words + argv, capsys)
     text = out or err
     assert text.startswith(f"usage: singlab {' '.join(words)} [-h] [--format {{text,json}}]")
     assert (code, bool(out)) == ((0, True) if argv == ["--help"] else (1, False))

@@ -20,7 +20,6 @@ and say in the change log which outputs moved and why.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -31,7 +30,6 @@ from pathlib import Path
 
 import pytest
 
-from singlab import cli
 from singlab.cli import main
 
 FAMILIES = ("fig2312", "fig244", "brell3")
@@ -217,24 +215,6 @@ def test_help_and_usage_errors_match_golden():
         assert expected[_malformed_key(argv)]["exit"] == 1
     for key, record in actual.items():
         assert record == expected[key], key
-
-
-def _subparser(parser, words):
-    for word in words:
-        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = action.choices[word]
-    return parser
-
-
-def test_leaf_parsers_match_the_full_tree():
-    tree = cli._build_parser()
-    with _columns(80):
-        for entry in cli._COMMANDS:
-            branch = _subparser(tree, entry[0])
-            leaf = cli._leaf_parser(entry)
-            assert leaf.prog == branch.prog
-            assert leaf.format_help() == branch.format_help()
-            assert leaf.format_usage() == branch.format_usage()
 
 
 def test_golden_table_covers_every_run():

@@ -70,7 +70,7 @@ CASES.append(((( -2, 1), (1, -2)), (0, 0), (4, 3)))
 def test_pure_kernels_match_oracles(case):
     # the kernels scan index 0 fastest, the oracle the last index: compare sorted
     matrix, adj, bounds = CASES[case]
-    assert sorted(_engine.antinef_in_box(matrix, bounds)) == sorted(
+    assert sorted(_engine.antinef_in_box(sparse_rows(matrix), bounds)) == sorted(
         oracle_antinef(matrix, bounds)
     )
     assert walk(matrix, adj, bounds) == first_min_two_chi(matrix, adj, bounds)
@@ -198,7 +198,7 @@ def test_kernels_equal_the_old_kernels_on_permuted_corpus_rungs(name, g):
         cm = seq.partial_sum(seq.m).coeffs
         boxes = [b for b in (twice, cm) if _engine.box_size(b) <= 60_000] or [ze]
         for box in boxes:
-            assert _engine.antinef_in_box(h.matrix, box) == odometer_antinef_in_box(h.matrix, box)
+            assert _engine.antinef_in_box(h.rows, box) == odometer_antinef_in_box(h.matrix, box)
 
 
 @pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
@@ -211,9 +211,7 @@ def test_kernels_equal_the_old_kernels_on_random_graphs(shape):
         assert min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
             g.matrix, adj, bounds
         )
-        assert _engine.antinef_in_box(g.matrix, bounds) == odometer_antinef_in_box(
-            g.matrix, bounds
-        )
+        assert _engine.antinef_in_box(g.rows, bounds) == odometer_antinef_in_box(g.matrix, bounds)
 
 
 @pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
@@ -309,7 +307,7 @@ def test_chi_sweep_on_rational_double_points(edges):
 def test_engine_exact_on_wide_entries():
     # a 2^40-sized entry: the single scan path answers exactly
     matrix = ((-(2**40),),)
-    assert _engine.antinef_in_box(matrix, (1,)) == [(0,), (1,)]
+    assert _engine.antinef_in_box(sparse_rows(matrix), (1,)) == [(0,), (1,)]
     best, witness = walk(matrix, (0,), (1,))
     assert best == 2**40 and witness == (1,)
     assert _engine.min_twochi_cut(sparse_rows(matrix), (0,), (1,)) == (0, (0,))
@@ -345,7 +343,8 @@ def test_kernels_equal_the_old_kernels_on_small_forms():
         matrix = tuple(map(tuple, matrix))
         adj = tuple(rng.randint(-8, 8) for _ in range(n))
         bounds = tuple(rng.randint(0, 4) for _ in range(n))
-        assert _engine.antinef_in_box(matrix, bounds) == odometer_antinef_in_box(matrix, bounds)
+        assert _engine.antinef_in_box(sparse_rows(matrix), bounds) == odometer_antinef_in_box(
+            matrix, bounds)
         rows = factor_bordered(matrix, adj)
         # refused exactly when some leading minor has the wrong sign
         assert (rows is None) == any((-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) <= 0
