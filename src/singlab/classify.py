@@ -124,16 +124,6 @@ class HilbertData(NamedTuple):
     colengths: tuple[int, ...]
     br: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "e0bar": self.e0bar,
-            "e1bar": self.e1bar,
-            "e2bar": self.e2bar,
-            "q": list(self.q_sequence),
-            "colengths": list(self.colengths),
-            "br": self.br,
-        }
-
 
 def derive_af(m: int, p_g: int) -> AfStructure:
     """Admissible index set from the sequence length m and genus p_g.

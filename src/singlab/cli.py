@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import corpus, verify
 from .artinian import DensePoly, MonomialIdeal, colength, colength_saturating
@@ -58,8 +57,6 @@ def _read_graph(path: str):
 
 
 def _fmt_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_fmt_value(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):

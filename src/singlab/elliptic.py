@@ -73,6 +73,16 @@ _SWEEP_SAMPLES = 2000
 
 
 class ChiSweep(NamedTuple):
+    """Outcome of the chi >= 0 sweep of an elliptic graph below 2 Z_E.
+
+    Exhaustive (box of at most 200k candidates): ``checked`` is the number
+    of nonzero cycles in the box, every one certified by the minimum cut;
+    ``min_chi`` is 0, the least chi over them; ``witness`` is the largest
+    chi = 0 cycle below 2 Z_E.  Sampled: ``checked`` is the number of
+    nonzero draws among the 2000; ``min_chi`` the least chi among them;
+    ``witness`` the first draw attaining it.
+    """
+
     exhaustive: bool
     checked: int
     min_chi: int
@@ -200,40 +210,34 @@ def _sample_draws(rng: random.Random, bounds, count: int):
 
 @per_graph("chi_sweep")
 def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
-    """Check chi(D) >= 0 for 0 < D <= 2 Z_E (Wagreich's theorem on an
-    elliptic graph): exhaustively when the box has at most 200k candidates,
-    by 2000 seeded draws otherwise, so the work is bounded with no budget.
+    """Check chi(D) >= 0 for 0 < D <= 2 Z_E on an elliptic graph, the
+    numerical check of Wagreich's theorem: exhaustively when the box has
+    at most 200k candidates, by 2000 seeded draws otherwise, so the work
+    is bounded with no budget.  The theorem's premise is the contract:
+    a graph with chi(Z_E) != 0 is refused with InputError, read off one
+    product of Z_E with the sparse rows.
     The draws are those of ``randint(0, b)`` on ``random.Random(0xE11)``,
     coordinate by coordinate, taken by ``_sample_draws`` through
     ``getrandbits``; each is multiplied by the dense matrix, a product
     held as it is until ROADMAP item 1 lands.
     The exhaustive sweep certifies the whole box by one minimum cut
     (``_engine.min_twochi_cut``): the least 2chi, D = 0 included, and the
-    largest D attaining it, the witness.  On an elliptic graph that D is
-    nonzero, since chi(Z_E) = 0; where D = 0 alone attains it, one more
-    cut per vertex v with d_v >= 1 finds the least value over D != 0.
-    ``checked`` counts the nonzero candidates certified.  The 200k cap and
-    the draws do not depend on how the box is certified.  Raises
-    InternalCheckError with a witness if a negative Euler characteristic
-    shows up; for a valid elliptic graph none exists.
+    largest D attaining it, the witness.  Z_E lies in the box with
+    chi = 0, so that D is nonzero.  ``checked`` counts the nonzero
+    candidates certified.  The 200k cap and the draws do not depend on
+    how the box is certified.  Raises InternalCheckError with a witness
+    if a negative Euler characteristic shows up; on an elliptic graph
+    none exists.
     """
-    bounds = tuple(2 * c for c in fundamental_cycle(g).coeffs)
+    ze = fundamental_cycle(g)
+    if _chi_of(g, ze, mat_vec(g, ze.coeffs)) != 0:
+        raise InputError("graph is not elliptic")
+    bounds = tuple(2 * c for c in ze.coeffs)
     adj = g.adjunction
     size = _engine.box_size(bounds)
     exhaustive = size <= _AUTO_SWEEP_CAP
     if exhaustive:
         min2, witness = _engine.min_twochi_cut(g.rows, adj, bounds)
-        if not any(witness):  # D = 0 alone attains it: cut again with each d_v >= 1
-            forced = []
-            for v, row in enumerate(g.rows):
-                if bounds[v]:  # 2chi(e_v + D) = 2chi(e_v) - (D.M.D + (adj + 2 M e_v).D)
-                    shifted = list(adj)
-                    for j, m in row:
-                        shifted[j] += 2 * m
-                    value, d = _engine.min_twochi_cut(
-                        g.rows, shifted, (*bounds[:v], bounds[v] - 1, *bounds[v + 1:]))
-                    forced.append((value - row[0][1] - adj[v], (*d[:v], d[v] + 1, *d[v + 1:])))
-            min2, witness = min(forced, default=(None, None))
         checked = size - 1
     else:
         n = len(bounds)
@@ -249,7 +253,7 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
             if min2 is None or two < min2:
                 min2, witness = two, d
 
-    if min2 is None:  # box held only the zero cycle
+    if min2 is None:  # every draw was the zero cycle
         return ChiSweep(exhaustive, 0, 0, ())
     if min2 < 0:
         raise InternalCheckError(
@@ -263,9 +267,10 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
 def is_elliptic(g: DualGraph) -> bool:
     """True when the fundamental cycle has Euler characteristic zero.
 
-    On success a bounded sanity sweep also confirms chi(D) >= 0 below
-    2 Z_E (exhaustively for small boxes, sampled otherwise); a violation
-    is an internal error, not a False.
+    Only then does the bounded sanity sweep run and confirm chi(D) >= 0
+    below 2 Z_E (exhaustively for small boxes, sampled otherwise): the
+    sweep takes elliptic graphs only, and a violation there is an
+    internal error, not a False.
     """
     result = chi(g, fundamental_cycle(g)) == 0
     if result:

@@ -72,21 +72,6 @@ def sparse_rows(matrix):
                  for i, row in enumerate(matrix))
 
 
-def least_forced_two_chi(matrix, adj, bounds):
-    """The least, over v with bounds[v] >= 1, of (min two_chi over the D in
-    the box with d_v >= 1, the join of the D attaining it), or (None, None):
-    the least value over D != 0, and the witness ``chi_nonnegative_check``
-    reports where D = 0 alone attains the box's minimum."""
-    values = {d: two_chi(matrix, adj, list(d)) for d in product(*(range(b + 1) for b in bounds))}
-    out = []
-    for v, b in enumerate(bounds):
-        if b:
-            best = min(value for d, value in values.items() if d[v])
-            minimisers = [d for d, value in values.items() if d[v] and value == best]
-            out.append((best, tuple(map(max, zip(*minimisers)))))
-    return min(out, default=(None, None))
-
-
 def is_antinef(matrix, vec):
     return all(s <= 0 for s in mat_vec(matrix, vec))
 

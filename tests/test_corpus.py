@@ -2,7 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from singlab import InputError, is_negative_definite, parse_graph, serialize_graph
+from singlab import (
+    InputError,
+    WeightedPoly,
+    classify_gorenstein_elliptic_ideals,
+    corpus,
+    is_negative_definite,
+    parse_graph,
+    pg_weighted_homogeneous,
+    serialize_graph,
+)
 from singlab.corpus import CORPUS, brell3, emit, fig244, fig2312, genus_options
 
 
@@ -77,3 +86,22 @@ def test_genus_options():
     assert genus_options("brell3", 4) == (5,)
     with pytest.raises(InputError):
         genus_options("nope", 1)
+
+
+EQUATIONS = {
+    "fig2312": lambda m: (corpus.fig2312_equation_low_pg(m), corpus.fig2312_equation_high_pg(m)),
+    "fig244": lambda m: (corpus.fig244_equation(m),),
+    "brell3": lambda m: (corpus.brell3_equation(m),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUATIONS))
+def test_equations_realize_the_genus_options(name):
+    # each family's equations have the geometric genera genus_options lists,
+    # and the classification accepts the graph with each of them
+    for m in range(7):
+        genera = tuple(pg_weighted_homogeneous(WeightedPoly.from_text(weights, text))
+                       for weights, text in EQUATIONS[name](m))
+        assert genera == genus_options(name, m), (name, m)
+        for p_g in genera:
+            assert classify_gorenstein_elliptic_ideals(CORPUS[name](m), p_g).p_g == p_g

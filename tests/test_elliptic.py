@@ -269,18 +269,20 @@ def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
     assert [tuple(c) for c in calls[1:]] == [seq.cycles[0].coeffs] + [z.coeffs for z in seq.cycles]
 
 
-# one product for K, one for chi(Z_E), one for Z_0 = Z_E in the build
-# loop and one per Z_t where the sequence keeps its image; E_min and the
-# later steps read the images their Laufer loops keep.  The counts when E_min
-# and each step multiplied again (n + 1 and m + 1 more) come first in the
-# comments, then those when every reader multiplied the cycles again
+# one product for K, two for chi(Z_E) (in is_elliptic, and where the chi
+# sweep refuses a graph that is not elliptic), one for Z_0 = Z_E in the
+# build loop and one per Z_t where the sequence keeps its image; E_min and
+# the later steps read the images their Laufer loops keep.  The counts when
+# E_min and each step multiplied again (n + 1 and m + 1 more) come first in
+# the comments, then those when every reader multiplied the cycles again,
+# both from before the sweep read chi(Z_E) itself
 @pytest.mark.parametrize("argv, param, count", [
-    (["elliptic", "sequence", "-"], 8, 20),  # 54, 157
-    (["elliptic", "sequence", "-"], 30, 64),  # 186, 553
-    (["classify", "-", "--pg", "9"], 8, 20),  # 54, 165
-    (["classify", "-", "--pg", "17"], 8, 20),  # 54, 158
-    (["classify", "-", "--pg", "31"], 30, 64),  # 186, 583
-    (["classify", "-", "--pg", "61"], 30, 64),  # 186, 554
+    (["elliptic", "sequence", "-"], 8, 21),  # 54, 157
+    (["elliptic", "sequence", "-"], 30, 65),  # 186, 553
+    (["classify", "-", "--pg", "9"], 8, 21),  # 54, 165
+    (["classify", "-", "--pg", "17"], 8, 21),  # 54, 158
+    (["classify", "-", "--pg", "31"], 30, 65),  # 186, 583
+    (["classify", "-", "--pg", "61"], 30, 65),  # 186, 554
 ], ids=["sequence-8", "sequence-30", "classify-8-pg9", "classify-8-pg17", "classify-30-pg31",
         "classify-30-pg61"])
 def test_cold_cli_runs_multiply_each_sequence_cycle_once(monkeypatch, capsys, cold_caches,
@@ -295,11 +297,12 @@ def test_cold_cli_runs_multiply_each_sequence_cycle_once(monkeypatch, capsys, co
 def test_verify_paper_products_are_pinned(monkeypatch, capsys, cold_caches):
     # 1345 when E_min and the sequence steps multiplied each Laufer cycle
     # again and the Hilbert data multiplied each power n Z and Z twice;
-    # 2804 when the sequence's readers multiplied its cycles again
+    # 2804 when the sequence's readers multiplied its cycles again; 599
+    # before the chi sweep read chi(Z_E) itself, once on each of 20 graphs
     calls = _spy_mat_vec(monkeypatch)
     assert cli.main(["verify-paper", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 599
+    assert len(calls) == 619
 
 
 def test_check_minus_one_chains_vacuous_fig244():

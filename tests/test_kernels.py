@@ -11,7 +11,6 @@ and the dense Laufer loop."""
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 
@@ -24,7 +23,6 @@ from oracles import (
     first_min_two_chi,
     fraction_det,
     is_antinef,
-    least_forced_two_chi,
     min_two_chi_join,
     min_twochi_in_box,
     odometer_antinef_in_box,
@@ -37,7 +35,6 @@ from singlab import (
     Cycle,
     DualGraph,
     InputError,
-    InternalCheckError,
     QCycle,
     Vertex,
     _engine,
@@ -48,6 +45,7 @@ from singlab import (
     is_anti_nef,
     pairing,
 )
+from singlab import elliptic as elliptic_module
 from singlab._linalg import factor_bordered
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.cycles import adjunction_vector, fundamental_cycle
@@ -257,13 +255,12 @@ def test_cut_equals_the_join_on_small_forms():
 
 @pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
 def test_chi_sweep_is_the_least_value_over_nonzero_cycles(shape):
-    """``chi_nonnegative_check`` on seeded graphs, elliptic or not, with
-    2 Z_E boxes of at most 3^5 candidates: the exact least 2chi over
-    D != 0 in the box, at the largest minimiser.  Where D = 0 alone
-    attains the box's minimum, as on a rational graph, that takes one
-    more cut per vertex v, each with d_v >= 1, and the witness is the
-    least (value, largest minimiser) of those; a negative value raises
-    with the largest minimiser."""
+    """``chi_nonnegative_check`` on seeded graphs with 2 Z_E boxes of at
+    most 3^5 candidates.  On an elliptic graph it is the exact least 2chi
+    over D != 0 in the box, 0, at the largest minimiser, the join of
+    every D attaining it.  A graph with chi(Z_E) != 0, rational or with a
+    negative chi, lies outside Wagreich's premise and is refused as
+    input, never with an internal error."""
     rng = random.Random(f"sweep-{shape}")
     signs = set()
     for _ in range(40):
@@ -272,36 +269,43 @@ def test_chi_sweep_is_the_least_value_over_nonzero_cycles(shape):
         twice = tuple(2 * c for c in fundamental_cycle(g).coeffs)
         if _engine.box_size(twice) > 3 ** 5:
             continue
-        best = first_min_two_chi(matrix, adj, twice)[0]
-        signs.add((best > 0) - (best < 0))
-        if best < 0:
-            largest = min_two_chi_join(matrix, adj, twice)[1]
-            with pytest.raises(InternalCheckError, match=re.escape(f"2*chi = {best} at {largest}")):
+        value = chi(g, fundamental_cycle(g))
+        signs.add((value > 0) - (value < 0))
+        if value != 0:
+            with pytest.raises(InputError, match="^graph is not elliptic$"):
                 chi_nonnegative_check(g)
             continue
         sweep = chi_nonnegative_check(g)
         assert sweep.exhaustive and sweep.checked == _engine.box_size(twice) - 1
-        assert 2 * sweep.min_chi == best == two_chi(matrix, adj, sweep.witness)
-        expected = min_two_chi_join(matrix, adj, twice) if best == 0 else (
-            least_forced_two_chi(matrix, adj, twice))
-        assert sweep.witness == expected[1]
+        assert 2 * sweep.min_chi == first_min_two_chi(matrix, adj, twice)[0] == 0
+        assert (0, sweep.witness) == min_two_chi_join(matrix, adj, twice)
+        assert two_chi(matrix, adj, sweep.witness) == 0
     assert signs == {-1, 0} | ({1} if shape != "cusp" else set())  # no cusp is rational
 
 
 @pytest.mark.parametrize("edges", [((0, 1), (0, 2), (0, 3)),
                                    ((0, 1), (0, 2), (0, 3), (3, 4)),
-                                   ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5))],
-                         ids=["D4", "D5", "E6"])
+                                   ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)),
+                                   tuple((i, i + 1) for i in range(11))],
+                         ids=["D4", "D5", "E6", "A12"])
 def test_chi_sweep_on_rational_double_points(edges):
-    # rational, so D = 0 alone attains the box's minimum; chi = 1 is the
-    # least value over D != 0, and Z_E (coefficients 2 and 3 included) the
-    # largest cycle with it
+    # rational, chi(Z_E) = 1: outside the sweep's premise, so refused as
+    # input; A12's box of 3^12 candidates lies above the exhaustive cap
     n = 1 + max(map(max, edges))
     g = DualGraph([Vertex(f"A{i}", -2) for i in range(n)], [(f"A{i}", f"A{j}", 1) for i, j in edges])
+    assert chi(g, fundamental_cycle(g)) == 1
     twice = tuple(2 * c for c in fundamental_cycle(g).coeffs)
-    sweep = chi_nonnegative_check(g)
-    assert (2 * sweep.min_chi, sweep.witness) == least_forced_two_chi(
-        g.matrix, adjunction_vector(g), twice) == (2, fundamental_cycle(g).coeffs)
+    assert (_engine.box_size(twice) > elliptic_module._AUTO_SWEEP_CAP) == (n == 12)
+    with pytest.raises(InputError, match="^graph is not elliptic$"):
+        chi_nonnegative_check(g)
+
+
+def test_chi_sweep_refuses_a_negative_chi_as_input():
+    # a genus-2 (-1)-curve: chi(Z_E) = -1, once an internal error
+    g = DualGraph([Vertex("A", -1, 2)], [])
+    assert chi(g, fundamental_cycle(g)) == -1
+    with pytest.raises(InputError, match="^graph is not elliptic$"):
+        chi_nonnegative_check(g)
 
 
 def test_engine_exact_on_wide_entries():

@@ -91,7 +91,7 @@ def test_each_invariant_is_kept_on_its_graph_object(key, invariant, monkeypatch)
     try:
         value = invariant(plain)
     except InputError as exc:
-        assert key in ("emin", "sequence")
+        assert key in ("chi_sweep", "emin", "sequence")
         assert key not in plain._cache
         with pytest.raises(InputError, match=re.escape(str(exc))):
             invariant(plain)
