@@ -3,9 +3,10 @@
 Everything here is one fraction-free Gaussian elimination in the style of
 Bareiss, ``eliminate``: ranks of rational matrices after clearing
 denominators, and the one factorization of each graph's form,
-``factor_bordered``, which ``graph.is_negative_definite`` runs when a
-``DualGraph`` is built.  Sylvester's criterion is read off its pivots
-and K off its rows by ``back_substitute``.  No floating point anywhere.
+``factor_augmented``, the elimination of [-M | -a] that
+``graph.is_negative_definite`` runs when a ``DualGraph`` is built.
+Sylvester's criterion is read off its pivots and K off its rows by
+``back_substitute``.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -61,17 +62,15 @@ def eliminate(a, ncols: int) -> tuple[list[int], bool]:
     return pivots, regular
 
 
-def factor_bordered(matrix, adj):
-    """The rows of one elimination of [[-M, -adj], [-adj^T, 0]], or None
-    exactly when M is not negative definite.
+def factor_augmented(matrix, adj):
+    """The n rows of one elimination of [-M | -adj], or None exactly when
+    M is not negative definite.
 
-    Row i < n holds the leading minor p_(i+1) > 0 of -M at column i and
-    zeros to its left; the last row is zero but for its corner.
+    Row i holds the leading minor p_(i+1) > 0 of -M at column i, zeros to
+    its left and the eliminated right-hand side last.
     """
-    n = len(matrix)
-    rows = [[-m for m in row] + [-adj[i]] for i, row in enumerate(matrix)]
-    rows.append([-a for a in adj] + [0])
-    pivots, regular = eliminate(rows, n)
+    rows = [[-m for m in row] + [-a] for row, a in zip(matrix, adj)]
+    pivots, regular = eliminate(rows, len(rows))
     if not regular or any(p <= 0 for p in pivots):
         return None
     return tuple(map(tuple, rows))

@@ -153,10 +153,6 @@ def derive_af(m: int, p_g: int) -> AfStructure:
     gamma = m // (p_g - 1)
     beta = gamma - 1
     af = tuple(beta + i * gamma for i in range(m // gamma)) + (m,)
-    if len(af) != p_g or sorted(set(af)) != list(af):
-        raise InternalCheckError(
-            "admissible-index-set-size", f"|A| = {len(af)} but p_g = {p_g}"
-        )
     return AfStructure(gamma=gamma, beta=beta, af=af, maximal=gamma == 1)
 
 

@@ -6,7 +6,7 @@ computed by the classical incremental loop (start from the reduced cycle,
 repeatedly bump a curve it still meets positively).  The canonical cycle
 K solves the adjunction relations K . E_i = 2 g(E_i) - 2 - E_i^2 and is in
 general only rational; the singularity is numerically Gorenstein when K
-is integral.  K is read off the elimination the graph made of its form
+is integral.  K is read off the elimination of [-M | -a] the graph made
 when it was built, by back substitution; nothing here eliminates again.
 K . D is the integer a . D, a the adjunction vector (M K = a), so only
 the numerically Gorenstein test and ``graph analyze`` read the rational
@@ -16,6 +16,9 @@ product; ``_chi_of`` reads chi off an image M D a caller already has.
 The loop keeps M Z up to date as it bumps, and ``_laufer_loop`` hands
 that image back with Z, so E_min and the elliptic sequence read chi and
 the orthogonal locus of each fundamental cycle off it with no product.
+The graph keeps Z_E with its image (``_fundamental_with_image``), from
+which ellipticity, the chi sweep and the sequence read chi(Z_E) and
+M Z_E.
 """
 
 from __future__ import annotations
@@ -59,13 +62,15 @@ def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
         if len(connected_components(g, idxs)) != 1:
             raise InputError("support must be connected")
     if rng is None and len(idxs) == len(g):
-        return _whole_graph_fundamental_cycle(g)
+        return _fundamental_with_image(g)[0]
     return _laufer_loop(g, idxs, rng)[0]
 
 
 @per_graph("fundamental")
-def _whole_graph_fundamental_cycle(g: DualGraph) -> Cycle:
-    return _laufer_loop(g, range(len(g)), None)[0]
+def _fundamental_with_image(g: DualGraph) -> tuple[Cycle, tuple[int, ...]]:
+    """Z_E and its image M Z_E, as the Laufer loop left them."""
+    ze, image = _laufer_loop(g, range(len(g)), None)
+    return ze, tuple(image)
 
 
 def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
@@ -104,8 +109,8 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
 @per_graph("canonical")
 def canonical_cycle(g: DualGraph) -> QCycle:
     """The rational cycle K with K . E_i = 2 g(E_i) - 2 - E_i^2 for all i,
-    by back substitution in the first n rows of the graph's elimination
-    of [[-M, -a], [-a^T, 0]], which hold -M K = -a in triangular form."""
+    by back substitution in the graph's elimination of [-M | -a], whose
+    n rows hold -M K = -a in triangular form."""
     d, y = back_substitute(g.elimination, len(g))
     # re-substitution check, always on, in integers: M (d K) = d a
     for i, acc in enumerate(mat_vec(g, y)):

@@ -17,15 +17,15 @@ E_min and the sequence run their Laufer loops on the vertex-index sets
 ``connected_components`` has just returned, so no support is checked
 again, and each loop hands back the image M Z it keeps as it bumps: chi
 of a subgraph's fundamental cycle and the next orthogonal locus are read
-off it.  The build multiplies only Z_0 = Z_E by the form, along the
-sparse rows; the finished sequence multiplies each Z_t once more and
-keeps M Z_t and M C_t, and its identities, the -1 chains and the
-classification read every pairing of its cycles off them.  Vertex ids
-are built only for the sequence's supports and for error text.  Only
-the sampled chi sweep multiplies by the dense matrix, until the
-benchmark's per-pass memory is mended; its draws are those of
-``random.Random(0xE11).randint``, read through ``getrandbits`` by the
-same rejection loop.
+off it, and those of Z_0 = Z_E off the image the graph keeps with it.
+The build multiplies no cycle by the form; the finished sequence
+multiplies each Z_t once, along the sparse rows, and keeps M Z_t and
+M C_t, and its identities, the -1 chains and the classification read
+every pairing of its cycles off them.  Vertex ids are built only for the
+sequence's supports and for error text.  Only the sampled chi sweep
+multiplies by the dense matrix, until the benchmark's per-pass memory is
+mended; its draws are those of ``random.Random(0xE11).randint``, read
+through ``getrandbits`` by the same rejection loop.
 
 Every structural fact the construction relies on is verified on the
 actual data and raises InternalCheckError naming the property, so that
@@ -46,10 +46,9 @@ from typing import NamedTuple
 from . import _engine
 from .cycles import (
     _chi_of,
+    _fundamental_with_image,
     _laufer_loop,
     canonical_cycle,
-    chi,
-    fundamental_cycle,
     is_numerically_gorenstein,
 )
 from .errors import InputError, InternalCheckError, _raise_at_first_failure
@@ -214,8 +213,8 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     numerical check of Wagreich's theorem: exhaustively when the box has
     at most 200k candidates, by 2000 seeded draws otherwise, so the work
     is bounded with no budget.  The theorem's premise is the contract:
-    a graph with chi(Z_E) != 0 is refused with InputError, read off one
-    product of Z_E with the sparse rows.
+    a graph with chi(Z_E) != 0 is refused with InputError, read off the
+    image M Z_E the graph keeps with Z_E.
     The draws are those of ``randint(0, b)`` on ``random.Random(0xE11)``,
     coordinate by coordinate, taken by ``_sample_draws`` through
     ``getrandbits``; each is multiplied by the dense matrix, a product
@@ -229,8 +228,8 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     if a negative Euler characteristic shows up; on an elliptic graph
     none exists.
     """
-    ze = fundamental_cycle(g)
-    if _chi_of(g, ze, mat_vec(g, ze.coeffs)) != 0:
+    ze, image = _fundamental_with_image(g)
+    if _chi_of(g, ze, image) != 0:
         raise InputError("graph is not elliptic")
     bounds = tuple(2 * c for c in ze.coeffs)
     adj = g.adjunction
@@ -265,14 +264,15 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
 
 @per_graph("elliptic")
 def is_elliptic(g: DualGraph) -> bool:
-    """True when the fundamental cycle has Euler characteristic zero.
+    """True when the fundamental cycle has Euler characteristic zero,
+    read off the image M Z_E the graph keeps with Z_E.
 
     Only then does the bounded sanity sweep run and confirm chi(D) >= 0
     below 2 Z_E (exhaustively for small boxes, sampled otherwise): the
     sweep takes elliptic graphs only, and a violation there is an
     internal error, not a False.
     """
-    result = chi(g, fundamental_cycle(g)) == 0
+    result = _chi_of(g, *_fundamental_with_image(g)) == 0
     if result:
         chi_nonnegative_check(g)
     return result
@@ -334,7 +334,7 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
                     f"G - {g.vertices[v].id} holds a chi = 0 subgraph {_ids(g, comp)}",
                 )
     emin, image = _laufer_loop(g, sorted(support), None)
-    if _chi_of(g, emin, image) != 0 or not emin <= fundamental_cycle(g):
+    if _chi_of(g, emin, image) != 0 or not emin <= _fundamental_with_image(g)[0]:
         raise InternalCheckError(
             "minimally-elliptic-existence",
             f"{emin} is not a chi = 0 cycle below the fundamental cycle",
@@ -346,10 +346,11 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
 def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     """Build and fully verify the elliptic sequence of a numerically
     Gorenstein elliptic graph.  Z . E_min and the curves orthogonal to Z
-    are read off M Z: one product for Z_0 = Z_E, and for each later Z_t
-    the image its Laufer loop keeps.  Supports are vertex-index sets until
-    the finished sequence records their ids.  A graph that is not minimal
-    is refused first: a genus-0 (-1)-curve breaks the sequence's identities."""
+    are read off M Z: the image the graph keeps with Z_0 = Z_E, and for
+    each later Z_t the image its Laufer loop keeps.  Supports are
+    vertex-index sets until the finished sequence records their ids.  A
+    graph that is not minimal is refused first: a genus-0 (-1)-curve
+    breaks the sequence's identities."""
     if not g.is_minimal:
         bad = next(v.id for v in g.vertices if v.genus == 0 and v.self_int == -1)
         raise InputError(f"graph is not minimal: vertex {bad} is a genus-0 (-1)-curve")
@@ -363,15 +364,10 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     emin_support = {i for i, c in enumerate(emin.coeffs) if c}
     start = min(emin_support)
 
+    ze, mz = _fundamental_with_image(g)
     supports: list[set[int]] = [set(range(len(g)))]
-    cycles: list[Cycle] = [fundamental_cycle(g)]
-    mz = mat_vec(g, cycles[-1].coeffs)
+    cycles: list[Cycle] = [ze]
     while _dot(emin, mz) == 0:  # Z . E_min, read off M Z
-        if len(cycles) > len(g):
-            raise InternalCheckError(
-                "elliptic-sequence-termination",
-                "more restriction steps than vertices",
-            )
         orthogonal = {i for i in range(len(g)) if mz[i] == 0}
         # connected component of the orthogonal locus containing E_min
         if start not in orthogonal:

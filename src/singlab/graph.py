@@ -5,9 +5,9 @@ normal surface singularity: each vertex carries a self-intersection number
 and a genus, each edge an intersection multiplicity.  The graph is a valid
 resolution graph exactly when its intersection matrix is negative
 definite.  That is an invariant of every ``DualGraph``, however it was
-built: the constructor eliminates [[-M, -a], [-a^T, 0]], a the adjunction
-vector, once (``is_negative_definite``) and raises InputError unless
-Sylvester's criterion holds on the pivots.  It keeps the rows, from which
+built: the constructor eliminates [-M | -a], a the adjunction vector,
+once (``is_negative_definite``) and raises InputError unless Sylvester's
+criterion holds on the pivots.  It keeps the rows, from which
 ``canonical_cycle`` back-substitutes K.  K is in general rational, but
 K . D never needs it: M K = a makes it the integer a . D.  No floating
 point is used anywhere in this package.
@@ -22,10 +22,11 @@ its readers take it once each: the elimination at construction, the
 printed matrix of ``graph analyze`` and the sampled chi sweep.
 
 A graph object keeps, in ``_cache`` and only through ``per_graph``: Z_E
-(``fundamental_cycle`` of every vertex, without ``rng``), K, the chi >= 0
-sweep, the verdict of ``is_elliptic`` (False too), E_min and the verified
-elliptic sequence.  A call that raises keeps nothing, so a refusal or a
-failed check is raised again on every call.
+with its image M Z_E (``fundamental_cycle`` of every vertex, without
+``rng``), K, the chi >= 0 sweep, the verdict of ``is_elliptic`` (False
+too), E_min and the verified elliptic sequence.  A call that raises
+keeps nothing, so a refusal or a failed check is raised again on every
+call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import _engine
-from ._linalg import factor_bordered
+from ._linalg import factor_augmented
 from .errors import InputError, _is_exact, _is_int
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -61,7 +62,7 @@ class DualGraph:
     over the neighbours j of vertex ``i``, ascending, and the one stored
     copy of the form; ``matrix`` is a dense view built from it on demand.
     ``adjunction[i]`` is K . E_i = 2 g_i - 2 - E_i^2, and ``elimination``
-    the rows of ``is_negative_definite``.  The constructor rejects with
+    the n rows of ``is_negative_definite``.  The constructor rejects with
     InputError anything that is not a connected resolution graph, a form
     that is not negative definite included, and with EnumerationLimitError
     a graph whose n^2 dense entries exceed ``SINGLAB_MAX_ENUM``.
@@ -453,10 +454,10 @@ def _dot(d: Cycle, image) -> int:
 
 def is_negative_definite(g: DualGraph) -> bool:
     """Sylvester's criterion on the graph's one elimination, which the
-    constructor runs here (``_linalg.factor_bordered``) and keeps as
+    constructor runs here (``_linalg.factor_augmented``) and keeps as
     ``g.elimination``; on a built graph, always True at no cost."""
     if g.elimination is None:
-        g.elimination = factor_bordered(g.matrix, g.adjunction)
+        g.elimination = factor_augmented(g.matrix, g.adjunction)
     return g.elimination is not None
 
 

@@ -5,15 +5,16 @@ loops over itertools boxes, deliberately sharing no code path with the
 package's kernels or incremental algorithms.  The exceptions, at the end,
 are the box kernels the package used before it pruned its scans: they
 visit every row or every candidate, and the pruned kernels must return
-exactly what they return, in the same order; the pruned walk of the
-graph's one elimination that certified the chi >= 0 boxes before one
-minimum cut did; the linear solve the package used for the canonical
-cycle before it read K off the graph's one elimination; the Laufer loop
-as it ran on the dense matrix before the form became sparse rows; and
-the check of the -1 chains as it stood before it was telescoped, with
-its chain-adjacency test and its adjunction clause.  The kernels of the
-package take ``DualGraph.rows``; ``sparse_rows`` lays out a raw matrix
-the same way for them.
+exactly what they return, in the same order; the pruned walk that
+certified the chi >= 0 boxes before one minimum cut did, on the
+elimination of the bordered form [[-M, -a], [-a^T, 0]] that
+``bordered_factor`` builds for it; the linear solve the package used
+for the canonical cycle before it read K off the graph's one
+elimination; the Laufer loop as it ran on the dense matrix before the
+form became sparse rows; and the check of the -1 chains as it stood
+before it was telescoped, with its chain-adjacency test and its
+adjunction clause.  The kernels of the package take ``DualGraph.rows``;
+``sparse_rows`` lays out a raw matrix the same way for them.
 """
 
 from __future__ import annotations
@@ -294,14 +295,29 @@ def row_min_twochi_in_box(matrix, adj, bounds):
 
 # The chi walk the package ran on the graph's one elimination before one
 # minimum cut certified each box: the first minimiser over D != 0, in
-# odometer order.
+# odometer order.  The walk reads the border row, which the graph's own
+# elimination of [-M | -a] does not carry, so it takes its own.
+
+
+def bordered_factor(matrix, adj):
+    """The rows of one elimination of [[-M, -adj], [-adj^T, 0]], or None
+    exactly when M is not negative definite: row i < n holds the leading
+    minor p_(i+1) > 0 of -M at column i and zeros to its left, and the
+    last row is zero but for its corner."""
+    n = len(matrix)
+    rows = [[-m for m in row] + [-a] for row, a in zip(matrix, adj)]
+    rows.append([-a for a in adj] + [0])
+    pivots, regular = eliminate(rows, n)
+    if not regular or any(p <= 0 for p in pivots):
+        return None
+    return rows
 
 
 def min_twochi_in_box(rows, bounds):
     """Minimum of -(D.M.D + adj.D) over D != 0 in the box, with a witness.
 
     ``rows`` is the elimination of [[-M, -adj], [-adj^T, 0]] by
-    ``_linalg.factor_bordered``, so M is negative definite.  Returns
+    ``bordered_factor``, so M is negative definite.  Returns
     (min_value, witness_tuple), or (None, None) when the box holds only
     D = 0; the value is twice the minimal Euler characteristic.  The
     witness is the first minimiser in odometer order, index 0 fastest.

@@ -253,11 +253,12 @@ def test_check_minus_one_chains_reads_the_stored_images(monkeypatch):
 
 def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
     # one image M Z per step gives both Z . E_min and the curves
-    # orthogonal to Z: a product for Z_0 = Z_E and the Laufer loop's own
-    # image for each later Z_t, then m + 1 products where the finished
-    # sequence keeps its images, and 1 in K's check; the identities read
-    # the images (2m + 3 when the build loop multiplied each Z_t, 120 when
-    # the identities multiplied again)
+    # orthogonal to Z: the image the graph keeps with Z_0 = Z_E and the
+    # Laufer loop's own image for each later Z_t, then m + 1 products where
+    # the finished sequence keeps its images, and 1 in K's check; the
+    # identities read the images (m + 3 when the build multiplied Z_E
+    # again, 2m + 3 when the build loop multiplied each Z_t, 120 when the
+    # identities multiplied again)
     template = fig2312(8)
     g = DualGraph(template.vertices, template.edges)
     assert is_elliptic(g)
@@ -265,26 +266,29 @@ def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
     calls = _spy_mat_vec(monkeypatch)
     seq = elliptic_sequence(g)
     assert seq.m == 16
-    assert len(calls) == seq.m + 3
-    assert [tuple(c) for c in calls[1:]] == [seq.cycles[0].coeffs] + [z.coeffs for z in seq.cycles]
+    assert len(calls) == seq.m + 2
+    assert [tuple(c) for c in calls[1:]] == [z.coeffs for z in seq.cycles]
 
 
-# one product for K, two for chi(Z_E) (in is_elliptic, and where the chi
-# sweep refuses a graph that is not elliptic), one for Z_0 = Z_E in the
-# build loop and one per Z_t where the sequence keeps its image; E_min and
-# the later steps read the images their Laufer loops keep.  The counts when
-# E_min and each step multiplied again (n + 1 and m + 1 more) come first in
-# the comments, then those when every reader multiplied the cycles again,
-# both from before the sweep read chi(Z_E) itself
+# one product for K and one per Z_t where the sequence keeps its image;
+# is_elliptic, the chi sweep and the build loop read chi(Z_E) and M Z_E off
+# the image the graph keeps with Z_E, and E_min and the later steps the
+# images their Laufer loops keep.  graph analyze multiplies for K and for
+# the chi(Z_E) it prints.  The counts when those three readers multiplied
+# Z_E again (3 more, 2 for graph analyze) come first in the comments, then
+# those when E_min and each step multiplied again (n + 1 and m + 1 more),
+# then those when every reader multiplied the cycles again, the last two
+# from before the sweep read chi(Z_E) itself
 @pytest.mark.parametrize("argv, param, count", [
-    (["elliptic", "sequence", "-"], 8, 21),  # 54, 157
-    (["elliptic", "sequence", "-"], 30, 65),  # 186, 553
-    (["classify", "-", "--pg", "9"], 8, 21),  # 54, 165
-    (["classify", "-", "--pg", "17"], 8, 21),  # 54, 158
-    (["classify", "-", "--pg", "31"], 30, 65),  # 186, 583
-    (["classify", "-", "--pg", "61"], 30, 65),  # 186, 554
+    (["elliptic", "sequence", "-"], 8, 18),  # 21, 54, 157
+    (["elliptic", "sequence", "-"], 30, 62),  # 65, 186, 553
+    (["classify", "-", "--pg", "9"], 8, 18),  # 21, 54, 165
+    (["classify", "-", "--pg", "17"], 8, 18),  # 21, 54, 158
+    (["classify", "-", "--pg", "31"], 30, 62),  # 65, 186, 583
+    (["classify", "-", "--pg", "61"], 30, 62),  # 65, 186, 554
+    (["graph", "analyze", "-"], 8, 2),  # 4
 ], ids=["sequence-8", "sequence-30", "classify-8-pg9", "classify-8-pg17", "classify-30-pg31",
-        "classify-30-pg61"])
+        "classify-30-pg61", "analyze-8"])
 def test_cold_cli_runs_multiply_each_sequence_cycle_once(monkeypatch, capsys, cold_caches,
                                                         argv, param, count):
     calls = _spy_mat_vec(monkeypatch)
@@ -298,11 +302,14 @@ def test_verify_paper_products_are_pinned(monkeypatch, capsys, cold_caches):
     # 1345 when E_min and the sequence steps multiplied each Laufer cycle
     # again and the Hilbert data multiplied each power n Z and Z twice;
     # 2804 when the sequence's readers multiplied its cycles again; 599
-    # before the chi sweep read chi(Z_E) itself, once on each of 20 graphs
+    # before the chi sweep read chi(Z_E) itself, once on each of 20 graphs;
+    # 619 before is_elliptic, the chi sweep and the sequence's build loop
+    # read chi(Z_E) and M Z_E off the image the graph keeps with Z_E, 3
+    # products fewer on each of those 20 graphs
     calls = _spy_mat_vec(monkeypatch)
     assert cli.main(["verify-paper", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 619
+    assert len(calls) == 559
 
 
 def test_check_minus_one_chains_vacuous_fig244():
@@ -382,6 +389,8 @@ def test_one_elimination_per_graph(monkeypatch):
     assert is_elliptic(g) and chi_nonnegative_check(g).exhaustive
     elliptic_sequence(g)
     assert len(calls) == 1
+    # the elimination of [-M | -a] has one row per vertex and no border row
+    assert len(g.elimination) == len(g)
 
 
 def test_verify_paper_emin_rule_equals_the_box_scan():

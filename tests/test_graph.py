@@ -149,7 +149,7 @@ def test_dense_form_past_the_budget_is_refused_before_it_is_built(monkeypatch):
         raise AssertionError("the dense form was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(graph_module, "factor_bordered", never)
+        patch.setattr(graph_module, "factor_augmented", never)
         patch.setenv("SINGLAB_MAX_ENUM", "440")
         for build in (lambda: parse_graph(text), lambda: fig2312(10)):
             with pytest.raises(EnumerationLimitError,

@@ -1,12 +1,13 @@
 """The lattice-box kernels of ``_engine`` against plain oracle scans and
 against the kernels they replace: the anti-nef scan against the
 candidate-by-candidate scan, and the minimum cut of the chi >= 0 boxes
-against the row-by-row sweep, the pruned walk of the graph's elimination
-and a brute-force join of every minimiser.  The walk, kept as an oracle,
-still runs against the row sweep; the one factorization of a graph's
-form (definiteness, K and the walk) against Sylvester's criterion and
-the old solve; and the sparse rows of the form against the dense matrix
-and the dense Laufer loop."""
+against the row-by-row sweep, the pruned walk of a bordered elimination
+and a brute-force join of every minimiser.  The walk, kept as an oracle
+on the bordered elimination ``oracles.bordered_factor`` builds, still
+runs against the row sweep; the one factorization of a graph's form
+(definiteness and K) against Sylvester's criterion and the old solve;
+and the sparse rows of the form against the dense matrix and the dense
+Laufer loop."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from fractions import Fraction
 from oracles import antinef_in_box as oracle_antinef
 from oracles import mat_vec as dense_mat_vec
 from oracles import (
+    bordered_factor,
     dense_fundamental_cycle,
     first_min_two_chi,
     fraction_det,
@@ -46,15 +48,16 @@ from singlab import (
     pairing,
 )
 from singlab import elliptic as elliptic_module
-from singlab._linalg import factor_bordered
+from singlab._linalg import factor_augmented
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.graph import connected_components, mat_vec
 
 
 def walk(matrix, adj, bounds):
-    """The chi walk on one factorization of a raw negative definite form."""
-    return min_twochi_in_box(factor_bordered(matrix, adj), bounds)
+    """The chi walk on the bordered factorization of a raw negative
+    definite form."""
+    return min_twochi_in_box(bordered_factor(matrix, adj), bounds)
 
 
 CASES = []
@@ -144,14 +147,14 @@ def test_row_kernel_is_the_first_odometer_minimum(matrix, adj, bounds):
 
 
 def test_row_kernel_needs_a_negative_first_diagonal_entry():
-    assert factor_bordered(((0,),), (0,)) is None
+    assert factor_augmented(((0,),), (0,)) is None
     with pytest.raises(InputError, match="not negative definite"):
         DualGraph([Vertex("A", 0)], [])
 
 
 def test_sweep_kernel_refuses_a_form_that_is_not_negative_definite():
     # the first pivot is fine, the second leading minor is 1 - 4 < 0
-    assert factor_bordered(((-1, 2), (2, -1)), (0, 0)) is None
+    assert factor_augmented(((-1, 2), (2, -1)), (0, 0)) is None
     with pytest.raises(InputError, match="not negative definite"):
         DualGraph([Vertex("A", -1), Vertex("B", -1)], [("A", "B", 2)])
 
@@ -188,7 +191,7 @@ def test_kernels_equal_the_old_kernels_on_permuted_corpus_rungs(name, g):
         adj = adjunction_vector(h)
         twice = tuple(2 * c for c in ze)
         swept = row_min_twochi_in_box(h.matrix, adj, twice)
-        assert min_twochi_in_box(h.elimination, twice) == swept
+        assert walk(h.matrix, adj, twice) == swept
         value, largest = _engine.min_twochi_cut(h.rows, adj, twice)
         assert value == swept[0] == two_chi(h.matrix, adj, largest) == 0
         assert all(a <= c >= z for a, c, z in zip(swept[1], largest, ze))
@@ -206,9 +209,7 @@ def test_kernels_equal_the_old_kernels_on_random_graphs(shape):
         g = _random_graph(rng, shape, rng.randint(3 if shape == "cusp" else 1, 7), double=0.3)
         adj = adjunction_vector(g)
         bounds = tuple(rng.randint(0, 4) for _ in range(len(g)))
-        assert min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
-            g.matrix, adj, bounds
-        )
+        assert walk(g.matrix, adj, bounds) == row_min_twochi_in_box(g.matrix, adj, bounds)
         assert _engine.antinef_in_box(g.rows, bounds) == odometer_antinef_in_box(g.matrix, bounds)
 
 
@@ -227,7 +228,7 @@ def test_cut_equals_the_sweeps_and_the_join_of_every_minimiser(shape):
         bounds = tuple(rng.randint(0, 3) for _ in range(len(g)))
         first = first_min_two_chi(matrix, adj, bounds)
         assert row_min_twochi_in_box(matrix, adj, bounds) == first
-        assert min_twochi_in_box(g.elimination, bounds) == first
+        assert walk(matrix, adj, bounds) == first
         cut = _engine.min_twochi_cut(g.rows, adj, bounds)
         assert cut == min_two_chi_join(matrix, adj, bounds)
         assert cut[0] == min(0, 0 if first[0] is None else first[0])
@@ -349,10 +350,11 @@ def test_kernels_equal_the_old_kernels_on_small_forms():
         bounds = tuple(rng.randint(0, 4) for _ in range(n))
         assert _engine.antinef_in_box(sparse_rows(matrix), bounds) == odometer_antinef_in_box(
             matrix, bounds)
-        rows = factor_bordered(matrix, adj)
-        # refused exactly when some leading minor has the wrong sign
-        assert (rows is None) == any((-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) <= 0
-                                     for k in range(1, n + 1))
+        rows = bordered_factor(matrix, adj)
+        # refused exactly when some leading minor has the wrong sign, by the
+        # graph's factorization and the walk's alike
+        assert (rows is None) == (factor_augmented(matrix, adj) is None) == any(
+            (-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) <= 0 for k in range(1, n + 1))
         if rows is None:
             continue
         tried += 1
@@ -374,11 +376,11 @@ def _matrix(vertices, edges):
 
 @pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
 def test_one_factorization_on_random_graphs(shape):
-    """The graph's one elimination against three oracles on seeded draws,
+    """The graph's one elimination against two oracles on seeded draws,
     multiplicity-2 edges and genera included: the constructor accepts
     exactly the forms Sylvester's criterion (by Fraction determinants)
-    calls negative definite, K equals the old ``solve``, and the chi walk
-    the row sweep, value and witness."""
+    calls negative definite, and K equals the old ``solve``; on the same
+    draws the chi walk equals the row sweep, value and witness."""
     rng = random.Random(f"factor-{shape}")
     verdicts = set()
     for _ in range(60):
@@ -396,9 +398,7 @@ def test_one_factorization_on_random_graphs(shape):
         adj = adjunction_vector(g)
         assert canonical_cycle(g).coeffs == tuple(solve(matrix, adj))
         bounds = tuple(rng.randint(0, 3) for _ in range(n))
-        assert min_twochi_in_box(g.elimination, bounds) == row_min_twochi_in_box(
-            matrix, adj, bounds
-        )
+        assert walk(matrix, adj, bounds) == row_min_twochi_in_box(matrix, adj, bounds)
     assert verdicts == {True, False}
 
 

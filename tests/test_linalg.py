@@ -6,17 +6,16 @@ from fractions import Fraction
 import pytest
 
 from oracles import fraction_det, fraction_rank, solve
-from singlab._linalg import back_substitute, eliminate, factor_bordered, rank
+from singlab._linalg import back_substitute, eliminate, factor_augmented, rank
 
 
 def test_leading_principal_minors_chain():
     # tridiagonal chain of (-2)s: minors alternate as (-1)^k (k+1)
     m = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
     assert eliminate([row[:] for row in m], 3) == ([-2, 3, -4], True)
-    # the bordered positive form carries the minors of -M on its diagonal
-    rows = factor_bordered(m, (0, 0, 1))
+    # the factorization of [-M | -a] carries the minors of -M on its diagonal
+    rows = factor_augmented(m, (0, 0, 1))
     assert [rows[i][i] for i in range(3)] == [2, 3, 4]
-    assert rows[3][:3] == (0, 0, 0)
 
 
 def random_symmetric(rng, n):
@@ -53,7 +52,7 @@ def test_pivots_are_leading_minors_and_decide_definiteness():
         assert pivots[:first_zero] == minors[:first_zero], m
         sylvester = all((d < 0) if k % 2 else (d > 0) for k, d in enumerate(minors, 1))
         adj = [rng.randint(-9, 9) for _ in range(n)]
-        rows = factor_bordered(m, adj)
+        rows = factor_augmented(m, adj)
         assert (rows is not None) == sylvester, m
         if rows is not None:
             # one factorization: the minors of -M, and the K of the old solve
@@ -69,7 +68,7 @@ def _solution(rows, n):
 
 
 def test_solve_resubstitutes():
-    # back substitution on the bordered factor of a negative definite form
+    # back substitution on the factor of [-M | -b], M negative definite
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(1, 6)
@@ -77,7 +76,7 @@ def test_solve_resubstitutes():
         m = [[-sum(a[k][i] * a[k][j] for k in range(n)) - (i == j)
               for j in range(n)] for i in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        x = _solution(factor_bordered(m, b), n)
+        x = _solution(factor_augmented(m, b), n)
         for i in range(n):
             assert sum(m[i][j] * x[j] for j in range(n)) == b[i]
         assert x == solve(m, b)
@@ -88,7 +87,7 @@ def test_solve_singular_raises():
     for m, b in (([[1, 1], [1, 1]], [0, 1]), ([[0]], [1]), ([[-2, 2], [2, -2]], [0, 0])):
         with pytest.raises(ValueError):
             solve(m, b)
-        assert factor_bordered(m, b) is None
+        assert factor_augmented(m, b) is None
 
 
 def test_rank_matches_fraction_oracle():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (connected_subsets, first_min_two_chi, min_two_chi_join, min_twochi_in_box,
-                     sparse_rows)
+from oracles import (bordered_factor, connected_subsets, first_min_two_chi, min_two_chi_join,
+                     min_twochi_in_box, sparse_rows)
 from singlab import (
     Cycle,
     chi,
@@ -22,7 +22,6 @@ from singlab import (
     pairing,
 )
 from singlab import _engine
-from singlab._linalg import factor_bordered
 from singlab.corpus import brell3, fig244, fig2312
 
 GRAPHS = [fig2312(1), fig2312(2), fig244(1), fig244(2), brell3(1), brell3(2)]
@@ -103,7 +102,7 @@ def small_forms(draw):
 @given(small_forms())
 def test_row_kernel_is_the_first_odometer_minimum(form):
     matrix, adj, bounds = form
-    rows = factor_bordered(matrix, adj)
+    rows = bordered_factor(matrix, adj)
     assert min_twochi_in_box(rows, bounds) == first_min_two_chi(matrix, adj, bounds)
 
 
