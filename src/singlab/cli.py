@@ -188,10 +188,7 @@ def _cmd_artinian_colength(args) -> int:
 
 def _cmd_corpus_emit(args) -> int:
     g = corpus.emit(args.name, args.param)
-    if args.format == "json":
-        print(json.dumps(graph_to_json(g), indent=2, sort_keys=True))
-    else:
-        print(serialize_graph(g))
+    _emit(graph_to_json(g), args.format, lambda doc: print(serialize_graph(g)))
     return 0
 
 
@@ -397,13 +394,10 @@ def main(argv=None) -> int:
         # the reader is gone; devnull takes what is buffered, so exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InternalCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SinglabError as exc:  # any other package error counts as input
+    except SinglabError as exc:  # InputError, or any other package error: exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,9 @@ E_min and the sequence run their Laufer loops on the vertex-index sets
 again, and each loop hands back the image M Z it keeps as it bumps: chi
 of a subgraph's fundamental cycle and the next orthogonal locus are read
 off it, and those of Z_0 = Z_E off the image the graph keeps with it.
+E_min keeps the cycle of the component its deletion pass picks, so no
+loop runs after its passes, and each orthogonal locus is read inside
+the current support B_t, which holds supp E_min.
 The build multiplies no cycle by the form; the finished sequence
 multiplies each Z_t once, along the sparse rows, and keeps M Z_t and
 M C_t, and its identities, the -1 chains and the classification read
@@ -27,13 +30,13 @@ multiplies by the dense matrix, until the benchmark's per-pass memory is
 mended; its draws are those of ``random.Random(0xE11).randint``, read
 through ``getrandbits`` by the same rejection loop.
 
-Every structural fact the construction relies on is verified on the
-actual data and raises InternalCheckError naming the property, so that
-inconsistent analytic inputs (a wrong geometric genus, say) surface
-instead of producing silent nonsense.  The identities of the finished
-sequence are stated once, in the list ``_sequence_identities`` yields:
-every build raises at its first failing item, and ``verify-paper`` counts
-its items.
+Every structural fact the construction relies on and its own loops do
+not prove is verified on the actual data and raises InternalCheckError
+naming the property, so that inconsistent analytic inputs (a wrong
+geometric genus, say) surface instead of producing silent nonsense.
+The identities of the finished sequence are stated once, in the list
+``_sequence_identities`` yields: every build raises at its first failing
+item, and ``verify-paper`` counts its items.
 """
 
 from __future__ import annotations
@@ -282,17 +285,19 @@ def _ids(g: DualGraph, idxs) -> list[str]:
     return [g.vertices[i].id for i in sorted(idxs)]
 
 
-def _subgraph_chi(g: DualGraph, comp: set[int]) -> int:
-    """chi of the fundamental cycle of the connected subgraph on the
-    vertex indices ``comp``: 0 or 1 on an elliptic graph (1 exactly when
-    the subgraph is rational), read off the image its Laufer loop keeps."""
-    value = _chi_of(g, *_laufer_loop(g, sorted(comp), None))
+def _subgraph_chi(g: DualGraph, comp: set[int]) -> tuple[int, Cycle]:
+    """chi of the fundamental cycle Z of the connected subgraph on the
+    vertex indices ``comp``, and Z: chi is 0 or 1 on an elliptic graph (1
+    exactly when the subgraph is rational), read off the image its Laufer
+    loop keeps."""
+    z, image = _laufer_loop(g, sorted(comp), None)
+    value = _chi_of(g, z, image)
     if value not in (0, 1):
         raise InternalCheckError(
             "minimally-elliptic-subgraph-chi",
             f"chi = {value} on the connected subgraph {_ids(g, comp)}",
         )
-    return value
+    return value, z
 
 
 @per_graph("emin")
@@ -311,34 +316,34 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
     each B - v, O(n + edges) loops in all, in place of a scan of the
     prod(z_i + 1) cycles below Z_E.
 
+    The pass keeps the cycle of the component it picks with B: Z_E
+    first, then the Z_B whose chi = 0 picked B, so the cycle it returns
+    has chi = 0.  It lies below Z_E, as every Laufer loop on a subgraph
+    does: a bump at i with d_i = z_i would need D . E_i <= Z_E . E_i <= 0.
+
     Checked on every call: each component of G - v, for v in B, is
     rational (so every connected subgraph with chi = 0 contains B), and
-    Z_B has chi = 0 and lies below Z_E.
+    every subgraph's fundamental cycle the passes build has chi 0 or 1.
     """
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     everything = set(range(len(g)))
-    support = set(everything)
+    support, emin = everything, _fundamental_with_image(g)[0]
     for v in range(len(g)):
         if v not in support or len(support) == 1:
             continue
         for comp in connected_components(g, support - {v}):
-            if _subgraph_chi(g, comp) == 0:
-                support = comp
+            value, z = _subgraph_chi(g, comp)
+            if value == 0:
+                support, emin = comp, z
                 break
     for v in sorted(support):
         for comp in connected_components(g, everything - {v}):
-            if _subgraph_chi(g, comp) == 0:
+            if _subgraph_chi(g, comp)[0] == 0:
                 raise InternalCheckError(
                     "minimally-elliptic-uniqueness",
                     f"G - {g.vertices[v].id} holds a chi = 0 subgraph {_ids(g, comp)}",
                 )
-    emin, image = _laufer_loop(g, sorted(support), None)
-    if _chi_of(g, emin, image) != 0 or not emin <= _fundamental_with_image(g)[0]:
-        raise InternalCheckError(
-            "minimally-elliptic-existence",
-            f"{emin} is not a chi = 0 cycle below the fundamental cycle",
-        )
     return emin
 
 
@@ -350,7 +355,16 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     each later Z_t the image its Laufer loop keeps.  Supports are
     vertex-index sets until the finished sequence records their ids.  A
     graph that is not minimal is refused first: a genus-0 (-1)-curve
-    breaks the sequence's identities."""
+    breaks the sequence's identities.
+
+    While Z_t . E_min = 0, supp E_min lies in B_t, where Z_t meets every
+    curve non-positively, so each term of sum e_i (Z_t . E_i) vanishes:
+    the connected supp E_min is orthogonal to Z_t, and B_{t+1} is the
+    component of the orthogonal locus that holds it.  A curve just
+    outside B_t meets Z_t positively, so that component is the same
+    inside B_t as in the whole graph; it is not all of B_t, or Z_t^2
+    would be 0 on a negative definite form.  So B_{t+1} < B_t, and the
+    loop stops."""
     if not g.is_minimal:
         bad = next(v.id for v in g.vertices if v.genus == 0 and v.self_int == -1)
         raise InputError(f"graph is not minimal: vertex {bad} is a genus-0 (-1)-curve")
@@ -361,31 +375,15 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
             "graph is not numerically Gorenstein (canonical cycle is non-integral)"
         )
     emin = minimally_elliptic_cycle(g)
-    emin_support = {i for i, c in enumerate(emin.coeffs) if c}
-    start = min(emin_support)
+    start = next(i for i, c in enumerate(emin.coeffs) if c)
 
     ze, mz = _fundamental_with_image(g)
     supports: list[set[int]] = [set(range(len(g)))]
     cycles: list[Cycle] = [ze]
     while _dot(emin, mz) == 0:  # Z . E_min, read off M Z
-        orthogonal = {i for i in range(len(g)) if mz[i] == 0}
-        # connected component of the orthogonal locus containing E_min
-        if start not in orthogonal:
-            raise InternalCheckError(
-                "elliptic-sequence-orthogonal-locus",
-                "minimal cycle support not orthogonal to the current cycle",
-            )
+        # the component of B_t's orthogonal locus that holds supp E_min
+        orthogonal = {i for i in supports[-1] if mz[i] == 0}
         comp = next(c for c in connected_components(g, orthogonal) if start in c)
-        if not emin_support <= comp:
-            raise InternalCheckError(
-                "elliptic-sequence-orthogonal-locus",
-                "minimal cycle support split across components",
-            )
-        if not comp < supports[-1]:
-            raise InternalCheckError(
-                "elliptic-sequence-supports-strictly-decrease",
-                f"{tuple(_ids(g, comp))} does not shrink {tuple(_ids(g, supports[-1]))}",
-            )
         supports.append(comp)
         z, mz = _laufer_loop(g, sorted(comp), None)
         cycles.append(z)

@@ -137,6 +137,26 @@ def test_minimally_elliptic_agrees_with_brute_force():
     assert support["star3-genus1"] == 1 and support["tree7-seed4"] == 1
 
 
+@pytest.mark.parametrize("family, param, count", [
+    (fig2312, 8, 17), (fig244, 8, 12), (brell3, 6, 24),
+], ids=["fig2312-8", "fig244-8", "brell3-6"])
+def test_minimally_elliptic_cycle_loops_only_in_its_passes(family, param, count, monkeypatch):
+    # Laufer loops of one cold E_min, counted by a spy on elliptic._laufer_loop
+    # on a graph built anew that already keeps Z_E: one per component of each
+    # B - v in the deletion pass and of each G - v in the uniqueness pass, and
+    # none after them, as E_min keeps the cycle of the component it picks.
+    template = family(param)
+    expected = minimally_elliptic_cycle(template)
+    g = DualGraph(template.vertices, template.edges)
+    fundamental_cycle(g)
+    loops = []
+    laufer = elliptic_module._laufer_loop
+    monkeypatch.setattr(elliptic_module, "_laufer_loop",
+                        lambda g, idxs, rng: loops.append(len(idxs)) or laufer(g, idxs, rng))
+    assert minimally_elliptic_cycle(g) == expected
+    assert len(loops) == count
+
+
 def test_elliptic_sequence_fig2312():
     seq = elliptic_sequence(fig2312(1))
     assert seq.m == 2

@@ -97,6 +97,14 @@ def test_emin_sequence_and_loop_images_match_the_oracles(shape):
         if seq is not None:
             for support, z in zip(seq.supports, seq.cycles):
                 assert z == dense_fundamental_cycle(g, support), (g, support)
+                assert set(emin.support()) <= set(support), (g, support)
+            # what the build loop no longer checks: B_{t+1} < B_t, and
+            # every curve of B_{t+1} is orthogonal to Z_t
+            for t in range(seq.m):
+                outer, inner = set(seq.supports[t]), set(seq.supports[t + 1])
+                assert inner < outer, (g, t)
+                image = dense_mat_vec(g.matrix, seq.cycles[t].coeffs)
+                assert all(image[g.index_of(vid)] == 0 for vid in inner), (g, t)
             seen["m >= 1"] += seq.m >= 1
 
         for support in _loop_supports(g, seq):
