@@ -1,18 +1,15 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers, and only the integers.
 
 Everything here is one fraction-free Gaussian elimination in the style of
-Bareiss, ``eliminate``: ranks of rational matrices after clearing
-denominators, and the one factorization of each graph's form,
-``factor_augmented``, the elimination of [-M | -a] that
+Bareiss, ``eliminate``: the rank of ``artinian.colength``'s integer
+matrix is its pivot count, and the one factorization of each graph's
+form, ``factor_augmented``, is the elimination of [-M | -a] that
 ``graph.is_negative_definite`` runs when a ``DualGraph`` is built.
 Sylvester's criterion is read off its pivots and K off its rows by
-``back_substitute``.  No floating point anywhere.
+``back_substitute``.  No floating point and no Fraction anywhere.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -87,14 +84,3 @@ def back_substitute(rows, n) -> tuple[int, list[int]]:
         y[i] = _exact_div(d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
     return d, y
 
-
-def rank(rows) -> int:
-    """Rank over the rationals of a matrix with int or Fraction entries."""
-    if not rows or not rows[0]:
-        return 0
-    cleared = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs))
-        cleared.append([int(f * mult) for f in fracs])
-    return len(eliminate(cleared, len(cleared[0]))[0])

@@ -3,8 +3,10 @@
 When M is zero-dimensional the quotient k[x,y,z]/M has the staircase of
 standard monomials as a basis, and the image of (f) in it is the image of
 the multiplication-by-f operator; so the colength is the staircase size
-minus the rank of that operator, computed over exact rationals by
-fraction-free elimination.  This module is the independent oracle the
+minus the rank of that operator.  Scaling f leaves the rank alone, so f's
+denominators are cleared once and the operator is one integer matrix,
+whose rank is the pivot count of one fraction-free elimination
+(``_linalg.eliminate``).  This module is the independent oracle the
 package uses to confirm ideal colengths obtained from intersection
 numbers.
 
@@ -21,10 +23,10 @@ hold 4.1 * 10**9 entries, is refused at once with an InputError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from . import _engine
-from ._linalg import rank
+from ._linalg import eliminate
 from .errors import EnumerationLimitError, InputError, _exact_terms, _exponent_triple, _is_int
 from .parsing import parse_monomial_list, parse_polynomial
 
@@ -147,7 +149,8 @@ def colength(f: DensePoly, ideal: MonomialIdeal) -> int:
     """dim_k k[x,y,z]/((f) + M) for zero-dimensional M, exactly.
 
     The rank of multiplication by f on the staircase basis is invariant
-    under scaling f, so the result only depends on the ideal (f) + M.
+    under scaling f, so the result only depends on the ideal (f) + M, and
+    f is scaled by the lcm of its denominators into an integer matrix.
     The N x N matrix is held to the enumeration budget before it is
     allocated (EnumerationLimitError, an InputError, when N^2 is above it).
     """
@@ -157,14 +160,16 @@ def colength(f: DensePoly, ideal: MonomialIdeal) -> int:
     size = len(basis)
     _engine.check_count(size * size, "the multiplication matrix", "entries")
     position = {exps: i for i, exps in enumerate(basis)}
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    terms = [(exps, c.numerator * (scale // c.denominator)) for exps, c in f.terms]
     matrix = [[0] * size for _ in range(size)]
     for col, mono in enumerate(basis):
-        for exps, coeff in f.terms:
+        for exps, coeff in terms:
             shifted = (exps[0] + mono[0], exps[1] + mono[1], exps[2] + mono[2])
             row = position.get(shifted)
             if row is not None:
                 matrix[row][col] += coeff
-    return size - rank(matrix)
+    return size - len(eliminate(matrix, size)[0])
 
 
 def colength_saturating(f: DensePoly, ideal: MonomialIdeal, cap: int = 256) -> int:

@@ -16,6 +16,8 @@ product; ``_chi_of`` reads chi off an image M D a caller already has.
 The loop keeps M Z up to date as it bumps, and ``_laufer_loop`` hands
 that image back with Z, so E_min and the elliptic sequence read chi and
 the orthogonal locus of each fundamental cycle off it with no product.
+An edge multiplicity picks how many bumps the loop takes, so the loop
+answers to the enumeration budget (``SINGLAB_MAX_ENUM``).
 The graph keeps Z_E with its image (``_fundamental_with_image``), from
 which ellipticity, the chi sweep and the sequence read chi(Z_E) and
 M Z_E.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _engine
 from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError, _is_int
 from .graph import Cycle, DualGraph, QCycle, _dot, connected_components, mat_vec, per_graph
@@ -76,7 +79,12 @@ def _fundamental_with_image(g: DualGraph) -> tuple[Cycle, tuple[int, ...]]:
 def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
     """The incremental loop of ``fundamental_cycle`` on the vertex
     indices ``idxs`` (ascending, connected, not checked here), and the
-    image M Z of its cycle Z, which the loop keeps as it bumps."""
+    image M Z of its cycle Z, which the loop keeps as it bumps.
+
+    An edge multiplicity can ask for any number of bumps (E_a^2 = -1 and
+    E_b^2 = -(m^2 + 1) meeting m times take m - 1), and each rescans the
+    support, so bumps times |support| is held to the enumeration budget:
+    past it the loop stops with EnumerationLimitError."""
     rows = g.rows
     n = len(g)
     coeffs = [0] * n
@@ -86,7 +94,7 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
         for i, mij in rows[j]:
             s[i] += mij
 
-    cap = sum(abs(v.self_int) for v in g.vertices) * n * 64
+    limit = _engine.max_enum() // len(idxs)  # bumps; each rescans the support
     steps = 0
     while True:
         violators = [i for i in idxs if s[i] > 0]
@@ -97,12 +105,8 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
         for i, mij in rows[j]:
             s[i] += mij
         steps += 1
-        if steps > cap:
-            raise InternalCheckError(
-                "fundamental-cycle-termination",
-                f"incremental loop exceeded {cap} steps; "
-                "the intersection form cannot be negative definite",
-            )
+        if steps > limit:
+            _engine.check_count(steps * len(idxs), "the fundamental-cycle loop", "curve scans")
     return Cycle._of(g, tuple(coeffs)), s
 
 
@@ -144,13 +148,16 @@ def chi(g: DualGraph, d: Cycle) -> int:
 
 
 def _chi_of(g: DualGraph, d: Cycle, image) -> int:
-    """chi(D) of an integral cycle on ``g``, read off its image M D."""
-    two_chi = -(_dot(d, image) + _canonical_degree(g, d))
-    if two_chi % 2 != 0:
-        raise InternalCheckError(
-            "euler-characteristic-integrality", f"2*chi = {two_chi} is odd"
-        )
-    return two_chi // 2
+    """chi(D) of an integral cycle on ``g``, read off its image M D.
+
+    2chi = -(D.MD + a.D) is even, so the halving is exact: with
+    a_i = 2g_i - 2 - m_ii, a.D = sum m_ii d_i (mod 2), and D.MD =
+    sum m_ii d_i^2 + 2 sum_(i<j) m_ij d_i d_j = sum m_ii d_i (mod 2), as
+    d_i^2 = d_i (mod 2).  Every caller passes ``image`` = M D exactly: a
+    ``mat_vec`` product, a Laufer loop's running image, or a sum or
+    difference of such images.
+    """
+    return -(_dot(d, image) + _canonical_degree(g, d)) // 2
 
 
 def riemann_roch_colength(g: DualGraph, z: Cycle, p_g: int, q: int) -> int:

@@ -75,10 +75,10 @@ class ParseError(InputError):
 
 
 class EnumerationLimitError(InputError):
-    """The anti-nef enumeration, the p_g lattice count or an Artinian
-    staircase and its matrix would exceed the candidate budget.  This is
-    reported, never silently truncated; raise SINGLAB_MAX_ENUM if the scan
-    is genuinely wanted.
+    """The anti-nef enumeration, the p_g lattice count, an Artinian
+    staircase and its matrix, or the Laufer loop of a fundamental cycle
+    would exceed the candidate budget.  This is reported, never silently
+    truncated; raise SINGLAB_MAX_ENUM if the scan is genuinely wanted.
     """
 
 

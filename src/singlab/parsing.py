@@ -68,30 +68,26 @@ def _factor(sc: _Scanner, exps: list[int]):
     exps[_VARS[ch]] += exponent
 
 
+def _factors(sc: _Scanner, exps: list[int]):
+    """Read factors, each a variable after an optional ``*``, until none follows."""
+    while True:
+        nxt = sc.peek()
+        if nxt == "*":
+            sc.take()
+        elif nxt not in _VARS:
+            return
+        _factor(sc, exps)
+
+
 def _term(sc: _Scanner, sign: int) -> Term:
     coeff = 1
     exps = [0, 0, 0]
     ch = sc.peek()
     if ch in _DIGITS:
         coeff = sc.integer()
-        if sc.peek() == "*":
-            sc.take()
-            _factor(sc, exps)
-        elif sc.peek() in _VARS:
-            _factor(sc, exps)
-    elif ch in _VARS:
-        _factor(sc, exps)
-    else:
+    elif ch not in _VARS:
         sc.error("expected a term")
-    while True:
-        nxt = sc.peek()
-        if nxt == "*":
-            sc.take()
-            _factor(sc, exps)
-        elif nxt in _VARS:
-            _factor(sc, exps)
-        else:
-            break
+    _factors(sc, exps)
     return (exps[0], exps[1], exps[2]), sign * coeff
 
 
@@ -124,10 +120,7 @@ def parse_monomial_list(text: str) -> list[tuple[int, int, int]]:
     while True:
         exps = [0, 0, 0]
         _factor(sc, exps)
-        while sc.peek() == "*" or sc.peek() in _VARS:
-            if sc.peek() == "*":
-                sc.take()
-            _factor(sc, exps)
+        _factors(sc, exps)
         out.append((exps[0], exps[1], exps[2]))
         ch = sc.peek()
         if ch is None:

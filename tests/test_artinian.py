@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_rank
 from singlab import artinian as artinian_module
 from singlab import cli
 from singlab import (
@@ -87,6 +89,37 @@ def test_colength_saturating_detects_positive_dimension():
     f = DensePoly.from_text("x^2+x*y")  # (f) + (y) contains no power of x
     with pytest.raises(InputError, match="stabilize"):
         colength_saturating(f, MonomialIdeal.from_text("y"), cap=16)
+
+
+def test_colength_with_fraction_coefficients_is_the_rational_rank():
+    # colength clears f's denominators once; the oracle builds the Fraction
+    # matrix of multiplication by f from the unmerged terms and ranks it over Q
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(150):
+        caps = [rng.randint(1, 4) for _ in range(3)]
+        gens = [(caps[0], 0, 0), (0, caps[1], 0), (0, 0, caps[2])]
+        gens += [(rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 2))]
+        ideal = MonomialIdeal(gens)
+        terms = [((rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)),
+                  Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6, 9))))
+                 for _ in range(rng.randint(1, 4))]
+        f = DensePoly(terms)
+        if f.is_zero:
+            continue
+        basis = standard_monomials(ideal)
+        position = {exps: i for i, exps in enumerate(basis)}
+        matrix = [[Fraction(0)] * len(basis) for _ in basis]
+        for col, mono in enumerate(basis):
+            for exps, coeff in terms:
+                row = position.get(tuple(e + m for e, m in zip(exps, mono)))
+                if row is not None:
+                    matrix[row][col] += coeff
+        value = colength(f, ideal)
+        assert value == len(basis) - fraction_rank(matrix), (terms, ideal)
+        seen.add((value == 0, value == len(basis)))
+    assert len(seen) >= 3  # units, multiples of the staircase and everything between
 
 
 def test_colength_rejects_zero_polynomial():

@@ -154,7 +154,8 @@ def test_wh_genus_of_high_degree_cone(capsys):
 
 
 def test_graph_commands_ignore_the_enumeration_budget(tmp_path, capsys, monkeypatch):
-    # the chi >= 0 sweep has a fixed size, so a tiny budget changes no answer
+    # the chi >= 0 sweep has a fixed size, and every Laufer loop on fig2312(1)
+    # starts at its answer and bumps nothing, so a tiny budget changes no answer
     code, out, _ = run(capsys, "corpus", "emit", "fig2312", "1")
     path = tmp_path / "g.json"
     path.write_text(out)

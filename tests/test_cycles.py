@@ -11,6 +11,7 @@ from oracles import minimal_antinef_full_support
 from singlab import (
     Cycle,
     DualGraph,
+    EnumerationLimitError,
     InputError,
     Vertex,
     canonical_cycle,
@@ -20,7 +21,9 @@ from singlab import (
     is_numerically_gorenstein,
     pairing,
     riemann_roch_colength,
+    serialize_graph,
 )
+from singlab import cli
 from singlab.corpus import brell3, fig244, fig2312
 
 
@@ -85,6 +88,30 @@ def test_fundamental_cycle_order_independent():
         reference = fundamental_cycle(g)
         for seed in range(25):
             assert fundamental_cycle(g, rng=random.Random(seed)) == reference
+
+
+def _laufer_pair(m):
+    """E_a^2 = -1 and E_b^2 = -(m^2 + 1) meeting m times: determinant 1,
+    Z_E = (m, 1), which the Laufer loop reaches in m - 1 bumps."""
+    return DualGraph([Vertex("A", -1), Vertex("B", -(m * m + 1))], [("A", "B", m)])
+
+
+def test_laufer_loop_answers_to_the_enumeration_budget(monkeypatch, capsys, tmp_path):
+    monkeypatch.delenv("SINGLAB_MAX_ENUM", raising=False)
+    assert fundamental_cycle(_laufer_pair(1000)).coeffs == (1000, 1)
+    # 4999 bumps on a support of 2 curves: past a budget of 1000 scans at
+    # bump 501, both in the library and on the command line (exit 1)
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "1000")
+    g = _laufer_pair(5000)
+    message = ("the fundamental-cycle loop needs 1002 curve scans, above the budget of 1000; "
+               "raise SINGLAB_MAX_ENUM to force it")
+    with pytest.raises(EnumerationLimitError) as err:
+        fundamental_cycle(g)
+    assert str(err.value) == message
+    path = tmp_path / "pair.json"
+    path.write_text(serialize_graph(g))
+    assert cli.main(["graph", "analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # -- canonical cycles ------------------------------------------------------

@@ -10,8 +10,11 @@ documents no family emits: one not elliptic, one elliptic but not
 numerically Gorenstein, and one not minimal, to pin the refusals.
 ``--help`` at the top level, on each group and on each leaf command, and
 six malformed command lines, pin the help and usage text at a terminal
-width of 80 columns.  A refactor that keeps the answers keeps every
-digest.  When an output is meant to change, regenerate the table with
+width of 80 columns.  The equation side runs each line of ``EQUATIONS``
+in JSON and in text: ``wh``, ``brieskorn`` and ``artinian colength``
+(with and without ``--saturate``) on the corpus equations, the spellings
+the parser accepts, and its parse errors.  A refactor that keeps the
+answers keeps every digest.  When an output is meant to change, regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from singlab import corpus
 from singlab.cli import main
 
 FAMILIES = ("fig2312", "fig244", "brell3")
@@ -60,6 +64,53 @@ REFUSED = (
                     '"edges":[{"ends":["V0","V1"],"mult":1}]}'),
 )
 REFUSED_COMMANDS = ((("elliptic", "sequence"), ()), (("classify",), ("--pg", "2")))
+
+
+def _equation_lines():
+    """``wh``, ``brieskorn`` and ``artinian colength`` command lines on the
+    corpus equations at parameters 1 and 2."""
+    lines = []
+    for n in (1, 2):
+        for weights, poly in (corpus.fig2312_equation_low_pg(n), corpus.fig2312_equation_high_pg(n),
+                              corpus.fig244_equation(n), corpus.brell3_equation(n)):
+            lines += [("wh", "--weights", ",".join(map(str, weights)), "--poly", poly),
+                      ("artinian", "colength", "--poly", poly, "--ideal", f"x,y,z^{n + 1}"),
+                      ("artinian", "colength", "--poly", poly, "--ideal", f"y,z^{n + 1}",
+                       "--saturate")]
+        lines += [("brieskorn", "2", "3", str(6 * (2 * n + 1))),
+                  ("brieskorn", "2", "4", str(4 * n + 4)),
+                  ("brieskorn", "3", "3", str(3 * n + 3))]
+    return tuple(lines)
+
+
+# each run with --format json and with --format text
+EQUATIONS = (
+    *_equation_lines(),
+    # spellings: an explicit '*', a juxtaposed coefficient, a signed
+    # coefficient on a juxtaposed product, an exponent 1
+    ("artinian", "colength", "--poly", "2*x^2+y^3+z^7", "--ideal", "x^2,y^2,z^3"),
+    ("artinian", "colength", "--poly", "2x^2+y^3+z^7", "--ideal", "x^2,y^2,z^3"),
+    ("artinian", "colength", "--poly", "x^2-3y^2z+z^5", "--ideal", "x^2,y^3,z^4"),
+    ("artinian", "colength", "--poly=-3y^2z+x^2+z^5", "--ideal", "x,y^3,z^4", "--saturate"),
+    ("artinian", "colength", "--poly", "x^1*y+y^3+z^4", "--ideal", "x^1,y^2,z^1*x,z^3"),
+    ("wh", "--weights", "7,3,2", "--poly", "2*x^2+z^7+y^4*z"),
+    ("wh", "--weights", "7,3,2", "--poly", "2x^2-3y^4z+z^7"),
+    ("wh", "--weights", "21,14,6", "--poly", "x^2+y^3+z^7*z^0+x^1*x^1"),
+    # parse errors, each with its message and offset
+    ("artinian", "colength", "--poly", "x^", "--ideal", "x,y,z"),
+    ("artinian", "colength", "--poly", "2*", "--ideal", "x,y,z"),
+    ("artinian", "colength", "--poly", "x^2+y^3+z^7", "--ideal", "x,,y"),
+    ("artinian", "colength", "--poly", "x^2+y^3+z^7", "--ideal", "2x"),
+    ("wh", "--weights", "7,3,2", "--poly", "x^"),
+    ("wh", "--weights", "7,3,2", "--poly", "2*"),
+    # the factor loop's edges: a trailing or doubled '*', juxtaposed
+    # factors, a coefficient followed by a number
+    ("artinian", "colength", "--poly", "x^2+y^3+z^7", "--ideal", "x*,y"),
+    ("artinian", "colength", "--poly", "x^2+y^3+z^7", "--ideal", "x y^2,z*y*x,x^3,y^3,z^2"),
+    ("artinian", "colength", "--poly", "2**x+y+z", "--ideal", "x,y,z"),
+    ("artinian", "colength", "--poly", "3 4+x", "--ideal", "x,y,z"),
+    ("artinian", "colength", "--poly", "x^2 y+z", "--ideal", "x^2,y,z^2"),
+)
 TABLE = Path(__file__).with_name("golden_digests.json")
 
 
@@ -121,6 +172,15 @@ def _refused_records() -> dict:
     return records
 
 
+def _equation_records() -> dict:
+    records = {}
+    for argv in EQUATIONS:
+        for fmt in ("json", "text"):
+            records[" ".join([*argv, "--format", fmt])] = (
+                _record(*_run([*argv, "--format", fmt])))
+    return records
+
+
 def _verify_record() -> dict:
     return _record(*_run(["verify-paper", "--format", "json"]))
 
@@ -164,6 +224,7 @@ def _all_records() -> dict:
             records.update(_family_records(family, param))
             records.update(_text_records(family, param))
     records.update(_refused_records())
+    records.update(_equation_records())
     records["verify-paper"] = _verify_record()
     records.update(_cli_records())
     return records
@@ -202,6 +263,14 @@ def test_refusals_match_golden():
         assert record == expected[key], key
 
 
+def test_equation_side_matches_golden():
+    expected = _expected()
+    actual = _equation_records()
+    assert len(actual) == 2 * len(EQUATIONS)
+    for key, record in actual.items():
+        assert record == expected[key], key
+
+
 def test_verify_paper_matches_golden():
     assert _verify_record() == _expected()["verify-paper"]
 
@@ -220,6 +289,7 @@ def test_help_and_usage_errors_match_golden():
 def test_golden_table_covers_every_run():
     assert len(_expected()) == (2 * len(FAMILIES) * len(PARAMS) * len(COMMANDS) + 1
                                 + len(REFUSED) * len(REFUSED_COMMANDS)
+                                + 2 * len(EQUATIONS)
                                 + len(HELP) + len(MALFORMED))
 
 
