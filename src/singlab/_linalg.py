@@ -2,11 +2,11 @@
 
 Everything here is one fraction-free Gaussian elimination in the style of
 Bareiss, ``eliminate``: the rank of ``artinian.colength``'s integer
-matrix is its pivot count, and the one factorization of each graph's
-form, ``factor_augmented``, is the elimination of [-M | -a] that
-``graph.is_negative_definite`` runs when a ``DualGraph`` is built.
-Sylvester's criterion is read off its pivots and K off its rows by
-``back_substitute``.  No floating point and no Fraction anywhere.
+matrix is its pivot count, and ``solve_negative_definite`` decides each
+graph's form.  It fills [-M | -a] from the graph's sparse rows, reads
+Sylvester's criterion off the pivots, back-substitutes K = y / d and
+drops the table, so the elimination order is this one function's choice.
+No floating point and no Fraction anywhere.
 """
 
 from __future__ import annotations
@@ -59,28 +59,27 @@ def eliminate(a, ncols: int) -> tuple[list[int], bool]:
     return pivots, regular
 
 
-def factor_augmented(matrix, adj):
-    """The n rows of one elimination of [-M | -adj], or None exactly when
-    M is not negative definite.
+def solve_negative_definite(rows, adj) -> tuple[int, list[int]] | None:
+    """(d, y) with K = y / d solving M K = ``adj``, or None exactly when M
+    is not negative definite.
 
-    Row i holds the leading minor p_(i+1) > 0 of -M at column i, zeros to
-    its left and the eliminated right-hand side last.
+    ``rows`` is the form as ``DualGraph.rows`` lays it out.  One
+    elimination of the n x (n + 1) table [-M | -adj]: M is negative
+    definite iff it is regular with every pivot, the leading minors of
+    -M, positive (Sylvester).  d, the last pivot, is det(-M), so y = d K
+    is integral (Cramer) and back substitution finds it in integers.
     """
-    rows = [[-m for m in row] + [-a] for row, a in zip(matrix, adj)]
-    pivots, regular = eliminate(rows, len(rows))
+    n = len(rows)
+    table = [[0] * n + [-a] for a in adj]
+    for line, row in zip(table, rows):
+        for j, m in row:
+            line[j] = -m
+    pivots, regular = eliminate(table, n)
     if not regular or any(p <= 0 for p in pivots):
         return None
-    return tuple(map(tuple, rows))
-
-
-def back_substitute(rows, n) -> tuple[int, list[int]]:
-    """(d, y) with x = y / d solving rows[i][:n] . x = rows[i][n] for i < n,
-    from the rows of a regular ``eliminate``: d, the last pivot, is the
-    determinant, so y = d x is integral (Cramer) and found in integers."""
-    d = rows[n - 1][n - 1] if n else 1
+    d = pivots[-1]
     y = [0] * n
     for i in range(n - 1, -1, -1):
-        row = rows[i]
-        y[i] = _exact_div(d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
+        line = table[i]
+        y[i] = _exact_div(d * line[n] - sum(line[j] * y[j] for j in range(i + 1, n)), line[i])
     return d, y
-

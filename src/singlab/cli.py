@@ -46,12 +46,14 @@ from .wh import WeightedPoly, a_invariant, br_maximal_ideal_brieskorn, pg_briesk
 
 
 def _read_graph(path: str):
-    if path == "-":
-        return parse_graph(sys.stdin.read())
+    """The graph document at ``path`` ('-' for stdin), read as UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parse_graph(text)
 

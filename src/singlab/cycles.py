@@ -6,8 +6,8 @@ computed by the classical incremental loop (start from the reduced cycle,
 repeatedly bump a curve it still meets positively).  The canonical cycle
 K solves the adjunction relations K . E_i = 2 g(E_i) - 2 - E_i^2 and is in
 general only rational; the singularity is numerically Gorenstein when K
-is integral.  K is read off the elimination of [-M | -a] the graph made
-when it was built, by back substitution; nothing here eliminates again.
+is integral.  K is y / d, the integer solution the graph keeps from the
+solve that built it; nothing here eliminates again.
 K . D is the integer a . D, a the adjunction vector (M K = a), so only
 the numerically Gorenstein test and ``graph analyze`` read the rational
 K.  Every product with the form (the Laufer loop's bump, chi, the check
@@ -28,7 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _engine
-from ._linalg import back_substitute
 from .errors import InputError, InternalCheckError, _is_int
 from .graph import Cycle, DualGraph, QCycle, _dot, connected_components, mat_vec, per_graph
 
@@ -112,10 +111,10 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
 
 @per_graph("canonical")
 def canonical_cycle(g: DualGraph) -> QCycle:
-    """The rational cycle K with K . E_i = 2 g(E_i) - 2 - E_i^2 for all i,
-    by back substitution in the graph's elimination of [-M | -a], whose
-    n rows hold -M K = -a in triangular form."""
-    d, y = back_substitute(g.elimination, len(g))
+    """The rational cycle K with K . E_i = 2 g(E_i) - 2 - E_i^2 for all i:
+    y / d, from the integer solution (d, y) of M y = d a the graph keeps
+    from its construction."""
+    d, y = g._solution
     # re-substitution check, always on, in integers: M (d K) = d a
     for i, acc in enumerate(mat_vec(g, y)):
         if acc != d * g.adjunction[i]:

@@ -5,21 +5,21 @@ normal surface singularity: each vertex carries a self-intersection number
 and a genus, each edge an intersection multiplicity.  The graph is a valid
 resolution graph exactly when its intersection matrix is negative
 definite.  That is an invariant of every ``DualGraph``, however it was
-built: the constructor eliminates [-M | -a], a the adjunction vector,
-once (``is_negative_definite``) and raises InputError unless Sylvester's
-criterion holds on the pivots.  It keeps the rows, from which
-``canonical_cycle`` back-substitutes K.  K is in general rational, but
-K . D never needs it: M K = a makes it the integer a . D.  No floating
-point is used anywhere in this package.
+built: the constructor solves M K = a, a the adjunction vector, once
+(``is_negative_definite``) and raises InputError unless Sylvester's
+criterion holds on the pivots.  It keeps K's integer solution, not the
+elimination.  K is in general rational, but K . D never needs it:
+M K = a makes it the integer a . D.  No floating point is used anywhere
+in this package.
 
 The form is stored once, as sparse rows, the diagonal entry and then one
 entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,
 ``is_anti_nef`` and through them the cycles and the elliptic sequence)
 costs O(n + |E|).  The exhaustive chi >= 0 sweep builds its minimum-cut
-network on the same rows, and the anti-nef box scan walks them.  The
-dense ``matrix`` is built from the rows on each read and kept nowhere;
-its readers take it once each: the elimination at construction, the
-printed matrix of ``graph analyze`` and the sampled chi sweep.
+network on the same rows, the anti-nef box scan walks them, and the
+solve fills its table from them.  The dense ``matrix`` is built from the
+rows on each read and kept nowhere, for the printed matrix of
+``graph analyze`` and the sampled chi sweep.
 
 A graph object keeps, in ``_cache`` and only through ``per_graph``: Z_E
 with its image M Z_E (``fundamental_cycle`` of every vertex, without
@@ -39,7 +39,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import _engine
-from ._linalg import factor_augmented
+from ._linalg import solve_negative_definite
 from .errors import InputError, _is_exact, _is_int
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -61,14 +61,14 @@ class DualGraph:
     ``rows[i]`` is row i of the form as ``((i, m_ii), (j, m_ij), ...)``
     over the neighbours j of vertex ``i``, ascending, and the one stored
     copy of the form; ``matrix`` is a dense view built from it on demand.
-    ``adjunction[i]`` is K . E_i = 2 g_i - 2 - E_i^2, and ``elimination``
-    the n rows of ``is_negative_definite``.  The constructor rejects with
-    InputError anything that is not a connected resolution graph, a form
-    that is not negative definite included, and with EnumerationLimitError
-    a graph whose n^2 dense entries exceed ``SINGLAB_MAX_ENUM``.
+    ``adjunction[i]`` is K . E_i = 2 g_i - 2 - E_i^2, and ``_solution``
+    the (d, y), K = y / d, of ``is_negative_definite``.  The constructor
+    rejects with InputError anything that is not a connected resolution
+    graph, a form that is not negative definite included, and with
+    EnumerationLimitError a graph whose n^2 entries exceed ``SINGLAB_MAX_ENUM``.
     """
 
-    __slots__ = ("vertices", "edges", "rows", "adjunction", "elimination", "_index", "_cache")
+    __slots__ = ("vertices", "edges", "rows", "adjunction", "_solution", "_index", "_cache")
 
     def __init__(self, vertices, edges):
         verts = []
@@ -125,7 +125,7 @@ class DualGraph:
         )
         self.rows = tuple(tuple(row) for row in rows)
         self.adjunction = tuple(2 * v.genus - 2 - v.self_int for v in verts)
-        self.elimination = None
+        self._solution = None
         self._index = index
         self._cache = {}
 
@@ -133,7 +133,7 @@ class DualGraph:
         if len(components) != 1:
             missing = verts[min(components[1])].id
             raise InputError(f"graph is disconnected (vertex {missing!r} unreachable)")
-        # the elimination reads the dense form: its n^2 entries are budgeted first
+        # the solve fills an n x (n + 1) table: its n^2 entries are budgeted first
         _engine.check_count(len(verts) ** 2, "the dense intersection form", "entries")
         if not is_negative_definite(self):
             raise InputError("intersection matrix is not negative definite")
@@ -394,7 +394,7 @@ def parse_graph(text: str) -> DualGraph:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, a too-long int, deep nesting
         raise InputError(f"graph document is not valid JSON: {exc}") from None
     return graph_from_json(doc)
 
@@ -453,12 +453,12 @@ def _dot(d: Cycle, image) -> int:
 
 
 def is_negative_definite(g: DualGraph) -> bool:
-    """Sylvester's criterion on the graph's one elimination, which the
-    constructor runs here (``_linalg.factor_augmented``) and keeps as
-    ``g.elimination``; on a built graph, always True at no cost."""
-    if g.elimination is None:
-        g.elimination = factor_augmented(g.matrix, g.adjunction)
-    return g.elimination is not None
+    """Sylvester's criterion on the pivots of the one solve of M K = a on
+    ``g.rows``, which the constructor runs here and keeps as its integer
+    solution; on a built graph, always True at no cost."""
+    if g._solution is None:
+        g._solution = solve_negative_definite(g.rows, g.adjunction)
+    return g._solution is not None
 
 
 def connected_components(g: DualGraph, indices) -> list[set[int]]:

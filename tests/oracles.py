@@ -9,8 +9,8 @@ exactly what they return, in the same order; the pruned walk that
 certified the chi >= 0 boxes before one minimum cut did, on the
 elimination of the bordered form [[-M, -a], [-a^T, 0]] that
 ``bordered_factor`` builds for it; the linear solve the package used
-for the canonical cycle before it read K off the graph's one
-elimination; the Laufer loop as it ran on the dense matrix before the
+for the canonical cycle before the graph solved for K once, when it is
+built; the Laufer loop as it ran on the dense matrix before the
 form became sparse rows; and the check of the -1 chains as it stood
 before it was telescoped, with its chain-adjacency test and its
 adjunction clause.  The kernels of the package take ``DualGraph.rows``;
@@ -295,8 +295,8 @@ def row_min_twochi_in_box(matrix, adj, bounds):
 
 # The chi walk the package ran on the graph's one elimination before one
 # minimum cut certified each box: the first minimiser over D != 0, in
-# odometer order.  The walk reads the border row, which the graph's own
-# elimination of [-M | -a] does not carry, so it takes its own.
+# odometer order.  The walk reads the rows of a bordered elimination, and
+# a graph keeps no elimination, only K's solution, so it takes its own.
 
 
 def bordered_factor(matrix, adj):

@@ -2,19 +2,20 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singlab import Cycle, EnumerationLimitError, cli, enumerate_antinef_upto
+from singlab import Cycle, EnumerationLimitError, cli, corpus, enumerate_antinef_upto
 from singlab.cli import main
 from singlab.corpus import fig2312
 from singlab.graph import serialize_graph
@@ -216,6 +217,44 @@ def test_bad_graph_file_reports_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "graph", "analyze", str(tmp_path / "missing.json"))
     assert code == 1
     assert "cannot read" in err
+
+
+# A document that is not UTF-8 (a byte 0xff in an id), and one nested past
+# the recursion limit: each is one "error:" line and exit 1.
+NOT_UTF8 = b'{"vertices":[{"id":"a\xff","self":-2}]}'
+TOO_DEEP = b"[" * 1001
+
+
+def _only_error_line(err):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def test_unreadable_graph_documents_exit_1(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    for words in (["graph", "analyze"], ["elliptic", "sequence"], ["classify"]):
+        tail = ["--pg", "1"] if words == ["classify"] else []
+        path.write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, *words, str(path), *tail)
+        assert (code, out) == (1, "")
+        assert _only_error_line(err).startswith(f"error: cannot read {path}: 'utf-8' codec")
+        path.write_bytes(TOO_DEEP)
+        code, out, err = run(capsys, *words, str(path), *tail)
+        assert (code, out) == (1, "")
+        assert _only_error_line(err).startswith("error: graph document is not valid JSON: ")
+
+
+def test_a_stdin_document_that_is_not_utf8_exits_1():
+    # with PYTHONIOENCODING=utf-8, as under a UTF-8 locale, stdin decodes
+    # strictly, so the byte 0xff fails the read itself
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "singlab.cli", "graph", "analyze", "-"],
+                          input=NOT_UTF8, capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert _only_error_line(proc.stderr.decode()).startswith("error: cannot read -: 'utf-8' codec")
 
 
 def test_graph_analyze_rejects_non_definite_forms(tmp_path, capsys):
@@ -507,3 +546,107 @@ def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+# -- graph-document fuzz ------------------------------------------------------
+
+_HUGE = "__huge__"  # replaced by a long integer literal after json.dumps
+_ODD = (None, True, False, 0, 1, -1, 2, -2, 7, 1.5, 1e400, "", "x", "A", "a b", [], {},
+        ["A", "B"], {"id": "A"}, _HUGE)
+
+
+def _random_document(draw):
+    """A tree on up to 6 vertices, maybe with one more edge, of small
+    weights: often a resolution graph, sometimes not negative definite."""
+    n = draw(st.integers(1, 6))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 1 and draw(st.booleans()):
+        ends.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    vertices = [{"id": f"V{i}", "self": draw(st.integers(-5, -1)),
+                 "genus": draw(st.sampled_from((0, 0, 0, 1, 2)))} for i in range(n)]
+    edges = [{"ends": [f"V{i}", f"V{j}"], "mult": draw(st.sampled_from((1, 1, 1, 2)))}
+             for i, j in ends]
+    return {"vertices": vertices, "edges": edges}
+
+
+@st.composite
+def _graph_documents(draw):
+    """Bytes of a graph document: a corpus or a random small document,
+    some of its fields changed, removed or added (wrong types, huge
+    integers, unknown ids and keys), then maybe truncated, nested in
+    arrays up to past the recursion limit, or given bytes that are not
+    UTF-8."""
+    if draw(st.booleans()):
+        name, param = draw(st.sampled_from(
+            (("fig2312", 1), ("fig2312", 3), ("fig244", 1), ("brell3", 1))))
+        doc = json.loads(serialize_graph(getattr(corpus, name)(param)))
+    else:
+        doc = _random_document(draw)
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        where = draw(st.sampled_from(("vertices", "edges", "top")))
+        value = draw(st.sampled_from(_ODD))
+        if where == "top":
+            target, key = doc, draw(st.sampled_from(("vertices", "edges", "extra")))
+        elif doc.get(where) and isinstance(doc[where], list):
+            target = doc[where][draw(st.integers(0, len(doc[where]) - 1))]
+            key = draw(st.sampled_from(("id", "self", "genus", "ends", "mult", "extra")))
+            if not isinstance(target, dict):
+                continue
+        else:
+            continue
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = value
+    text = json.dumps(doc)
+    huge = "9" * draw(st.sampled_from((30, 4300, 4301, 6000)))
+    text = text.replace(f'"{_HUGE}"', draw(st.sampled_from((huge, "-" + huge))))
+    data = text.encode()
+    faults = draw(st.sets(st.sampled_from(("truncate", "nest", "bytes")), max_size=2))
+    if draw(st.booleans()):
+        faults = set()
+    if "truncate" in faults:
+        data = data[:draw(st.integers(0, len(data)))]
+    if "nest" in faults:
+        depth = draw(st.sampled_from((1, 995, 1001, 1500)))
+        data = b"[" * depth + data + b"]" * depth
+    if "bytes" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80"))) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.json"
+
+
+def _main_quietly(argv, stdin=None):
+    """(exit code, stderr) of ``main(argv)``, stdin read from the bytes
+    ``stdin`` as a UTF-8 locale reads it: strictly."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    if stdin is not None:
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    try:
+        with redirect_stdout(out), redirect_stderr(err), _deadline(10):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_documents())
+@example(NOT_UTF8)
+@example(TOO_DEEP)
+def test_graph_documents_exit_0_or_1(fuzz_path, data):
+    # every document is answered or refused as input, from a file and
+    # from stdin, within the deadline and with no traceback
+    fuzz_path.write_bytes(data)
+    for words in (["graph", "analyze"], ["elliptic", "sequence"]):
+        for source, stdin in ((str(fuzz_path), None), ("-", data)):
+            code, err = _main_quietly([*words, source], stdin)
+            assert code in (0, 1), (words, source, err)
+            assert "Traceback" not in err
+            assert code == 0 or err.startswith("error: "), err

@@ -397,7 +397,7 @@ def test_is_elliptic_keeps_its_chi_sweep(n, monkeypatch):
 
 
 def test_one_elimination_per_graph(monkeypatch):
-    # K and the sequence read the rows the constructor eliminated, and the
+    # K and the sequence read the solution the constructor kept, and the
     # exhaustive chi sweep cuts the form's sparse rows with no elimination
     # of its own; a fresh copy, so nothing is cached yet
     template = fig2312(3)
@@ -409,8 +409,10 @@ def test_one_elimination_per_graph(monkeypatch):
     assert is_elliptic(g) and chi_nonnegative_check(g).exhaustive
     elliptic_sequence(g)
     assert len(calls) == 1
-    # the elimination of [-M | -a] has one row per vertex and no border row
-    assert len(g.elimination) == len(g)
+    # the graph keeps no table, only the integer solution (d, y) of M y = d a
+    d, y = g._solution
+    assert isinstance(d, int) and len(y) == len(g)
+    assert all(isinstance(c, int) for c in y)
 
 
 def test_verify_paper_emin_rule_equals_the_box_scan():

@@ -24,7 +24,7 @@ from singlab import (
 )
 from singlab import graph as graph_module
 from singlab.corpus import brell3, fig244, fig2312
-from singlab.cycles import fundamental_cycle
+from singlab.cycles import canonical_cycle, fundamental_cycle
 
 
 def doc(vertices, edges=()):
@@ -98,6 +98,9 @@ def test_parse_rejects_bad_json_and_schema():
         parse_graph(doc(pair, [{"ends": ["A", 1]}]))
     with pytest.raises(InputError, match="JSON"):
         parse_graph('{"vertices": [{"id": "A", "self": -' + "9" * 5000 + "}]}")
+    # nesting past the recursion limit: json.loads raises RecursionError
+    with pytest.raises(InputError, match="graph document is not valid JSON: "):
+        parse_graph("[" * 1001)
     with pytest.raises(InputError, match='"edges"'):
         parse_graph(json.dumps({"vertices": pair, "edges": None}))
     # the same invariants hold for hand-built graphs
@@ -139,9 +142,9 @@ def test_semidefinite_and_zero_forms_are_rejected_at_construction():
 
 
 def test_dense_form_past_the_budget_is_refused_before_it_is_built(monkeypatch):
-    # fig2312(10) has n = 21 vertices, so its elimination would read 441
-    # dense entries: past the budget, the constructor refuses it, built or
-    # parsed, before the elimination allocates anything
+    # fig2312(10) has n = 21 vertices, so the table of its solve would hold
+    # 441 entries of the form: past the budget, the constructor refuses it,
+    # built or parsed, before the solve allocates anything
     text = serialize_graph(fig2312(10))
     fig2312.cache_clear()  # the corpus keeps the graph it built
 
@@ -149,7 +152,7 @@ def test_dense_form_past_the_budget_is_refused_before_it_is_built(monkeypatch):
         raise AssertionError("the dense form was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(graph_module, "factor_augmented", never)
+        patch.setattr(graph_module, "solve_negative_definite", never)
         patch.setenv("SINGLAB_MAX_ENUM", "440")
         for build in (lambda: parse_graph(text), lambda: fig2312(10)):
             with pytest.raises(EnumerationLimitError,
@@ -157,6 +160,32 @@ def test_dense_form_past_the_budget_is_refused_before_it_is_built(monkeypatch):
                 build()
     monkeypatch.setenv("SINGLAB_MAX_ENUM", "441")
     assert parse_graph(text) == fig2312(10)
+
+
+def test_a_built_graph_keeps_no_table():
+    # the solve's n x (n + 1) table is dropped when it returns: no attribute
+    # of a graph, nor an entry of one, is n rows of n or more entries,
+    # before or after K is read
+    template = fig2312(30)
+    g = DualGraph(template.vertices, template.edges)
+    n = len(g)
+
+    def tables(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (tuple, list)):
+            if len(value) >= n and all(
+                    isinstance(r, (tuple, list)) and len(r) >= n for r in value):
+                yield value
+            for entry in value:
+                yield from tables(entry)
+
+    for read in (None, canonical_cycle):
+        if read is not None:
+            assert read(g).coeffs == canonical_cycle(template).coeffs
+        slots = {name: getattr(g, name) for name in DualGraph.__slots__}
+        assert "elimination" not in slots and n == 61
+        assert [name for name, value in slots.items() if any(tables(value))] == []
 
 
 def test_duplicate_edge_entries_merge():

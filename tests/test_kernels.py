@@ -48,7 +48,7 @@ from singlab import (
     pairing,
 )
 from singlab import elliptic as elliptic_module
-from singlab._linalg import factor_augmented
+from singlab._linalg import solve_negative_definite
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.cycles import adjunction_vector, fundamental_cycle
 from singlab.graph import connected_components, mat_vec
@@ -142,19 +142,19 @@ def test_row_kernel_is_the_first_odometer_minimum(matrix, adj, bounds):
 
 
 # The kernel walks the rows of a factorization that exists only for a
-# negative definite form: a form that is not is refused once, when it is
-# factored, and a graph with it is never built.
+# negative definite form: a form that is not is refused once, when the
+# graph solves for K, and a graph with it is never built.
 
 
 def test_row_kernel_needs_a_negative_first_diagonal_entry():
-    assert factor_augmented(((0,),), (0,)) is None
+    assert solve_negative_definite(sparse_rows(((0,),)), (0,)) is None
     with pytest.raises(InputError, match="not negative definite"):
         DualGraph([Vertex("A", 0)], [])
 
 
 def test_sweep_kernel_refuses_a_form_that_is_not_negative_definite():
     # the first pivot is fine, the second leading minor is 1 - 4 < 0
-    assert factor_augmented(((-1, 2), (2, -1)), (0, 0)) is None
+    assert solve_negative_definite(sparse_rows(((-1, 2), (2, -1))), (0, 0)) is None
     with pytest.raises(InputError, match="not negative definite"):
         DualGraph([Vertex("A", -1), Vertex("B", -1)], [("A", "B", 2)])
 
@@ -353,7 +353,7 @@ def test_kernels_equal_the_old_kernels_on_small_forms():
         rows = bordered_factor(matrix, adj)
         # refused exactly when some leading minor has the wrong sign, by the
         # graph's factorization and the walk's alike
-        assert (rows is None) == (factor_augmented(matrix, adj) is None) == any(
+        assert (rows is None) == (solve_negative_definite(sparse_rows(matrix), adj) is None) == any(
             (-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) <= 0 for k in range(1, n + 1))
         if rows is None:
             continue

@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_det, fraction_rank, solve
-from singlab._linalg import back_substitute, eliminate, factor_augmented
+from oracles import fraction_det, fraction_rank, solve, sparse_rows
+from singlab._linalg import eliminate, solve_negative_definite
 
 
 def test_leading_principal_minors_chain():
     # tridiagonal chain of (-2)s: minors alternate as (-1)^k (k+1)
     m = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
     assert eliminate([row[:] for row in m], 3) == ([-2, 3, -4], True)
-    # the factorization of [-M | -a] carries the minors of -M on its diagonal
-    rows = factor_augmented(m, (0, 0, 1))
-    assert [rows[i][i] for i in range(3)] == [2, 3, 4]
+    # the elimination of [-M | -a] carries the minors of -M on its diagonal
+    table = [[-x for x in row] + [-a] for row, a in zip(m, (0, 0, 1))]
+    assert eliminate(table, 3) == ([2, 3, 4], True)
+    # and the solve reads d = det(-M) = 4 off it: M (y / 4) = (0, 0, 1)
+    assert solve_negative_definite(sparse_rows(m), (0, 0, 1)) == (4, [-1, -2, -3])
 
 
 def random_symmetric(rng, n):
@@ -52,23 +54,29 @@ def test_pivots_are_leading_minors_and_decide_definiteness():
         assert pivots[:first_zero] == minors[:first_zero], m
         sylvester = all((d < 0) if k % 2 else (d > 0) for k, d in enumerate(minors, 1))
         adj = [rng.randint(-9, 9) for _ in range(n)]
-        rows = factor_augmented(m, adj)
-        assert (rows is not None) == sylvester, m
-        if rows is not None:
-            # one factorization: the minors of -M, and the K of the old solve
-            assert [rows[i][i] for i in range(n)] == [abs(d) for d in minors]
-            assert _solution(rows, n) == solve(m, adj), m
+        table = [[-x for x in row] + [-a] for row, a in zip(m, adj)]
+        pivots, regular = eliminate(table, n)
+        if sylvester:
+            # the elimination of [-M | -a] has the minors of -M as pivots
+            assert regular and pivots == [abs(d) for d in minors], m
+        solution = solve_negative_definite(sparse_rows(m), adj)
+        assert (solution is not None) == sylvester, m
+        if solution is not None:
+            # and the solve's d is the last of them, y / d the old solve's K
+            d, y = solution
+            assert d == abs(minors[-1]), m
+            assert [Fraction(v, d) for v in y] == solve(m, adj), m
         verdicts.add(sylvester)
     assert verdicts == {True, False}
 
 
-def _solution(rows, n):
-    d, y = back_substitute(rows, n)
+def _solution(m, b):
+    d, y = solve_negative_definite(sparse_rows(m), b)
     return [Fraction(v, d) for v in y]
 
 
 def test_solve_resubstitutes():
-    # back substitution on the factor of [-M | -b], M negative definite
+    # back substitution on the elimination of [-M | -b], M negative definite
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(1, 6)
@@ -76,18 +84,18 @@ def test_solve_resubstitutes():
         m = [[-sum(a[k][i] * a[k][j] for k in range(n)) - (i == j)
               for j in range(n)] for i in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        x = _solution(factor_augmented(m, b), n)
+        x = _solution(m, b)
         for i in range(n):
             assert sum(m[i][j] * x[j] for j in range(n)) == b[i]
         assert x == solve(m, b)
 
 
 def test_solve_singular_raises():
-    # the old solve raised on a singular form; the factorization refuses it
+    # the old solve raised on a singular form; the solve refuses it
     for m, b in (([[1, 1], [1, 1]], [0, 1]), ([[0]], [1]), ([[-2, 2], [2, -2]], [0, 0])):
         with pytest.raises(ValueError):
             solve(m, b)
-        assert factor_augmented(m, b) is None
+        assert solve_negative_definite(sparse_rows(m), b) is None
 
 
 def _pivot_count(m):

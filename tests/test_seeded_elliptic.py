@@ -14,7 +14,7 @@ import pytest
 
 from oracles import chi_zero_in_box, dense_fundamental_cycle
 from oracles import mat_vec as dense_mat_vec
-from singlab import (DualGraph, InputError, Vertex, classify_gorenstein_elliptic_ideals,
+from singlab import (DualGraph, InputError, Vertex, classify_gorenstein_elliptic_ideals, derive_af,
                      elliptic_sequence, is_elliptic, is_numerically_gorenstein,
                      minimally_elliptic_cycle)
 from singlab import _engine
@@ -146,3 +146,29 @@ def test_graphs_that_are_not_minimal_are_refused_as_input(shape):
                 build(g)
         refused += 1
     assert refused >= 5, refused
+
+
+@pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
+def test_classification_counts_follow_from_the_sequence(shape):
+    """The paper's count criteria, which ``classify`` does not check because
+    the verified sequence proves them, on every seeded sequence and every
+    p_g that ``derive_af`` accepts: zeta = p_g iff -Z_m^2 >= 2, and zeta = 0
+    when the graph is maximally elliptic with Z_0^2 = -1."""
+    seen = {"zeta = p_g": 0, "zeta < p_g": 0, "maximal, Z_0^2 = -1": 0}
+    for g in _elliptic_graphs(shape):
+        if not is_numerically_gorenstein(g):
+            continue
+        seq = elliptic_sequence(g)
+        for p_g in range(1, seq.m + 2):
+            try:
+                af = derive_af(seq.m, p_g)
+            except InputError:
+                continue
+            report = classify_gorenstein_elliptic_ideals(g, p_g)
+            full = -seq.self_intersection(seq.m) >= 2
+            assert (report.zeta == p_g) == full, (g, p_g)
+            seen["zeta = p_g" if full else "zeta < p_g"] += 1
+            if af.maximal and seq.self_intersection(0) == -1:
+                assert report.zeta == 0 and report.note, (g, p_g)
+                seen["maximal, Z_0^2 = -1"] += 1
+    assert all(seen.values()), seen
