@@ -26,9 +26,10 @@ budget, like the chi sweep's 200k cap and sampled mode in
 ``singlab.elliptic``, does not depend on how a box is certified.  ``check_count``
 holds any other count to the same budget: ``singlab.artinian`` checks
 its staircase box and its matrix size with it before it allocates,
-``DualGraph`` the n^2 entries of the dense form it eliminates, and the
-Laufer loop of ``singlab.cycles`` its bumps times the support it rescans
-per bump, once they pass the budget.
+``DualGraph.matrix`` the n^2 entries of the dense view, the sparse
+elimination of ``singlab._linalg`` the entries it stores as it creates
+them, and the Laufer loop of ``singlab.cycles`` its bumps times the
+support it rescans per bump, once they pass the budget.
 
 Environment variables:
     SINGLAB_MAX_ENUM  candidate budget for the guarded scans (default 10**7).

@@ -169,7 +169,7 @@ def colength(f: DensePoly, ideal: MonomialIdeal) -> int:
             row = position.get(shifted)
             if row is not None:
                 matrix[row][col] += coeff
-    return size - len(eliminate(matrix, size)[0])
+    return size - len(eliminate(matrix, size))
 
 
 def colength_saturating(f: DensePoly, ideal: MonomialIdeal, cap: int = 256) -> int:

@@ -67,13 +67,19 @@ def _fmt_value(value):
 
 
 def _emit(doc: dict, fmt: str, text_renderer=None):
-    if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    elif text_renderer is not None:
-        text_renderer(doc)
-    else:
-        for key, value in doc.items():
-            print(f"{key}: {_fmt_value(value)}")
+    """Print the report, rendered whole first: an answer holding an integer
+    past Python's limit on the digits of a decimal string is an input
+    error, and nothing of it is printed."""
+    try:
+        if fmt == "json":
+            text = json.dumps(doc, indent=2, sort_keys=True)
+        elif text_renderer is not None:
+            text = text_renderer(doc)
+        else:
+            text = "\n".join(f"{key}: {_fmt_value(value)}" for key, value in doc.items())
+    except ValueError as exc:
+        raise InputError(f"cannot print the answer: {exc}") from None
+    print(text)
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -81,6 +87,7 @@ def _emit(doc: dict, fmt: str, text_renderer=None):
 
 def _cmd_graph_analyze(args) -> int:
     g = _read_graph(args.file)
+    matrix = intersection_matrix(g)  # the n^2 budget refuses first, before any loop runs
     ze = fundamental_cycle(g)
     k = canonical_cycle(g)
     doc = {
@@ -88,7 +95,7 @@ def _cmd_graph_analyze(args) -> int:
         "negative_definite": True,  # every DualGraph is, by construction
         "minimal": g.is_minimal,
         "vertices": list(g.ids),
-        "matrix": intersection_matrix(g),
+        "matrix": matrix,
         "fundamental_cycle": cycle_to_json(ze),
         "chi_fundamental": chi(g, ze),
         "elliptic": is_elliptic(g),
@@ -125,18 +132,19 @@ def _cmd_classify(args) -> int:
     report = classify_gorenstein_elliptic_ideals(g, args.pg, char0=not args.no_char0)
 
     def render(doc):
-        print(f"m: {doc['m']}   p_g: {doc['pg']}   gamma: {doc['gamma']}   "
-              f"beta: {doc['beta']}   maximal: {doc['maximal']}")
-        print(f"admissible indices: {doc['af']}")
-        print(f"zeta: {doc['zeta']}")
+        lines = [f"m: {doc['m']}   p_g: {doc['pg']}   gamma: {doc['gamma']}   "
+                 f"beta: {doc['beta']}   maximal: {doc['maximal']}",
+                 f"admissible indices: {doc['af']}",
+                 f"zeta: {doc['zeta']}"]
         for ideal in doc["ideals"]:
-            print(
+            lines.append(
                 f"  t={ideal['t']}  cycle={_fmt_value(ideal['cycle'])}  "
                 f"colength={ideal['colength']}  e0={ideal['e0']}  "
                 f"e2bar={ideal['e2bar']}  q={ideal['q']}  kind={ideal['kind']}"
             )
         if "note" in doc:
-            print(f"note: {doc['note']}")
+            lines.append(f"note: {doc['note']}")
+        return "\n".join(lines)
 
     _emit(report.to_json_dict(), args.format, render)
     return 0
@@ -190,7 +198,7 @@ def _cmd_artinian_colength(args) -> int:
 
 def _cmd_corpus_emit(args) -> int:
     g = corpus.emit(args.name, args.param)
-    _emit(graph_to_json(g), args.format, lambda doc: print(serialize_graph(g)))
+    _emit(graph_to_json(g), args.format, lambda doc: serialize_graph(g))
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every singlab module; the one rule by
 which input checks tell an integer (or an exact coefficient) from anything
-else, and an exponent triple or polynomial term from any other shape; and
-the one way a list of ``(check, holds, detail)`` identities is raised on."""
+else, and an exponent triple or polynomial term from any other shape; the
+one cut that keeps a message quoting input short; and the one way a list
+of ``(check, holds, detail)`` identities is raised on."""
 
 from __future__ import annotations
 
@@ -11,6 +12,12 @@ from fractions import Fraction
 def _is_int(x) -> bool:
     # bools (JSON true/false among them) count as ints in Python; not here
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _clip(text: str, limit: int = 80) -> str:
+    """``text`` cut to ``limit`` characters and an ellipsis: a refusal
+    names the offending value without echoing an input of any size."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def _is_exact(x) -> bool:
@@ -76,8 +83,9 @@ class ParseError(InputError):
 
 class EnumerationLimitError(InputError):
     """The anti-nef enumeration, the p_g lattice count, an Artinian
-    staircase and its matrix, or the Laufer loop of a fundamental cycle
-    would exceed the candidate budget.  This is reported, never silently
+    staircase and its matrix, the Laufer loop of a fundamental cycle, the
+    elimination of a graph's form or its dense view would exceed the
+    candidate budget.  This is reported, never silently
     truncated; raise SINGLAB_MAX_ENUM if the scan is genuinely wanted.
     """
 

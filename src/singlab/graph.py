@@ -7,8 +7,10 @@ resolution graph exactly when its intersection matrix is negative
 definite.  That is an invariant of every ``DualGraph``, however it was
 built: the constructor solves M K = a, a the adjunction vector, once
 (``is_negative_definite``) and raises InputError unless Sylvester's
-criterion holds on the pivots.  It keeps K's integer solution, not the
-elimination.  K is in general rational, but K . D never needs it:
+criterion holds on the pivots.  The solve eliminates the sparse rows in
+minimum-degree order, tree leaves first, so a tree of n curves is built
+in O(n log n) steps with no n x n table.  It keeps K's integer solution,
+not the elimination.  K is in general rational, but K . D never needs it:
 M K = a makes it the integer a . D.  No floating point is used anywhere
 in this package.
 
@@ -17,9 +19,10 @@ entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,
 ``is_anti_nef`` and through them the cycles and the elliptic sequence)
 costs O(n + |E|).  The exhaustive chi >= 0 sweep builds its minimum-cut
 network on the same rows, the anti-nef box scan walks them, and the
-solve fills its table from them.  The dense ``matrix`` is built from the
-rows on each read and kept nowhere, for the printed matrix of
-``graph analyze`` and the sampled chi sweep.
+solve eliminates them.  The dense ``matrix`` is built from the rows on
+each read and kept nowhere, for the printed matrix of ``graph analyze``
+and the sampled chi sweep; it is the one n x n allocation left, so its
+n^2 entries answer to the budget (``SINGLAB_MAX_ENUM``).
 
 A graph object keeps, in ``_cache`` and only through ``per_graph``: Z_E
 with its image M Z_E (``fundamental_cycle`` of every vertex, without
@@ -40,7 +43,7 @@ from typing import NamedTuple
 
 from . import _engine
 from ._linalg import solve_negative_definite
-from .errors import InputError, _is_exact, _is_int
+from .errors import InputError, _clip, _is_exact, _is_int
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -65,7 +68,9 @@ class DualGraph:
     the (d, y), K = y / d, of ``is_negative_definite``.  The constructor
     rejects with InputError anything that is not a connected resolution
     graph, a form that is not negative definite included, and with
-    EnumerationLimitError a graph whose n^2 entries exceed ``SINGLAB_MAX_ENUM``.
+    EnumerationLimitError a graph whose elimination stores more entries
+    than ``SINGLAB_MAX_ENUM``; ``matrix`` refuses the same way a graph whose
+    n^2 dense entries exceed it.
     """
 
     __slots__ = ("vertices", "edges", "rows", "adjunction", "_solution", "_index", "_cache")
@@ -77,40 +82,40 @@ class DualGraph:
                 try:
                     v = Vertex(*v)
                 except TypeError:
-                    raise InputError(f"bad vertex {v!r}") from None
+                    raise InputError(f"bad vertex {_clip(repr(v))}") from None
             if not isinstance(v.id, str) or not _ID_RE.match(v.id):
                 raise InputError(
-                    f"invalid vertex id {v.id!r}: must be a string of letters, digits and _"
+                    f"invalid vertex id {_clip(repr(v.id))}: must be a string of letters, digits and _"
                 )
             if not _is_int(v.self_int) or not _is_int(v.genus):
-                raise InputError(f"vertex {v.id!r}: weights must be integers")
+                raise InputError(f"vertex {_clip(repr(v.id))}: weights must be integers")
             if v.genus < 0:
-                raise InputError(f"vertex {v.id}: genus must be >= 0")
+                raise InputError(f"vertex {_clip(v.id)}: genus must be >= 0")
             verts.append(v)
         if not verts:
             raise InputError("graph must have at least one vertex")
         index = {}
         for i, v in enumerate(verts):
             if v.id in index:
-                raise InputError(f"duplicate vertex id {v.id!r}")
+                raise InputError(f"duplicate vertex id {_clip(repr(v.id))}")
             index[v.id] = i
 
         mult = {}
         for e in edges:
             if not isinstance(e, (tuple, list)) or len(e) != 3:
-                raise InputError(f"edge {e!r} must be (id_a, id_b, multiplicity)")
+                raise InputError(f"edge {_clip(repr(e))} must be (id_a, id_b, multiplicity)")
             a, b, m = e
             if not (isinstance(a, str) and isinstance(b, str)):
-                raise InputError(f"edge {e!r}: ends must be string vertex ids")
+                raise InputError(f"edge {_clip(repr(e))}: ends must be string vertex ids")
             if a not in index or b not in index:
                 missing = a if a not in index else b
-                raise InputError(f"edge references unknown vertex {missing!r}")
+                raise InputError(f"edge references unknown vertex {_clip(repr(missing))}")
             if a == b:
-                raise InputError(f"loop edge at vertex {a!r} is not allowed")
+                raise InputError(f"loop edge at vertex {_clip(repr(a))} is not allowed")
             if not _is_int(m):
-                raise InputError(f"edge {a}-{b}: multiplicity must be an integer")
+                raise InputError(f"edge {_clip(a)}-{_clip(b)}: multiplicity must be an integer")
             if m < 1:
-                raise InputError(f"edge {a}-{b}: multiplicity must be >= 1")
+                raise InputError(f"edge {_clip(a)}-{_clip(b)}: multiplicity must be >= 1")
             key = (min(index[a], index[b]), max(index[a], index[b]))
             mult[key] = mult.get(key, 0) + m
 
@@ -132,9 +137,7 @@ class DualGraph:
         components = connected_components(self, range(len(verts)))
         if len(components) != 1:
             missing = verts[min(components[1])].id
-            raise InputError(f"graph is disconnected (vertex {missing!r} unreachable)")
-        # the solve fills an n x (n + 1) table: its n^2 entries are budgeted first
-        _engine.check_count(len(verts) ** 2, "the dense intersection form", "entries")
+            raise InputError(f"graph is disconnected (vertex {_clip(repr(missing))} unreachable)")
         if not is_negative_definite(self):
             raise InputError("intersection matrix is not negative definite")
 
@@ -151,11 +154,13 @@ class DualGraph:
         try:
             return self._index[vid]
         except KeyError:
-            raise InputError(f"unknown vertex id {vid!r}") from None
+            raise InputError(f"unknown vertex id {_clip(repr(vid))}") from None
 
     @property
     def matrix(self) -> list[list[int]]:
-        """The dense form, a new n x n table filled from ``rows`` on each read."""
+        """The dense form, a new n x n table filled from ``rows`` on each
+        read; its n^2 entries answer to the budget before it is allocated."""
+        _engine.check_count(len(self.rows) ** 2, "the dense intersection form", "entries")
         out = [[0] * len(self.rows) for _ in self.rows]
         for i, row in enumerate(self.rows):
             for j, m in row:
@@ -365,9 +370,9 @@ def graph_from_json(doc) -> DualGraph:
     vertices = []
     for entry in raw_vertices:
         if not isinstance(entry, dict) or not _VERTEX_KEYS >= set(entry):
-            raise InputError(f"bad vertex entry {entry!r}")
+            raise InputError(f"bad vertex entry {_clip(repr(entry))}")
         if "id" not in entry or "self" not in entry:
-            raise InputError(f'vertex entry {entry!r} needs "id" and "self"')
+            raise InputError(f'vertex entry {_clip(repr(entry))} needs "id" and "self"')
         vertices.append(Vertex(entry["id"], entry["self"], entry.get("genus", 0)))
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -375,11 +380,11 @@ def graph_from_json(doc) -> DualGraph:
     edges = []
     for entry in raw_edges:
         if not isinstance(entry, dict) or not _EDGE_KEYS >= set(entry):
-            raise InputError(f"bad edge entry {entry!r}")
+            raise InputError(f"bad edge entry {_clip(repr(entry))}")
         ends = entry.get("ends")
         if not (isinstance(ends, list) and len(ends) == 2
                 and all(isinstance(e, str) for e in ends)):
-            raise InputError(f'edge entry {entry!r} needs "ends": [a, b] with string ids')
+            raise InputError(f'edge entry {_clip(repr(entry))} needs "ends": [a, b] with string ids')
         edges.append((ends[0], ends[1], entry.get("mult", 1)))
     return DualGraph(vertices, edges)
 
@@ -453,9 +458,9 @@ def _dot(d: Cycle, image) -> int:
 
 
 def is_negative_definite(g: DualGraph) -> bool:
-    """Sylvester's criterion on the pivots of the one solve of M K = a on
-    ``g.rows``, which the constructor runs here and keeps as its integer
-    solution; on a built graph, always True at no cost."""
+    """Sylvester's criterion on the pivots of the one sparse solve of
+    M K = a on ``g.rows``, which the constructor runs here and keeps as its
+    integer solution; on a built graph, always True at no cost."""
     if g._solution is None:
         g._solution = solve_negative_definite(g.rows, g.adjunction)
     return g._solution is not None

@@ -10,7 +10,8 @@ certified the chi >= 0 boxes before one minimum cut did, on the
 elimination of the bordered form [[-M, -a], [-a^T, 0]] that
 ``bordered_factor`` builds for it; the linear solve the package used
 for the canonical cycle before the graph solved for K once, when it is
-built; the Laufer loop as it ran on the dense matrix before the
+built; the dense solve in vertex order the graph ran before its sparse
+elimination in minimum-degree order; the Laufer loop as it ran on the dense matrix before the
 form became sparse rows; and the check of the -1 chains as it stood
 before it was telescoped, with its chain-adjacency test and its
 adjunction clause.  The kernels of the package take ``DualGraph.rows``;
@@ -22,8 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from operator import is_
 
-from singlab._linalg import eliminate
+from singlab._linalg import _exact_div, eliminate
 from singlab.errors import InputError, InternalCheckError
 from singlab.elliptic import EllipticSequence, MinusOneChainReport
 from singlab.graph import Cycle, DualGraph, connected_components, mat_vec as sparse_mat_vec
@@ -138,8 +140,9 @@ def fraction_det(matrix):
             m[col], m[piv] = m[piv], m[col]
             sign = -sign
         for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+            if m[r][col]:  # a zero leaves the row as it is
+                factor = m[r][col] / m[col][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     out = Fraction(sign)
     for i in range(n):
         out *= m[i][i]
@@ -293,6 +296,41 @@ def row_min_twochi_in_box(matrix, adj, bounds):
             s[i] += m
 
 
+# The graph's solve before its sparse elimination, on a regular dense
+# elimination in vertex order.
+
+
+def regular_eliminate(table, ncols):
+    """The pivots of ``eliminate(table, ncols)`` and whether it was regular:
+    it swapped no row (each row object is where it was) and skipped no
+    column (one pivot per column), so the k-th pivot is the k-th leading
+    principal minor."""
+    before = list(table)
+    pivots = eliminate(table, ncols)
+    return pivots, len(pivots) == ncols and all(map(is_, table, before))
+
+
+def vertex_order_solve(rows, adj):
+    """(d, y) with K = y / d, or None exactly when M is not negative
+    definite: the graph's solve as it ran before its sparse elimination,
+    one dense elimination of the n x (n + 1) table [-M | -adj] in vertex
+    order, Sylvester's criterion on its pivots and back substitution."""
+    n = len(rows)
+    table = [[0] * n + [-a] for a in adj]
+    for line, row in zip(table, rows):
+        for j, m in row:
+            line[j] = -m
+    pivots, regular = regular_eliminate(table, n)
+    if not regular or any(p <= 0 for p in pivots):
+        return None
+    d = pivots[-1]
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        line = table[i]
+        y[i] = _exact_div(d * line[n] - sum(line[j] * y[j] for j in range(i + 1, n)), line[i])
+    return d, y
+
+
 # The chi walk the package ran on the graph's one elimination before one
 # minimum cut certified each box: the first minimiser over D != 0, in
 # odometer order.  The walk reads the rows of a bordered elimination, and
@@ -307,7 +345,7 @@ def bordered_factor(matrix, adj):
     n = len(matrix)
     rows = [[-m for m in row] + [-a] for row, a in zip(matrix, adj)]
     rows.append([-a for a in adj] + [0])
-    pivots, regular = eliminate(rows, n)
+    pivots, regular = regular_eliminate(rows, n)
     if not regular or any(p <= 0 for p in pivots):
         return None
     return rows
@@ -411,7 +449,7 @@ def solve(matrix, rhs) -> list[Fraction]:
     """
     n = len(matrix)
     a = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    if len(eliminate(a, n)[0]) < n:
+    if len(eliminate(a, n)) < n:
         raise ValueError("singular matrix")
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):

@@ -175,17 +175,49 @@ def test_graph_commands_ignore_the_enumeration_budget(tmp_path, capsys, monkeypa
 
 
 def test_a_graph_past_the_budget_exits_1_before_its_dense_form(tmp_path, capsys, monkeypatch):
-    # n vertices take n^2 dense entries; a graph past the budget is an input
-    # error, so a huge corpus parameter is refused instead of exhausting memory
+    # n vertices take n^2 dense entries, and graph analyze prints them: past
+    # the budget that is an input error; building the graph stores only its
+    # sparse elimination, 2n + |E| = 62 entries here, so corpus emit answers
     path = tmp_path / "g.json"
     path.write_text(serialize_graph(fig2312(10)))  # n = 21
     fig2312.cache_clear()  # the corpus keeps the graph it built
+    emitted = run(capsys, "corpus", "emit", "fig2312", "10")
+    assert emitted[0] == 0
+    fig2312.cache_clear()
     monkeypatch.setenv("SINGLAB_MAX_ENUM", "100")
     message = ("error: the dense intersection form needs 441 entries, above the budget of 100; "
                "raise SINGLAB_MAX_ENUM to force it\n")
-    for argv in (["corpus", "emit", "fig2312", "10"], ["graph", "analyze", str(path)]):
-        assert run(capsys, *argv) == (1, "", message)
-    assert run(capsys, "corpus", "emit", "fig2312", "4")[0] == 0  # n = 9: 81 entries
+    assert run(capsys, "graph", "analyze", str(path)) == (1, "", message)
+    assert run(capsys, "corpus", "emit", "fig2312", "10") == emitted
+    assert run(capsys, "graph", "analyze", str(path), "--format", "json")[0] == 1
+
+
+def _laufer_document(m, chain):
+    """The document of the pair E_a^2 = -1, E_b^2 = -(m^2 + 1) meeting m times,
+    with a chain of ``chain`` (-2)-curves on B: determinant 1."""
+    vertices = ([{"id": "A", "self": -1}, {"id": "B", "self": -(m * m + 1)}]
+                + [{"id": f"C{i}", "self": -2} for i in range(chain)])
+    ends = [["A", "B"], ["B", "C0"]] + [[f"C{i}", f"C{i + 1}"] for i in range(chain - 1)]
+    edges = [{"ends": e, "mult": m if e == ["A", "B"] else 1} for e in ends]
+    return json.dumps({"vertices": vertices, "edges": edges})
+
+
+def test_large_documents_are_built_in_near_linear_time(tmp_path, capsys):
+    # a graph is built by a sparse elimination, leaves first: the 1002-curve
+    # document is built at once and refused by the Laufer loop's budget, and
+    # a chain of 20 001 curves is emitted, well inside the budget
+    path = tmp_path / "g.json"
+    path.write_text(_laufer_document(10**12, 1000))
+    with _deadline(5):
+        code, out, err = run(capsys, "graph", "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert _only_error_line(err).startswith(
+        "error: the fundamental-cycle loop needs 10000962 curve scans, above the budget")
+    with _deadline(5):
+        code, out, err = run(capsys, "corpus", "emit", "fig2312", "10000")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["vertices"]) == 20001
+    fig2312.cache_clear()
 
 
 def test_artinian_command(capsys):
@@ -279,6 +311,49 @@ def test_elliptic_sequence_refuses_a_graph_that_is_not_minimal(tmp_path, capsys)
         code, out, err = run(capsys, *words, str(path), *options, "--format", "json")
         assert (code, out) == (1, "")
         assert err.splitlines() == ["error: graph is not minimal: vertex V1 is a genus-0 (-1)-curve"]
+
+
+# A star whose centre has self-intersection -(10^4300 - 1): K's d has 4301
+# digits, past what Python turns into a decimal string.
+HUGE_ANSWER = ('{"vertices": [{"id": "C", "self": -%s}, {"id": "A", "self": -1}, '
+               '{"id": "B", "self": -1}, {"id": "D", "self": -2}], "edges": [{"ends": ["C", "A"]}, '
+               '{"ends": ["C", "B"]}, {"ends": ["C", "D"]}]}' % ("9" * 4300)).encode()
+
+
+def test_an_answer_too_long_to_print_exits_1_with_nothing_printed(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_bytes(HUGE_ANSWER)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "graph", "analyze", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert _only_error_line(err).startswith(
+            "error: cannot print the answer: Exceeds the limit (4300 digits)")
+
+
+def test_a_refusal_quotes_a_long_field_in_short(tmp_path, capsys):
+    # a field of 1 MB, wherever it sits, is named in an error line of under
+    # 300 bytes
+    big = "x" * 10**6
+    docs = [
+        {"vertices": [{"id": "A", "self": -2, "extra": big}], "edges": []},
+        {"vertices": [{"id": "A", "self": -2, "genus": big}], "edges": []},
+        {"vertices": [{"self": big}], "edges": []},
+        {"vertices": [{"id": big + " ", "self": -2}], "edges": []},
+        {"vertices": [{"id": "x" * 10**6, "self": -2, "genus": -1}], "edges": []},
+        {"vertices": [{"id": "A", "self": -2}, {"id": "A", "self": -2}], "edges": []},
+        {"vertices": [{"id": "A", "self": -2}], "edges": [{"ends": ["A", big]}]},
+        {"vertices": [{"id": "A", "self": -2}], "edges": [{"ends": ["A", "A"], "extra": big}]},
+        {"vertices": [{"id": "A", "self": -2}], "edges": [{"ends": [big]}]},
+        {"vertices": [{"id": "A" * 10**6, "self": -2}, {"id": "B", "self": -2}],
+         "edges": [{"ends": ["A" * 10**6, "B"], "mult": big}]},
+        {"vertices": [{"id": "A", "self": -2}, {"id": "B" * 10**6, "self": -2}], "edges": []},
+    ]
+    path = tmp_path / "g.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "graph", "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert len(_only_error_line(err).encode()) < 300, err[:300]
 
 
 def test_overlong_integer_literal_is_an_input_error(capsys):
@@ -640,6 +715,7 @@ def _main_quietly(argv, stdin=None):
 @given(_graph_documents())
 @example(NOT_UTF8)
 @example(TOO_DEEP)
+@example(HUGE_ANSWER)
 def test_graph_documents_exit_0_or_1(fuzz_path, data):
     # every document is answered or refused as input, from a file and
     # from stdin, within the deadline and with no traceback

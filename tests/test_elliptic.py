@@ -397,13 +397,15 @@ def test_is_elliptic_keeps_its_chi_sweep(n, monkeypatch):
 
 
 def test_one_elimination_per_graph(monkeypatch):
-    # K and the sequence read the solution the constructor kept, and the
-    # exhaustive chi sweep cuts the form's sparse rows with no elimination
-    # of its own; a fresh copy, so nothing is cached yet
+    # K and the sequence read the solution the constructor's one solve
+    # kept, and no dense elimination runs: the exhaustive chi sweep cuts
+    # the form's sparse rows; a fresh copy, so nothing is cached yet
     template = fig2312(3)
     calls = []
-    eliminate = _linalg.eliminate
-    monkeypatch.setattr(_linalg, "eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    solve = _linalg.solve_negative_definite
+    monkeypatch.setattr(graph_module, "solve_negative_definite",
+                        lambda *args: calls.append(args) or solve(*args))
+    monkeypatch.setattr(_linalg, "eliminate", lambda *args: calls.append(args))
     g = DualGraph(template.vertices, template.edges)
     canonical_cycle(g)
     assert is_elliptic(g) and chi_nonnegative_check(g).exhaustive

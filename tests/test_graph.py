@@ -22,7 +22,6 @@ from singlab import (
     parse_graph,
     serialize_graph,
 )
-from singlab import graph as graph_module
 from singlab.corpus import brell3, fig244, fig2312
 from singlab.cycles import canonical_cycle, fundamental_cycle
 
@@ -142,24 +141,26 @@ def test_semidefinite_and_zero_forms_are_rejected_at_construction():
 
 
 def test_dense_form_past_the_budget_is_refused_before_it_is_built(monkeypatch):
-    # fig2312(10) has n = 21 vertices, so the table of its solve would hold
-    # 441 entries of the form: past the budget, the constructor refuses it,
-    # built or parsed, before the solve allocates anything
+    # fig2312(10) has n = 21 vertices: its sparse elimination stores
+    # 2n + |E| = 62 entries, so it is built under a budget of 440, but its
+    # dense view would hold 441 entries of the form and is refused before
+    # it is allocated
     text = serialize_graph(fig2312(10))
     fig2312.cache_clear()  # the corpus keeps the graph it built
-
-    def never(*args):
-        raise AssertionError("the dense form was built")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(graph_module, "solve_negative_definite", never)
-        patch.setenv("SINGLAB_MAX_ENUM", "440")
-        for build in (lambda: parse_graph(text), lambda: fig2312(10)):
-            with pytest.raises(EnumerationLimitError,
-                               match="needs 441 entries, above the budget of 440"):
-                build()
-    monkeypatch.setenv("SINGLAB_MAX_ENUM", "441")
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "440")
+    for g in (parse_graph(text), fig2312(10)):
+        assert is_negative_definite(g)
+        with pytest.raises(EnumerationLimitError,
+                           match="the dense intersection form needs 441 entries, above the budget of 440"):
+            g.matrix
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "62")
     assert parse_graph(text) == fig2312(10)
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "61")
+    with pytest.raises(EnumerationLimitError,
+                       match="the elimination of the intersection form needs 62 entries"):
+        parse_graph(text)
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "441")
+    assert len(parse_graph(text).matrix) == 21
 
 
 def test_a_built_graph_keeps_no_table():

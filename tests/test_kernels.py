@@ -32,6 +32,7 @@ from oracles import (
     solve,
     sparse_rows,
     two_chi,
+    vertex_order_solve,
 )
 from singlab import (
     Cycle,
@@ -376,30 +377,65 @@ def _matrix(vertices, edges):
 
 @pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
 def test_one_factorization_on_random_graphs(shape):
-    """The graph's one elimination against two oracles on seeded draws,
-    multiplicity-2 edges and genera included: the constructor accepts
-    exactly the forms Sylvester's criterion (by Fraction determinants)
-    calls negative definite, and K equals the old ``solve``; on the same
-    draws the chi walk equals the row sweep, value and witness."""
+    """The graph's one elimination, in minimum-degree order, against the
+    vertex-order solve, Fraction determinants and the old ``solve`` on
+    seeded draws of up to 60 curves, multiplicity-2 edges and genera
+    included: stars with the centre at index 0, cusps and trees.  A large
+    draw is rarely negative definite, so each also comes with the weights
+    of minus a weighted Laplacian, less a few units.  The
+    solve returns the oracle's (d, y) or None, and the constructor accepts
+    exactly the forms the oracle calls negative definite, with
+    d = det(-M).  Each accepted form is drawn again with a self-intersection
+    0 at the centre (stars), the root (trees) or the middle index (cusps):
+    minimum degree picks its order from the edges alone, so the pivots
+    before that vertex's are the accepted form's, all positive, and the
+    first non-positive pivot falls mid-order.  On the small draws Sylvester's
+    criterion is checked on Fraction minors, and the chi walk against the
+    row sweep, value and witness."""
     rng = random.Random(f"factor-{shape}")
     verdicts = set()
-    for _ in range(60):
-        n = rng.randint(3 if shape == "cusp" else 1, 7)
+    spoilt = 0
+    for draw in range(60):
+        n = rng.randint(3 if shape == "cusp" else 1, 60 if draw % 2 else 7)
         vertices, edges = next(_draws(rng, shape, n, 0.3))
-        matrix = _matrix(vertices, edges)
-        sylvester = all((-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) > 0
-                        for k in range(1, n + 1))
-        verdicts.add(sylvester)
-        if not sylvester:
-            with pytest.raises(InputError, match="not negative definite"):
-                DualGraph(vertices, edges)
-            continue
-        g = DualGraph(vertices, edges)
-        adj = adjunction_vector(g)
-        assert canonical_cycle(g).coeffs == tuple(solve(matrix, adj))
-        bounds = tuple(rng.randint(0, 3) for _ in range(n))
-        assert walk(matrix, adj, bounds) == row_min_twochi_in_box(matrix, adj, bounds)
-    assert verdicts == {True, False}
+        mid = n // 2 if shape == "cusp" else 0
+        forms = [vertices]
+        if n > 7:
+            # minus a weighted Laplacian and a diagonal of 0s, 1s and 2s:
+            # negative definite unless that diagonal is zero
+            matrix = _matrix(vertices, edges)
+            forms.append([v._replace(self_int=matrix[i][i] - sum(matrix[i])
+                                     - rng.choice((0, 0, 0, 1, 2)))
+                          for i, v in enumerate(vertices)])
+        for vertices in forms:
+            matrix = _matrix(vertices, edges)
+            adj = [2 * v.genus - 2 - v.self_int for v in vertices]
+            expected = vertex_order_solve(sparse_rows(matrix), adj)
+            assert solve_negative_definite(sparse_rows(matrix), adj) == expected
+            if n <= 7:
+                assert (expected is not None) == all(
+                    (-1) ** k * fraction_det([row[:k] for row in matrix[:k]]) > 0
+                    for k in range(1, n + 1))
+            verdicts.add(expected is not None)
+            if expected is None:
+                with pytest.raises(InputError, match="not negative definite"):
+                    DualGraph(vertices, edges)
+                continue
+            g = DualGraph(vertices, edges)
+            assert g._solution == expected
+            # det(-M) in reverse vertex order: every drawn edge joins a
+            # vertex to an earlier one, so that order creates little fill
+            assert expected[0] == fraction_det([[-m for m in row[::-1]] for row in matrix[::-1]])
+            if n <= 7:
+                assert canonical_cycle(g).coeffs == tuple(solve(matrix, adj))
+            if vertices[mid].self_int < 0:  # the spoilt copy, checked next
+                forms.append([v._replace(self_int=0) if i == mid else v
+                              for i, v in enumerate(vertices)])
+                spoilt += 1
+            if n <= 7:
+                bounds = tuple(rng.randint(0, 3) for _ in range(n))
+                assert walk(matrix, adj, bounds) == row_min_twochi_in_box(matrix, adj, bounds)
+    assert verdicts == {True, False} and spoilt >= 10
 
 
 @pytest.mark.parametrize("shape", ("star", "cusp", "tree"))
