@@ -184,7 +184,7 @@ def min_twochi_cut(rows, adj, bounds):
 
     def push(path, u, t):
         """Push all it can from source-side u along ``path`` to sink-side t."""
-        flow = min(excess[u], -excess[t], *(cap[e] for e in path))
+        flow = min(excess[u], -excess[t], *map(cap.__getitem__, path))
         for e in path:
             cap[e] -= flow
             cap[e ^ 1] += flow
@@ -212,8 +212,7 @@ def min_twochi_cut(rows, adj, bounds):
                     reached[head[e]] = e
                     queue.append(head[e])
         else:
-            return value, tuple(sum(reached[x] is None for x in range(first[i], first[i + 1]))
-                                for i in range(len(bounds)))
+            return value, tuple([reached[a:b].count(None) for a, b in zip(first, first[1:])])
         path = []
         u = t
         while reached[u] >= 0:

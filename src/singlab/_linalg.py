@@ -163,5 +163,5 @@ def solve_negative_definite(rows, adj) -> tuple[int, list[int]] | None:
     d = piv[-1]
     y = [0] * n
     for v, pivot, line, c in reversed(order):
-        y[v] = _exact_div(d * c - sum(a * y[j] for j, a in line), pivot)
+        y[v] = _exact_div(d * c - sum([a * y[j] for j, a in line]), pivot)
     return d, y

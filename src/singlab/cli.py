@@ -17,17 +17,25 @@ Every subcommand takes --format json|text.  Exit codes: 0 success, 1 input
 error (a malformed command line included) or stdout closed early, 2 internal
 invariant violation.  A command line is read one of two ways.  A plain
 leaf command line (each option spelled in full and given once, every value
-one its type and choices accept) is read straight off ``_COMMANDS`` and
-builds no argument parser.  Any other line goes to the full command tree,
-so argparse writes every help text, usage line and error.
+one its type and choices accept) is read straight off ``_COMMANDS``; it
+builds no argument parser and imports no argparse.  Any other line goes to
+the full command tree, so argparse writes every help text, usage line and
+error.
+
+A ``--format json`` report is the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)``, written by one writer here, ``_json``: with an
+indent, json runs its pure-Python encoder, which cost a fifth of a small
+command.  ``verify-paper`` keeps ``json.dumps``, because its keys keep
+their order and are not sorted.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import corpus, verify
 from .artinian import DensePoly, MonomialIdeal, colength, colength_saturating
@@ -66,13 +74,61 @@ def _fmt_value(value):
     return str(value)
 
 
+_int = int.__repr__  # json's own, also for an int subclass
+
+
+def _json(value, margin="\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it, ``margin`` the line break and indent of its own level.
+
+    A report holds dicts with string keys, lists (or tuples), strings,
+    ints, bools and None; anything else, a float or a non-string key
+    included, raises TypeError.  A dict whose values are all ints (a
+    cycle) and a list of only ints or only strings (a matrix row, a
+    support) are written with one join.  An int past Python's limit on
+    the digits of a decimal string raises ValueError, as in json.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int(value)
+    inner = margin + "  "
+    if isinstance(value, dict):
+        keys = sorted(value)
+        if set(map(type, value.values())) == {int}:
+            body = [f"{_quote(k)}: {_int(value[k])}" for k in keys]
+        else:
+            body = [f"{_quote(k)}: {_json(value[k], inner)}" for k in keys]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = map(_int, value)
+        elif kinds == {str}:
+            body = map(_quote, value)
+        else:
+            body = [_json(v, inner) for v in value]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return ends
+    return ends[0] + inner + ("," + inner).join(body) + margin + ends[1]
+
+
 def _emit(doc: dict, fmt: str, text_renderer=None):
     """Print the report, rendered whole first: an answer holding an integer
     past Python's limit on the digits of a decimal string is an input
     error, and nothing of it is printed."""
     try:
         if fmt == "json":
-            text = json.dumps(doc, indent=2, sort_keys=True)
+            text = _json(doc)
         elif text_renderer is not None:
             text = text_renderer(doc)
         else:
@@ -272,14 +328,6 @@ _GROUPS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors exit 1, like any invalid input."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _fill(parser, arguments, handler):
     """Declare a leaf's arguments on ``parser``: --format, which every leaf
     takes, then its own, in order; its handler is the default."""
@@ -289,8 +337,18 @@ def _fill(parser, arguments, handler):
     return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The full command tree, for every line ``_read_plain`` declines."""
+def _build_parser():
+    """The full command tree, for every line ``_read_plain`` declines; the
+    one place argparse is imported."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose usage errors exit 1, like any invalid input."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="singlab",
         description="Exact invariants of resolution graphs of normal surface singularities.",
@@ -309,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_plain(entry, argv) -> argparse.Namespace | None:
+def _read_plain(entry, argv) -> SimpleNamespace | None:
     """The namespace the full tree's leaf of ``entry`` returns for
     ``argv``, read straight off the entry, or None unless ``argv`` is plain.
 
@@ -368,7 +426,7 @@ def _read_plain(entry, argv) -> argparse.Namespace | None:
         else:
             value = options.get("default", False if "action" in options else None)
         out[flag[2:].replace("-", "_") if flag[0] == "-" else flag] = value
-    return argparse.Namespace(**out, handler=handler)
+    return SimpleNamespace(**out, handler=handler)
 
 
 def _parse(argv: list):

@@ -26,6 +26,7 @@ M Z_E.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 from . import _engine
 from .errors import InputError, InternalCheckError, _is_int
@@ -83,7 +84,8 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
     An edge multiplicity can ask for any number of bumps (E_a^2 = -1 and
     E_b^2 = -(m^2 + 1) meeting m times take m - 1), and each rescans the
     support, so bumps times |support| is held to the enumeration budget:
-    past it the loop stops with EnumerationLimitError."""
+    past it the loop stops with EnumerationLimitError.  The budget is read
+    at the first bump, so a loop that bumps nothing reads no environment."""
     rows = g.rows
     n = len(g)
     coeffs = [0] * n
@@ -93,7 +95,7 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
         for i, mij in rows[j]:
             s[i] += mij
 
-    limit = _engine.max_enum() // len(idxs)  # bumps; each rescans the support
+    limit = 0  # bumps the budget allows, each rescanning the support
     steps = 0
     while True:
         violators = [i for i in idxs if s[i] > 0]
@@ -106,6 +108,7 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
         steps += 1
         if steps > limit:
             _engine.check_count(steps * len(idxs), "the fundamental-cycle loop", "curve scans")
+            limit = _engine.max_enum() // len(idxs)
     return Cycle._of(g, tuple(coeffs)), s
 
 
@@ -156,7 +159,7 @@ def _chi_of(g: DualGraph, d: Cycle, image) -> int:
     ``mat_vec`` product, a Laufer loop's running image, or a sum or
     difference of such images.
     """
-    return -(_dot(d, image) + _canonical_degree(g, d)) // 2
+    return -sum(map(mul, d.coeffs, map(add, image, g.adjunction))) // 2
 
 
 def riemann_roch_colength(g: DualGraph, z: Cycle, p_g: int, q: int) -> int:

@@ -421,7 +421,7 @@ def _sequence_identities(seq: EllipticSequence):
     for i in range(m + 1):
         zi = cycles[i].coeffs
         for j in range(i + 1, m + 1):
-            ok = sum(zi[v] * x for v, x in nonzero[j]) == 0
+            ok = sum([zi[v] * x for v, x in nonzero[j]]) == 0
             yield "elliptic-sequence-orthogonality", ok, None if ok else f"Z_{i} . Z_{j} != 0"
     selfints = [seq.self_intersection(t) for t in range(m + 1)]
     t = next((t for t in range(m) if -selfints[t] < -selfints[t + 1]), None)
@@ -438,7 +438,7 @@ def _sequence_identities(seq: EllipticSequence):
             yield ("elliptic-sequence-euler-characteristic-zero", ok,
                    None if ok else f"chi({name}_{t}) != 0")
         for vid in seq.supports[t]:
-            v = g.index_of(vid)
+            v = g._index[vid]
             ok = adj[v] + mcpt[v] == 0
             yield ("elliptic-sequence-canonical-restriction", ok,
                    None if ok else f"(K + C'_{t}) . {vid} != 0")

@@ -38,7 +38,8 @@ import functools
 import json
 import re
 from fractions import Fraction
-from operator import mul
+from itertools import compress
+from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from . import _engine
@@ -58,9 +59,10 @@ class DualGraph:
     """Immutable weighted dual graph with a negative definite intersection form.
 
     ``vertices`` keeps document order (all reports refer to vertices by id,
-    never by index).  ``edges`` is normalized to ``(id_a, id_b, mult)``
-    with ``a`` preceding ``b`` in vertex order and one entry per pair;
-    duplicate pairs in the input have their multiplicities summed.
+    never by index), and ``ids`` their ids in that order.  ``edges`` is
+    normalized to ``(id_a, id_b, mult)`` with ``a`` preceding ``b`` in
+    vertex order and one entry per pair; duplicate pairs in the input have
+    their multiplicities summed.
     ``rows[i]`` is row i of the form as ``((i, m_ii), (j, m_ij), ...)``
     over the neighbours j of vertex ``i``, ascending, and the one stored
     copy of the form; ``matrix`` is a dense view built from it on demand.
@@ -73,7 +75,7 @@ class DualGraph:
     n^2 dense entries exceed it.
     """
 
-    __slots__ = ("vertices", "edges", "rows", "adjunction", "_solution", "_index", "_cache")
+    __slots__ = ("vertices", "ids", "edges", "rows", "adjunction", "_solution", "_index", "_cache")
 
     def __init__(self, vertices, edges):
         verts = []
@@ -116,20 +118,21 @@ class DualGraph:
                 raise InputError(f"edge {_clip(a)}-{_clip(b)}: multiplicity must be an integer")
             if m < 1:
                 raise InputError(f"edge {_clip(a)}-{_clip(b)}: multiplicity must be >= 1")
-            key = (min(index[a], index[b]), max(index[a], index[b]))
+            i, j = index[a], index[b]
+            key = (i, j) if i < j else (j, i)
             mult[key] = mult.get(key, 0) + m
+        pairs = sorted(mult.items())
 
         rows = [[(i, v.self_int)] for i, v in enumerate(verts)]
-        for (i, j), m in sorted(mult.items()):
+        for (i, j), m in pairs:
             rows[i].append((j, m))
             rows[j].append((i, m))
 
         self.vertices = tuple(verts)
-        self.edges = tuple(
-            (verts[i].id, verts[j].id, mult[(i, j)]) for (i, j) in sorted(mult)
-        )
-        self.rows = tuple(tuple(row) for row in rows)
-        self.adjunction = tuple(2 * v.genus - 2 - v.self_int for v in verts)
+        self.ids = tuple([v.id for v in verts])
+        self.edges = tuple((verts[i].id, verts[j].id, m) for (i, j), m in pairs)
+        self.rows = tuple(map(tuple, rows))
+        self.adjunction = tuple([2 * v.genus - 2 - v.self_int for v in verts])
         self._solution = None
         self._index = index
         self._cache = {}
@@ -142,10 +145,6 @@ class DualGraph:
             raise InputError("intersection matrix is not negative definite")
 
     # -- basic accessors -------------------------------------------------
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -230,7 +229,7 @@ class Cycle:
         return self.coeffs[self.graph.index_of(vid)]
 
     def to_map(self) -> dict[str, int]:
-        return {v.id: c for v, c in zip(self.graph.vertices, self.coeffs)}
+        return dict(zip(self.graph.ids, self.coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -241,26 +240,26 @@ class Cycle:
         return all(c >= 0 for c in self.coeffs)
 
     def support(self) -> tuple[str, ...]:
-        return tuple(v.id for v, c in zip(self.graph.vertices, self.coeffs) if c != 0)
+        return tuple(compress(self.graph.ids, self.coeffs))
 
     def _binop(self, other, op):
         if not isinstance(other, Cycle) or other.graph != self.graph:
             raise InputError("cycles live on different graphs")
-        return Cycle._of(self.graph, tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return Cycle._of(self.graph, tuple(map(op, self.coeffs, other.coeffs)))
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, add)
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, sub)
 
     def __neg__(self):
-        return Cycle._of(self.graph, tuple(-c for c in self.coeffs))
+        return Cycle._of(self.graph, tuple(map(neg, self.coeffs)))
 
     def __rmul__(self, k):
-        if not isinstance(k, int):
+        if not _is_int(k):  # a bool scale is refused, as a float is
             return NotImplemented
-        return Cycle._of(self.graph, tuple(k * c for c in self.coeffs))
+        return Cycle._of(self.graph, tuple([k * c for c in self.coeffs]))
 
     def __eq__(self, other):
         return (
@@ -319,7 +318,7 @@ class QCycle:
         return self.coeffs[self.graph.index_of(vid)]
 
     def to_map(self) -> dict[str, Fraction]:
-        return {v.id: c for v, c in zip(self.graph.vertices, self.coeffs)}
+        return dict(zip(self.graph.ids, self.coeffs))
 
     def __neg__(self):
         return QCycle(self.graph, tuple(-c for c in self.coeffs))
@@ -383,7 +382,7 @@ def graph_from_json(doc) -> DualGraph:
             raise InputError(f"bad edge entry {_clip(repr(entry))}")
         ends = entry.get("ends")
         if not (isinstance(ends, list) and len(ends) == 2
-                and all(isinstance(e, str) for e in ends)):
+                and isinstance(ends[0], str) and isinstance(ends[1], str)):
             raise InputError(f'edge entry {_clip(repr(entry))} needs "ends": [a, b] with string ids')
         edges.append((ends[0], ends[1], entry.get("mult", 1)))
     return DualGraph(vertices, edges)
@@ -469,18 +468,20 @@ def is_negative_definite(g: DualGraph) -> bool:
 def connected_components(g: DualGraph, indices) -> list[set[int]]:
     """Connected components of the subgraph induced on the vertex indices
     ``indices``, each grown from its smallest index."""
+    rows = g.rows
     out = []
-    left = set(indices)
+    left = set(indices)  # not yet reached
     while left:
         start = min(left)
+        left.remove(start)
         comp = {start}
         stack = [start]
         while stack:
-            for j, _ in g.rows[stack.pop()]:
-                if j in left and j not in comp:
+            for j, _ in rows[stack.pop()]:
+                if j in left:
+                    left.remove(j)
                     comp.add(j)
                     stack.append(j)
-        left -= comp
         out.append(comp)
     return out
 

@@ -330,6 +330,59 @@ def test_an_answer_too_long_to_print_exits_1_with_nothing_printed(tmp_path, caps
             "error: cannot print the answer: Exceeds the limit (4300 digits)")
 
 
+# -- the JSON report writer ----------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and a lone surrogate
+_AWKWARD = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f \u00e9\u2028\ud800\U0001f600aZ_09'),
+                   max_size=6)
+_STRINGS = _AWKWARD | st.text(max_size=6)
+_SCALARS = (st.sampled_from((True, False, 0, 1, None, -1))
+            | _STRINGS
+            | st.integers()
+            | st.builds(lambda digits, sign: sign * (10 ** digits - 1),
+                        st.integers(0, 5000), st.sampled_from((1, -1))))
+_REPORTS = st.recursive(
+    _SCALARS | st.lists(st.integers(), max_size=5) | st.lists(_STRINGS, max_size=5)
+    | st.dictionaries(_STRINGS, st.integers(), max_size=5),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_REPORTS)
+@example({"a": [True, 1, False, 0], "b": {}, "c": [], "\"": {"\\": None}})
+@example({"d": 10 ** 4300})
+def test_the_report_writer_writes_what_json_dumps_writes(doc):
+    # json.dumps is the oracle, byte for byte, refusals included: an int
+    # past the 4300-digit limit is a ValueError on both sides
+    try:
+        expected = json.dumps(doc, indent=2, sort_keys=True)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            cli._json(doc)
+        assert str(err.value) == str(exc)
+    else:
+        assert cli._json(doc) == expected
+
+
+@pytest.mark.parametrize("doc", ({"x": 1.5}, [float("nan")], {1: 2}, {"x": {1, 2}}))
+def test_the_report_writer_refuses_what_no_report_holds(doc):
+    # no float (nothing here is inexact), no key but a string, no other type
+    with pytest.raises(TypeError):
+        cli._json(doc)
+
+
+def test_json_reports_do_not_go_through_json_dumps(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps was called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    code, out, err = run(capsys, "brieskorn", "2", "3", "7", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == '{\n  "a_invariant": 1,\n  "br_maximal_ideal": 1,\n  "pg": 1\n}\n'
+
+
 def test_a_refusal_quotes_a_long_field_in_short(tmp_path, capsys):
     # a field of 1 MB, wherever it sits, is named in an error line of under
     # 300 bytes

@@ -332,7 +332,6 @@ def test_cycle_arithmetic_results_equal_checked_cycles():
             (a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)]),
             (-a, [-x for x in a.coeffs]),
             (k * a, [k * x for x in a.coeffs]),
-            (True * a, list(a.coeffs)),
         ):
             checked = Cycle(g, expected)
             assert result == checked and hash(result) == hash(checked)
@@ -345,6 +344,14 @@ def test_cycle_arithmetic_results_equal_checked_cycles():
         Cycle.unit(g, "nope")
     with pytest.raises(InputError, match="different graphs"):
         Cycle.zero(g) + Cycle.zero(fig2312(1))
+
+
+@pytest.mark.parametrize("scale", (True, False, 2.0, Fraction(2)))
+def test_a_cycle_is_scaled_only_by_an_int(scale):
+    # a bool is refused as a float is: the rule of ``errors._is_int``
+    d = Cycle(fig2312(1), (1, 2, 2))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        scale * d
 
 
 def test_graph_equality_by_value():

@@ -63,3 +63,20 @@ def test_importing_the_cli_loads_every_module_the_tracer_patches():
         capture_output=True, text=True, env=env, timeout=60, check=True)
     loaded = {name[len("singlab."):] for name in proc.stdout.split()}
     assert needed <= loaded, sorted(needed - loaded)
+
+
+def test_a_plain_command_line_imports_no_argparse():
+    # argparse is imported only for a line that falls back to the full tree
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import io, sys, contextlib, singlab.cli as cli\n"
+            "print('argparse' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['brieskorn', '2', '3', '7', '--format', 'json'])\n"
+            "print('argparse' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['brieskorn', '2', '3', '7', '--fo', 'json'])\n"
+            "print('argparse' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.split() == ["False", "False", "True"]
