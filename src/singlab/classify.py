@@ -27,10 +27,11 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
+from . import _engine
 from .cycles import _canonical_degree, _chi_of, riemann_roch_colength
 from .elliptic import elliptic_sequence
 from .errors import InputError, InternalCheckError, _is_int, _raise_at_first_failure
-from .graph import Cycle, DualGraph, _dot, cycle_to_json, mat_vec
+from .graph import Cycle, DualGraph, _dot, cycle_to_json
 
 __all__ = [
     "AfStructure",
@@ -184,16 +185,16 @@ def classify_gorenstein_elliptic_ideals(
     for rank, t in enumerate(af.af):
         if not (-seq.self_intersection(t) >= 2 or (not af.maximal and t < seq.m)):
             continue
-        ct, mct = seq.partial_sum(t), seq.partial_image(t)
+        ct = seq.partial_sum(t)
         colength = rank + 1
         ideals.append(
             EllipticIdealClass(
                 t=t,
                 cycle=ct,
                 colength=colength,
-                e0=-_dot(ct, mct),
+                e0=-_dot(ct, ct.image),
                 kz=_canonical_degree(g, ct),
-                chi=_chi_of(g, ct, mct),
+                chi=_chi_of(ct),
                 eb2=colength,
                 q=p_g - colength,
                 kind="strongly-elliptic" if colength == 1 else "elliptic",
@@ -235,22 +236,23 @@ def normal_hilbert_data(g: DualGraph, z: Cycle, p_g: int, q: int, n_max: int = 8
 
     Verifies on the way that the degree-2 polynomial built from the three
     coefficients reproduces the colength of every power up to n_max + 1.
-    Z is multiplied by the form once, for its anti-nef test and e0bar;
-    each power n Z is multiplied on its own in ``riemann_roch_colength``,
-    so the polynomial is checked against colengths computed apart from
-    it.
+    The anti-nef test and e0bar read the image Z carries.  A power n Z
+    carries none (``k * D`` drops it), so ``riemann_roch_colength``
+    multiplies each on its own and the polynomial is checked against
+    colengths computed apart from it.  Those n_max + 1 products of n rows
+    answer to the enumeration budget before the first one.
     """
     if not isinstance(z, Cycle) or z.graph != g:
         raise InputError("cycle does not live on this graph")
-    image = mat_vec(g, z.coeffs)  # anti-nefness and e0bar off one product
-    if not all(x <= 0 for x in image) or z.is_zero or not z.is_effective:
+    if not all(x <= 0 for x in z.image) or z.is_zero or not z.is_effective:
         raise InputError("Z must be a non-zero effective anti-nef cycle")
     if not _is_int(n_max) or n_max < 1:
         raise InputError("n_max must be an integer >= 1")
+    _engine.check_count((n_max + 1) * len(g), "the colength sequence", "row products")
     colengths = tuple(
         riemann_roch_colength(g, n * z, p_g, q) for n in range(1, n_max + 2)
     )
-    e0bar = -_dot(z, image)
+    e0bar = -_dot(z, z.image)
     e2bar = p_g - q
     e1bar = e0bar - colengths[0] + e2bar
     for prev, nxt in zip(colengths, colengths[1:]):

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ._engine import check_count
+from ._linalg import _STORE
 from .errors import InputError, _is_int
 from .graph import DualGraph, Vertex
 
@@ -45,10 +47,16 @@ def _check_param(n) -> None:
         raise InputError(f"parameter must be an integer >= 0, got {n!r}")
 
 
+def _check_tree(n, per: int) -> None:
+    """``_check_param``, then the 3N - 1 entries the elimination of the tree stores."""
+    _check_param(n)
+    check_count(3 * (per * n + 1) - 1, _STORE, "entries")
+
+
 @_family
 def fig2312(n: int) -> DualGraph:
     """Chain of 2n (-2)-curves ending in a genus-1 (-1)-curve."""
-    _check_param(n)
+    _check_tree(n, 2)
     vertices = [Vertex(f"E{i}", -2, 0) for i in range(2 * n)]
     vertices.append(Vertex(f"E{2 * n}", -1, 1))
     edges = [(f"E{i}", f"E{i + 1}", 1) for i in range(2 * n)]
@@ -58,7 +66,7 @@ def fig2312(n: int) -> DualGraph:
 @_family
 def fig244(m: int) -> DualGraph:
     """Chain of 2m+1 (-2)-curves, middle one of genus 1."""
-    _check_param(m)
+    _check_tree(m, 2)
     names = [f"E{j}_1" for j in range(m)] + ["Em"] + [f"E{j}_2" for j in reversed(range(m))]
     vertices = [Vertex(name, -2, 1 if name == "Em" else 0) for name in names]
     edges = [(names[i], names[i + 1], 1) for i in range(len(names) - 1)]
@@ -68,7 +76,7 @@ def fig244(m: int) -> DualGraph:
 @_family
 def brell3(m: int) -> DualGraph:
     """Genus-1 (-3)-curve with three chains of m (-2)-curves."""
-    _check_param(m)
+    _check_tree(m, 3)
     vertices = [Vertex("E", -3, 1)]
     edges = []
     for s in (1, 2, 3):

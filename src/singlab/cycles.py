@@ -10,17 +10,16 @@ is integral.  K is y / d, the integer solution the graph keeps from the
 solve that built it; nothing here eliminates again.
 K . D is the integer a . D, a the adjunction vector (M K = a), so only
 the numerically Gorenstein test and ``graph analyze`` read the rational
-K.  Every product with the form (the Laufer loop's bump, chi, the check
-of K) runs along the graph's sparse rows, so costs O(n + |E|) per
-product; ``_chi_of`` reads chi off an image M D a caller already has.
-The loop keeps M Z up to date as it bumps, and ``_laufer_loop`` hands
-that image back with Z, so E_min and the elliptic sequence read chi and
-the orthogonal locus of each fundamental cycle off it with no product.
+K.  chi, the Laufer loop's bump and the check of K run along the
+graph's sparse rows, so cost O(n + |E|) each.  The loop keeps M Z up to
+date as it bumps, and the cycle it returns carries that image, so E_min
+and the elliptic sequence read chi and the orthogonal locus of each
+fundamental cycle they build off it, with no product; chi reads any
+cycle's image, which each cycle computes at most once.
 An edge multiplicity picks how many bumps the loop takes, so the loop
 answers to the enumeration budget (``SINGLAB_MAX_ENUM``).
-The graph keeps Z_E with its image (``_fundamental_with_image``), from
-which ellipticity, the chi sweep and the sequence read chi(Z_E) and
-M Z_E.
+The graph keeps Z_E, from which ellipticity, the chi sweep and the
+sequence read chi(Z_E) and M Z_E.
 """
 
 from __future__ import annotations
@@ -65,21 +64,20 @@ def fundamental_cycle(g: DualGraph, support=None, rng=None) -> Cycle:
         if len(connected_components(g, idxs)) != 1:
             raise InputError("support must be connected")
     if rng is None and len(idxs) == len(g):
-        return _fundamental_with_image(g)[0]
-    return _laufer_loop(g, idxs, rng)[0]
+        return _fundamental(g)
+    return _laufer_loop(g, idxs, rng)
 
 
 @per_graph("fundamental")
-def _fundamental_with_image(g: DualGraph) -> tuple[Cycle, tuple[int, ...]]:
-    """Z_E and its image M Z_E, as the Laufer loop left them."""
-    ze, image = _laufer_loop(g, range(len(g)), None)
-    return ze, tuple(image)
+def _fundamental(g: DualGraph) -> Cycle:
+    """Z_E, holding the image the Laufer loop left it."""
+    return _laufer_loop(g, range(len(g)), None)
 
 
-def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
+def _laufer_loop(g: DualGraph, idxs, rng) -> Cycle:
     """The incremental loop of ``fundamental_cycle`` on the vertex
-    indices ``idxs`` (ascending, connected, not checked here), and the
-    image M Z of its cycle Z, which the loop keeps as it bumps.
+    indices ``idxs`` (ascending, connected, not checked here); its cycle Z
+    holds the image M Z the loop keeps as it bumps.
 
     An edge multiplicity can ask for any number of bumps (E_a^2 = -1 and
     E_b^2 = -(m^2 + 1) meeting m times take m - 1), and each rescans the
@@ -109,7 +107,7 @@ def _laufer_loop(g: DualGraph, idxs, rng) -> tuple[Cycle, list[int]]:
         if steps > limit:
             _engine.check_count(steps * len(idxs), "the fundamental-cycle loop", "curve scans")
             limit = _engine.max_enum() // len(idxs)
-    return Cycle._of(g, tuple(coeffs)), s
+    return Cycle._of(g, tuple(coeffs), tuple(s))
 
 
 @per_graph("canonical")
@@ -146,20 +144,18 @@ def chi(g: DualGraph, d: Cycle) -> int:
         raise InputError("chi expects an integral cycle")
     if d.graph != g:
         raise InputError("cycle does not live on this graph")
-    return _chi_of(g, d, mat_vec(g, d.coeffs))
+    return _chi_of(d)
 
 
-def _chi_of(g: DualGraph, d: Cycle, image) -> int:
-    """chi(D) of an integral cycle on ``g``, read off its image M D.
+def _chi_of(d: Cycle) -> int:
+    """chi(D) of an integral cycle, read off its image M D.
 
     2chi = -(D.MD + a.D) is even, so the halving is exact: with
     a_i = 2g_i - 2 - m_ii, a.D = sum m_ii d_i (mod 2), and D.MD =
     sum m_ii d_i^2 + 2 sum_(i<j) m_ij d_i d_j = sum m_ii d_i (mod 2), as
-    d_i^2 = d_i (mod 2).  Every caller passes ``image`` = M D exactly: a
-    ``mat_vec`` product, a Laufer loop's running image, or a sum or
-    difference of such images.
+    d_i^2 = d_i (mod 2).
     """
-    return -sum(map(mul, d.coeffs, map(add, image, g.adjunction))) // 2
+    return -sum(map(mul, d.coeffs, map(add, d.image, d.graph.adjunction))) // 2
 
 
 def riemann_roch_colength(g: DualGraph, z: Cycle, p_g: int, q: int) -> int:
@@ -179,10 +175,9 @@ def riemann_roch_colength(g: DualGraph, z: Cycle, p_g: int, q: int) -> int:
         raise InputError(f"need 0 <= q <= p_g, got q={q}, p_g={p_g}")
     if not z.is_effective or z.is_zero:
         raise InputError("Z must be a non-zero effective cycle")
-    image = mat_vec(g, z.coeffs)  # anti-nefness and chi off one product
-    if not all(x <= 0 for x in image):
+    if not all(x <= 0 for x in z.image):  # anti-nefness and chi off one image
         raise InputError("Z must be anti-nef")
-    ell = _chi_of(g, z, image) + p_g - q
+    ell = _chi_of(z) + p_g - q
     if ell <= 0:
         raise InputError(
             f"inconsistent data: colength {ell} is not positive "

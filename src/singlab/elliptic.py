@@ -15,20 +15,19 @@ classification in ``singlab.classify``.
 
 E_min and the sequence run their Laufer loops on the vertex-index sets
 ``connected_components`` has just returned, so no support is checked
-again, and each loop hands back the image M Z it keeps as it bumps: chi
-of a subgraph's fundamental cycle and the next orthogonal locus are read
-off it, and those of Z_0 = Z_E off the image the graph keeps with it.
-E_min keeps the cycle of the component its deletion pass picks, so no
-loop runs after its passes, and each orthogonal locus is read inside
-the current support B_t, which holds supp E_min.
-The build multiplies no cycle by the form; the finished sequence
-multiplies each Z_t once, along the sparse rows, and keeps M Z_t and
-M C_t, and its identities, the -1 chains and the classification read
-every pairing of its cycles off them.  Vertex ids are built only for the
-sequence's supports and for error text.  Only the sampled chi sweep
-multiplies by the dense matrix, until the benchmark's per-pass memory is
-mended; its draws are those of ``random.Random(0xE11).randint``, read
-through ``getrandbits`` by the same rejection loop.
+again, and each cycle a loop returns carries the image M Z it kept as it
+bumped: chi of a subgraph's fundamental cycle and the next orthogonal
+locus are read off it, those of Z_0 off the graph's Z_E.  E_min keeps the
+cycle of the component its deletion pass picks, so no loop runs after
+its passes, and each orthogonal locus is read inside the current support
+B_t, which holds supp E_min.  Nothing here multiplies a cycle by the
+form: the sequence's sums carry the sums of their terms' images, and its
+identities, the -1 chains and the classification read every pairing off
+them.  Vertex ids are built only for the sequence's supports and for
+error text.  Only the sampled chi sweep multiplies by the dense matrix,
+until the benchmark's per-pass memory is mended; its draws are those of
+``random.Random(0xE11).randint``, read through ``getrandbits`` by the
+same rejection loop.
 
 Every structural fact the construction relies on and its own loops do
 not prove is verified on the actual data and raises InternalCheckError
@@ -43,19 +42,14 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, mul
 from typing import NamedTuple
 
 from . import _engine
-from .cycles import (
-    _chi_of,
-    _fundamental_with_image,
-    _laufer_loop,
-    canonical_cycle,
-    is_numerically_gorenstein,
-)
-from .errors import InputError, InternalCheckError, _raise_at_first_failure
-from .graph import Cycle, DualGraph, _dot, connected_components, cycle_to_json, mat_vec, per_graph
+from .cycles import _chi_of, _fundamental, _laufer_loop, canonical_cycle, is_numerically_gorenstein
+from .errors import InputError, InternalCheckError, _clip, _is_int, _raise_at_first_failure
+from .graph import (Cycle, DualGraph, _dot, _Frozen, _set, connected_components, cycle_to_json,
+                    per_graph)
 
 __all__ = [
     "EllipticSequence",
@@ -103,50 +97,31 @@ class MinusOneChainReport(NamedTuple):
     chain: tuple[str, ...]
 
 
-class EllipticSequence:
-    """The cycles Z_0, ..., Z_m with their supports B_0 > ... > B_m and
-    their images M Z_t, ``images``.
+class EllipticSequence(_Frozen):
+    """The cycles Z_0, ..., Z_m, each carrying its image M Z_t (``images``),
+    with their supports B_0 > ... > B_m, one tuple of vertex ids each.
 
-    Immutable and equal by its three fields.  The constructor multiplies
-    each Z_t by the form once; the partial sums C_t and their images M C_t
-    are running sums taken there, so ``partial_sum``, ``tail_sum`` and
-    ``partial_image`` cost one lookup or one subtraction.
+    Immutable and equal by its three fields.  The partial sums C_t and the
+    tail sums C'_t, with their images, are running sums taken by the
+    constructor, so an accessor costs one lookup; an index outside its
+    range, or not an integer, is refused with InputError.
     """
 
-    __slots__ = ("graph", "supports", "cycles", "images", "_prefix", "_image_prefix")
+    __slots__ = ("graph", "supports", "cycles", "_prefix", "_suffix")
+    _fields = ("graph", "supports", "cycles")
 
     def __init__(self, graph: DualGraph, supports: tuple[tuple[str, ...], ...],
                  cycles: tuple[Cycle, ...]):
-        # the running sum comes first: it refuses a cycle of another graph
+        # the running sums come first: they refuse a cycle of another graph
         prefix = tuple(accumulate(cycles, add, initial=Cycle.zero(graph)))
-        images = tuple(tuple(mat_vec(graph, z.coeffs)) for z in cycles)
-        image_prefix = tuple(accumulate(images, lambda u, v: tuple(map(add, u, v)),
-                                        initial=(0,) * len(graph)))
-        for name, value in (("graph", graph), ("supports", supports), ("cycles", cycles),
-                            ("images", images), ("_prefix", prefix),
-                            ("_image_prefix", image_prefix)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.graph, self.supports, self.cycles
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"EllipticSequence(graph={self.graph!r}, supports={self.supports!r}, "
-                f"cycles={self.cycles!r})")
+        suffix = tuple(accumulate(reversed(cycles), add, initial=Cycle.zero(graph)))[::-1]
+        if not (isinstance(supports, tuple) and len(supports) == len(cycles) and all(
+                isinstance(b, tuple) and all(isinstance(v, str) and v in graph._index for v in b)
+                for b in supports)):
+            raise InputError(f"support list {_clip(repr(supports))} does not live on this "
+                             "graph: it needs one tuple of the graph's vertex ids per cycle")
+        for name, value in zip(self.__slots__, (graph, supports, cycles, prefix, suffix)):
+            _set(self, name, value)
 
     @property
     def m(self) -> int:
@@ -156,29 +131,31 @@ class EllipticSequence:
     def e_min(self) -> Cycle:
         return self.cycles[-1]
 
+    @property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(z.image for z in self.cycles)
+
+    def _index(self, t, lo: int, hi: int, what: str) -> int:
+        if not (_is_int(t) and lo <= t <= hi):
+            raise InputError(f"{what} index {_clip(repr(t))} is not an integer in [{lo}, {hi}]")
+        return t
+
     def partial_sum(self, t: int) -> Cycle:
         """C_t = Z_0 + ... + Z_t  (C_-1 = 0)."""
-        if not -1 <= t <= self.m:
-            raise InputError(f"partial sum index {t} outside [-1, {self.m}]")
-        return self._prefix[t + 1]
+        return self._prefix[self._index(t, -1, self.m, "partial sum") + 1]
 
     def tail_sum(self, t: int) -> Cycle:
         """C'_t = Z_t + ... + Z_m = C_m - C_{t-1}  (C'_{m+1} = 0)."""
-        if not 0 <= t <= self.m + 1:
-            raise InputError(f"tail sum index {t} outside [0, {self.m + 1}]")
-        return self._prefix[-1] - self._prefix[t]
+        return self._suffix[self._index(t, 0, self.m + 1, "tail sum")]
 
     def self_intersection(self, t: int) -> int:
         """Z_t^2, read off M Z_t."""
-        if not 0 <= t <= self.m:
-            raise InputError(f"cycle index {t} outside [0, {self.m}]")
-        return _dot(self.cycles[t], self.images[t])
+        z = self.cycles[self._index(t, 0, self.m, "cycle")]
+        return _dot(z, z.image)
 
     def partial_image(self, t: int) -> tuple[int, ...]:
         """M C_t, the C_t . E_i for every i  (M C_-1 = 0)."""
-        if not -1 <= t <= self.m:
-            raise InputError(f"partial sum index {t} outside [-1, {self.m}]")
-        return self._image_prefix[t + 1]
+        return self.partial_sum(t).image
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,7 +194,7 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     at most 200k candidates, by 2000 seeded draws otherwise, so the work
     is bounded with no budget.  The theorem's premise is the contract:
     a graph with chi(Z_E) != 0 is refused with InputError, read off the
-    image M Z_E the graph keeps with Z_E.
+    image M Z_E that the graph's Z_E carries.
     The draws are those of ``randint(0, b)`` on ``random.Random(0xE11)``,
     coordinate by coordinate, taken by ``_sample_draws`` through
     ``getrandbits``; each is multiplied by the dense matrix, a product
@@ -231,8 +208,8 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
     if a negative Euler characteristic shows up; on an elliptic graph
     none exists.
     """
-    ze, image = _fundamental_with_image(g)
-    if _chi_of(g, ze, image) != 0:
+    ze = _fundamental(g)
+    if _chi_of(ze) != 0:
         raise InputError("graph is not elliptic")
     bounds = tuple(2 * c for c in ze.coeffs)
     adj = g.adjunction
@@ -268,14 +245,14 @@ def chi_nonnegative_check(g: DualGraph) -> ChiSweep:
 @per_graph("elliptic")
 def is_elliptic(g: DualGraph) -> bool:
     """True when the fundamental cycle has Euler characteristic zero,
-    read off the image M Z_E the graph keeps with Z_E.
+    read off the image M Z_E that the graph's Z_E carries.
 
     Only then does the bounded sanity sweep run and confirm chi(D) >= 0
     below 2 Z_E (exhaustively for small boxes, sampled otherwise): the
     sweep takes elliptic graphs only, and a violation there is an
     internal error, not a False.
     """
-    result = _chi_of(g, *_fundamental_with_image(g)) == 0
+    result = _chi_of(_fundamental(g)) == 0
     if result:
         chi_nonnegative_check(g)
     return result
@@ -288,10 +265,10 @@ def _ids(g: DualGraph, idxs) -> list[str]:
 def _subgraph_chi(g: DualGraph, comp: set[int]) -> tuple[int, Cycle]:
     """chi of the fundamental cycle Z of the connected subgraph on the
     vertex indices ``comp``, and Z: chi is 0 or 1 on an elliptic graph (1
-    exactly when the subgraph is rational), read off the image its Laufer
-    loop keeps."""
-    z, image = _laufer_loop(g, sorted(comp), None)
-    value = _chi_of(g, z, image)
+    exactly when the subgraph is rational), read off the image Z carries
+    from its Laufer loop."""
+    z = _laufer_loop(g, sorted(comp), None)
+    value = _chi_of(z)
     if value not in (0, 1):
         raise InternalCheckError(
             "minimally-elliptic-subgraph-chi",
@@ -328,7 +305,7 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
     if not is_elliptic(g):
         raise InputError("graph is not elliptic")
     everything = set(range(len(g)))
-    support, emin = everything, _fundamental_with_image(g)[0]
+    support, emin = everything, _fundamental(g)
     for v in range(len(g)):
         if v not in support or len(support) == 1:
             continue
@@ -351,8 +328,8 @@ def minimally_elliptic_cycle(g: DualGraph) -> Cycle:
 def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     """Build and fully verify the elliptic sequence of a numerically
     Gorenstein elliptic graph.  Z . E_min and the curves orthogonal to Z
-    are read off M Z: the image the graph keeps with Z_0 = Z_E, and for
-    each later Z_t the image its Laufer loop keeps.  Supports are
+    are read off the image M Z each Z_t carries from its Laufer loop,
+    Z_0 = Z_E from the one the graph keeps.  Supports are
     vertex-index sets until the finished sequence records their ids.  A
     graph that is not minimal is refused first: a genus-0 (-1)-curve
     breaks the sequence's identities.
@@ -377,15 +354,16 @@ def elliptic_sequence(g: DualGraph) -> EllipticSequence:
     emin = minimally_elliptic_cycle(g)
     start = next(i for i, c in enumerate(emin.coeffs) if c)
 
-    ze, mz = _fundamental_with_image(g)
+    z = _fundamental(g)
     supports: list[set[int]] = [set(range(len(g)))]
-    cycles: list[Cycle] = [ze]
-    while _dot(emin, mz) == 0:  # Z . E_min, read off M Z
+    cycles: list[Cycle] = [z]
+    while _dot(emin, z.image) == 0:  # Z . E_min, read off M Z
+        mz = z.image
         # the component of B_t's orthogonal locus that holds supp E_min
         orthogonal = {i for i in supports[-1] if mz[i] == 0}
         comp = next(c for c in connected_components(g, orthogonal) if start in c)
         supports.append(comp)
-        z, mz = _laufer_loop(g, sorted(comp), None)
+        z = _laufer_loop(g, sorted(comp), None)
         cycles.append(z)
 
     seq = EllipticSequence(g, tuple(tuple(_ids(g, b)) for b in supports), tuple(cycles))
@@ -416,8 +394,8 @@ def _sequence_identities(seq: EllipticSequence):
     rational K, to print it, so the list is whole on any graph."""
     g = seq.graph
     m = seq.m
-    cycles, images = seq.cycles, seq.images
-    nonzero = [[(v, x) for v, x in enumerate(mz) if x] for mz in images]
+    cycles = seq.cycles
+    nonzero = [[(v, x) for v, x in enumerate(z.image) if x] for z in cycles]
     for i in range(m + 1):
         zi = cycles[i].coeffs
         for j in range(i + 1, m + 1):
@@ -427,22 +405,23 @@ def _sequence_identities(seq: EllipticSequence):
     t = next((t for t in range(m) if -selfints[t] < -selfints[t + 1]), None)
     yield ("elliptic-sequence-degrees-monotone", t is None, None if t is None else
            f"-Z_{t}^2 = {-selfints[t]} < -Z_{t+1}^2 = {-selfints[t+1]}")
-    adj, mcm = g.adjunction, seq.partial_image(m)
+    adj = g.adjunction
     for t in range(m + 1):
-        ct, mct = seq.partial_sum(t), seq.partial_image(t)
-        cpt, mcpt = seq.tail_sum(t), tuple(map(sub, mcm, seq.partial_image(t - 1)))
-        ok = all(x <= 0 for x in mct)
+        ct, cpt = seq.partial_sum(t), seq.tail_sum(t)
+        ok = all(x <= 0 for x in ct.image)
         yield "elliptic-sequence-partial-sums-anti-nef", ok, None if ok else f"C_{t} is not anti-nef"
-        for name, d, md in (("C", ct, mct), ("C'", cpt, mcpt), ("Z", cycles[t], images[t])):
-            ok = _chi_of(g, d, md) == 0
+        for name, d in (("C", ct), ("C'", cpt), ("Z", cycles[t])):
+            ok = _chi_of(d) == 0
             yield ("elliptic-sequence-euler-characteristic-zero", ok,
                    None if ok else f"chi({name}_{t}) != 0")
+        mcpt = cpt.image
         for vid in seq.supports[t]:
             v = g._index[vid]
             ok = adj[v] + mcpt[v] == 0
             yield ("elliptic-sequence-canonical-restriction", ok,
                    None if ok else f"(K + C'_{t}) . {vid} != 0")
-    ok = all(x == -a for x, a in zip(mcm, adj))  # M C_m = -a = M(-K), and M is nonsingular
+    # M C_m = -a = M(-K), and M is nonsingular
+    ok = all(x == -a for x, a in zip(seq.partial_image(m), adj))
     yield ("elliptic-sequence-total-is-anticanonical", ok,
            None if ok else f"C_{m} = {seq.partial_sum(m)} but -K = {-canonical_cycle(g)}")
 
@@ -482,9 +461,9 @@ def check_minus_one_chains(g: DualGraph, seq: EllipticSequence) -> MinusOneChain
     cm_dot = seq.partial_image(m)
     f: dict[int, int] = {}  # t -> vertex index of F_t
     for t in range(j0, m):
-        z, mz = seq.cycles[t], seq.images[t]
-        negatives = [i for i in range(len(g)) if mz[i] < 0]
-        if len(negatives) != 1 or mz[negatives[0]] != -1 or z.coeffs[negatives[0]] != 1:
+        z = seq.cycles[t]
+        negatives = [i for i, x in enumerate(z.image) if x < 0]
+        if len(negatives) != 1 or z.image[negatives[0]] != -1 or z.coeffs[negatives[0]] != 1:
             raise InternalCheckError(
                 "minus-one-chain-structure",
                 f"Z_{t} has no unique curve of pairing -1",

@@ -15,21 +15,21 @@ M K = a makes it the integer a . D.  No floating point is used anywhere
 in this package.
 
 The form is stored once, as sparse rows, the diagonal entry and then one
-entry per neighbour, and every product M . D (``mat_vec``, ``pairing``,
-``is_anti_nef`` and through them the cycles and the elliptic sequence)
-costs O(n + |E|).  The exhaustive chi >= 0 sweep builds its minimum-cut
-network on the same rows, the anti-nef box scan walks them, and the
-solve eliminates them.  The dense ``matrix`` is built from the rows on
-each read and kept nowhere, for the printed matrix of ``graph analyze``
-and the sampled chi sweep; it is the one n x n allocation left, so its
-n^2 entries answer to the budget (``SINGLAB_MAX_ENUM``).
+entry per neighbour, and a product M . D (``mat_vec``) costs O(n + |E|).
+An immutable ``Cycle`` carries its image M . D (``Cycle.image``), and
+every pairing is read off it.  The exhaustive chi >= 0 sweep builds its
+minimum-cut network on the same rows, the anti-nef box scan walks them,
+and the solve eliminates them.  The dense ``matrix`` is built from the
+rows on each read and kept nowhere, for the printed matrix of ``graph
+analyze`` and the sampled chi sweep; it is the one n x n allocation
+left, so its n^2 entries answer to the budget (``SINGLAB_MAX_ENUM``).
 
 A graph object keeps, in ``_cache`` and only through ``per_graph``: Z_E
-with its image M Z_E (``fundamental_cycle`` of every vertex, without
-``rng``), K, the chi >= 0 sweep, the verdict of ``is_elliptic`` (False
-too), E_min and the verified elliptic sequence.  A call that raises
-keeps nothing, so a refusal or a failed check is raised again on every
-call.
+(``fundamental_cycle`` of every vertex, without ``rng``) with the image
+its loop held, K, the chi >= 0 sweep, the verdict of ``is_elliptic``
+(False too), E_min and the verified elliptic sequence.  A call that
+raises keeps nothing, so a refusal or a failed check is raised again on
+every call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import compress
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import _engine
@@ -185,10 +185,62 @@ class DualGraph:
         return f"DualGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-class Cycle:
-    """Integer divisor supported on the exceptional curves of one graph."""
+_set = object.__setattr__  # how a ``_Frozen`` record sets each field, once
+
+
+class _Frozen:
+    """A record of the fields ``_fields`` names: assigning or deleting one
+    raises AttributeError, and two records of one class are equal when
+    their fields are."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self):
+        inside = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({inside})"
+
+    def __setstate__(self, state):  # copy and pickle set every slot again, unchecked
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Divisor(_Frozen):
+    """Coefficients on the curves of one graph, in vertex order."""
 
     __slots__ = ("graph", "coeffs")
+    _fields = ("graph", "coeffs")
+
+    def coeff(self, vid: str):
+        return self.coeffs[self.graph.index_of(vid)]
+
+    def to_map(self) -> dict:
+        return dict(zip(self.graph.ids, self.coeffs))
+
+    def __repr__(self):
+        inside = ", ".join(f"{v.id}:{c}" for v, c in zip(self.graph.vertices, self.coeffs))
+        return f"{type(self).__name__}({inside})"
+
+
+class Cycle(_Divisor):
+    """Integer divisor supported on the exceptional curves of one graph,
+    carrying its image M . D, the D . E_i for every i (``image``)."""
+
+    __slots__ = ("_image",)
 
     def __init__(self, graph: DualGraph, coeffs):
         coeffs = tuple(coeffs)
@@ -196,27 +248,27 @@ class Cycle:
             raise InputError("cycle length does not match the graph")
         if not all(_is_int(c) for c in coeffs):
             raise InputError("cycle coefficients must be integers")
-        self.graph = graph
-        self.coeffs = coeffs
+        for name, value in (("graph", graph), ("coeffs", coeffs), ("_image", None)):
+            _set(self, name, value)
 
     @classmethod
-    def _of(cls, graph: DualGraph, coeffs: tuple) -> Cycle:
-        """A cycle from a tuple of ints already known to fit ``graph``
-        (the results of arithmetic on cycles), without re-checking it."""
+    def _of(cls, graph: DualGraph, coeffs: tuple, image: tuple | None = None) -> Cycle:
+        """A cycle from a tuple of ints known to fit ``graph``, unchecked,
+        and its image M . D when the caller holds it."""
         d = object.__new__(cls)
-        d.graph = graph
-        d.coeffs = coeffs
+        _set(d, "graph", graph)
+        _set(d, "coeffs", coeffs)
+        _set(d, "_image", image)
         return d
 
     @classmethod
     def zero(cls, graph: DualGraph) -> Cycle:
-        return cls._of(graph, (0,) * len(graph))
+        zeros = (0,) * len(graph)
+        return cls._of(graph, zeros, zeros)
 
     @classmethod
     def unit(cls, graph: DualGraph, vid: str) -> Cycle:
-        c = [0] * len(graph)
-        c[graph.index_of(vid)] = 1
-        return cls._of(graph, tuple(c))
+        return cls.from_map(graph, {vid: 1})
 
     @classmethod
     def from_map(cls, graph: DualGraph, mapping) -> Cycle:
@@ -225,11 +277,14 @@ class Cycle:
             c[graph.index_of(vid)] = val
         return cls(graph, c)
 
-    def coeff(self, vid: str) -> int:
-        return self.coeffs[self.graph.index_of(vid)]
-
-    def to_map(self) -> dict[str, int]:
-        return dict(zip(self.graph.ids, self.coeffs))
+    @property
+    def image(self) -> tuple[int, ...]:
+        """M . D: held from construction where it was at hand (a Laufer loop,
+        ``zero``, a sum or difference of cycles holding theirs, as M is
+        linear), otherwise one ``mat_vec`` product on first read, kept."""
+        if self._image is None:
+            _set(self, "_image", tuple(mat_vec(self.graph, self.coeffs)))
+        return self._image
 
     @property
     def is_zero(self) -> bool:
@@ -245,7 +300,9 @@ class Cycle:
     def _binop(self, other, op):
         if not isinstance(other, Cycle) or other.graph != self.graph:
             raise InputError("cycles live on different graphs")
-        return Cycle._of(self.graph, tuple(map(op, self.coeffs, other.coeffs)))
+        a, b = self._image, other._image
+        return Cycle._of(self.graph, tuple(map(op, self.coeffs, other.coeffs)),
+                         None if a is None or b is None else tuple(map(op, a, b)))
 
     def __add__(self, other):
         return self._binop(other, add)
@@ -254,22 +311,12 @@ class Cycle:
         return self._binop(other, sub)
 
     def __neg__(self):
-        return Cycle._of(self.graph, tuple(map(neg, self.coeffs)))
+        return Cycle.zero(self.graph) - self
 
     def __rmul__(self, k):
         if not _is_int(k):  # a bool scale is refused, as a float is
             return NotImplemented
         return Cycle._of(self.graph, tuple([k * c for c in self.coeffs]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cycle)
-            and other.graph == self.graph
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __le__(self, other):
         """Componentwise partial order."""
@@ -277,24 +324,14 @@ class Cycle:
             raise InputError("cycles live on different graphs")
         return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __lt__(self, other):
+    def __lt__(self, other):  # >= and > are these two, reflected
         return self <= other and self != other
 
-    def __ge__(self, other):
-        return other.__le__(self)
 
-    def __gt__(self, other):
-        return other.__lt__(self)
-
-    def __repr__(self):
-        inside = ", ".join(f"{v.id}:{c}" for v, c in zip(self.graph.vertices, self.coeffs))
-        return f"Cycle({inside})"
-
-
-class QCycle:
+class QCycle(_Divisor):
     """Divisor with exact rational coefficients (used for the canonical cycle)."""
 
-    __slots__ = ("graph", "coeffs")
+    __slots__ = ()
 
     def __init__(self, graph: DualGraph, coeffs):
         coeffs = tuple(coeffs)
@@ -302,8 +339,8 @@ class QCycle:
             raise InputError("cycle length does not match the graph")
         if not all(map(_is_exact, coeffs)):
             raise InputError("rational cycle coefficients must be integers or Fractions")
-        self.graph = graph
-        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        _set(self, "graph", graph)
+        _set(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
     @property
     def is_integral(self) -> bool:
@@ -314,28 +351,8 @@ class QCycle:
             raise InputError("cycle has non-integral coefficients")
         return Cycle(self.graph, tuple(int(c) for c in self.coeffs))
 
-    def coeff(self, vid: str) -> Fraction:
-        return self.coeffs[self.graph.index_of(vid)]
-
-    def to_map(self) -> dict[str, Fraction]:
-        return dict(zip(self.graph.ids, self.coeffs))
-
     def __neg__(self):
         return QCycle(self.graph, tuple(-c for c in self.coeffs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QCycle)
-            and other.graph == self.graph
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        inside = ", ".join(f"{v.id}:{c}" for v, c in zip(self.graph.vertices, self.coeffs))
-        return f"QCycle({inside})"
 
 
 def per_graph(key: str):
@@ -448,7 +465,7 @@ def pairing(g: DualGraph, d1: Cycle, d2: Cycle) -> int:
             raise InputError("pairing expects integral cycles")
         if d.graph != g:
             raise InputError("cycle does not live on this graph")
-    return _dot(d1, mat_vec(g, d2.coeffs))
+    return _dot(d1, d2.image)
 
 
 def _dot(d: Cycle, image) -> int:
@@ -490,4 +507,4 @@ def is_anti_nef(g: DualGraph, d: Cycle) -> bool:
     """True when D meets every curve non-positively (D . E_i <= 0 for all i)."""
     if not isinstance(d, Cycle) or d.graph != g:
         raise InputError("cycle does not live on this graph")
-    return all(x <= 0 for x in mat_vec(g, d.coeffs))
+    return all(x <= 0 for x in d.image)

@@ -201,10 +201,9 @@ def check_hilbert_data() -> int:
     """Riemann-Roch colength sequences versus the Hilbert polynomial."""
     t = _Tally()
     for (g, p_g), rep in _classification_runs().items():
-        seq = elliptic_sequence(g)
         for ideal in rep.ideals:
             hd = normal_hilbert_data(g, ideal.cycle, p_g, ideal.q, n_max=8)
-            t.eq(hd.e0bar, -_dot(ideal.cycle, seq.partial_image(ideal.t)), "e0bar = -Z^2")
+            t.eq(hd.e0bar, -_dot(ideal.cycle, ideal.cycle.image), "e0bar = -Z^2")
             t.eq(
                 hd.e1bar - hd.e0bar + hd.colengths[0],
                 p_g - ideal.q,
@@ -237,7 +236,7 @@ def check_artinian_oracle() -> int:
             sat = colength_saturating(f, MonomialIdeal.from_text(f"y,z^{i}"))
             ci = seq.partial_sum(i - 1)
             t.eq(sat, 2 * i, f"saturating colength({text}, (y,z^{i}))")
-            t.eq(sat, -_dot(ci, seq.partial_image(i - 1)),
+            t.eq(sat, -_dot(ci, ci.image),
                  f"saturating colength = -C_{i - 1}^2")
             t.eq(rep.ideals[i - 1].colength, i, f"classified colength at t={i - 1}")
     return t.count

@@ -8,6 +8,7 @@ import pytest
 from singlab import (
     Cycle,
     DualGraph,
+    EnumerationLimitError,
     InputError,
     Vertex,
     canonical_cycle,
@@ -174,6 +175,22 @@ def test_hilbert_data_validates():
         normal_hilbert_data(g, Cycle.unit(g, "E0"), 2, 1)
     with pytest.raises(InputError):
         normal_hilbert_data(g, Cycle(g, (1, 1, 1)), 2, 3)
+
+
+def test_hilbert_data_charges_its_powers_to_the_budget(monkeypatch):
+    # n_max + 1 powers, each one product over the n rows, are charged
+    # before the first, so a loop length the caller picks is refused at once
+    # (the small budget first: a loop that is not charged fails there fast)
+    g = fig2312(1)
+    z = elliptic_sequence(g).partial_sum(1)
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "27")  # (8 + 1) * 3 rows
+    assert normal_hilbert_data(g, z, 2, 1).colengths[0] == 1
+    with pytest.raises(EnumerationLimitError,
+                       match="needs 30 row products, above the budget of 27"):
+        normal_hilbert_data(g, z, 2, 1, n_max=9)
+    monkeypatch.delenv("SINGLAB_MAX_ENUM")
+    with pytest.raises(EnumerationLimitError, match="needs 300000003 row products"):
+        normal_hilbert_data(g, z, 2, 1, n_max=10**8)
 
 
 # -- Gorenstein test for reduction-number-one ideals -------------------------

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -469,6 +470,22 @@ def test_malformed_command_line_exits_1(argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
+
+
+def test_corpus_emit_refuses_a_huge_parameter_before_it_builds():
+    # 2 * 10^10 + 1 curves: refused on the count, not after building them;
+    # the child's memory is capped, so building them fails the test quickly
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                                    os.environ.get("PYTHONPATH")])))
+    env.pop("SINGLAB_MAX_ENUM", None)
+    cap = (1 << 30, 1 << 30)
+    proc = subprocess.run([sys.executable, "-m", "singlab.cli", "corpus", "emit", "fig2312",
+                           "9999999999"], capture_output=True, text=True, env=env,
+                          stdin=subprocess.DEVNULL, timeout=20,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: the elimination of the intersection form needs ")
 
 
 def test_a_leaf_command_builds_no_parser_or_the_full_tree(monkeypatch, capsys):

@@ -99,7 +99,7 @@ def test_every_named_check_can_fail(name):
 
 
 def test_classify_raises_on_its_list(monkeypatch):
-    monkeypatch.setattr(classify, "_chi_of", lambda g, d, image: 1)
+    monkeypatch.setattr(classify, "_chi_of", lambda d: 1)
     with pytest.raises(InternalCheckError) as caught:
         classify_gorenstein_elliptic_ideals(fig244(2), 3)
     assert (caught.value.check, caught.value.detail) == (

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from singlab import (
+    EnumerationLimitError,
     InputError,
     WeightedPoly,
     classify_gorenstein_elliptic_ideals,
@@ -78,6 +79,23 @@ def test_emit_and_errors():
         emit("fig999", 1)
     with pytest.raises(InputError):
         emit("fig244", -1)
+
+
+def test_a_family_is_refused_before_it_is_built(monkeypatch, cold_caches):
+    # a tree of N curves has an elimination of 3N - 1 entries, charged
+    # before a vertex is built and with the elimination's own message, so
+    # every parameter gets the verdict the elimination would give
+    monkeypatch.setenv("SINGLAB_MAX_ENUM", "20")
+    for family, per in ((fig2312, 2), (fig244, 2), (brell3, 3)):
+        for n in range(6):
+            stored = 3 * (per * n + 1) - 1
+            if stored <= 20:
+                assert len(family(n)) == per * n + 1
+                continue
+            with pytest.raises(EnumerationLimitError, match=(
+                    f"the elimination of the intersection form needs {stored} entries, "
+                    "above the budget of 20")):
+                family(n)
 
 
 def test_genus_options():

@@ -273,12 +273,12 @@ def test_check_minus_one_chains_reads_the_stored_images(monkeypatch):
 
 def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
     # one image M Z per step gives both Z . E_min and the curves
-    # orthogonal to Z: the image the graph keeps with Z_0 = Z_E and the
-    # Laufer loop's own image for each later Z_t, then m + 1 products where
-    # the finished sequence keeps its images, and 1 in K's check; the
-    # identities read the images (m + 3 when the build multiplied Z_E
-    # again, 2m + 3 when the build loop multiplied each Z_t, 120 when the
-    # identities multiplied again)
+    # orthogonal to Z: the image the graph's Z_0 = Z_E carries and the one
+    # each later Z_t carries from its Laufer loop; the partial and tail
+    # sums carry the sums of those images, so the one product left is K's
+    # check (m + 2 when the finished sequence multiplied each Z_t again,
+    # m + 3 when the build multiplied Z_E again, 2m + 3 when the build loop
+    # multiplied each Z_t, 120 when the identities multiplied again)
     template = fig2312(8)
     g = DualGraph(template.vertices, template.edges)
     assert is_elliptic(g)
@@ -286,50 +286,72 @@ def test_elliptic_sequence_multiplies_each_step_once(monkeypatch):
     calls = _spy_mat_vec(monkeypatch)
     seq = elliptic_sequence(g)
     assert seq.m == 16
-    assert len(calls) == seq.m + 2
-    assert [tuple(c) for c in calls[1:]] == [z.coeffs for z in seq.cycles]
+    assert calls == [g._solution[1]]
 
 
-# one product for K and one per Z_t where the sequence keeps its image;
-# is_elliptic, the chi sweep and the build loop read chi(Z_E) and M Z_E off
-# the image the graph keeps with Z_E, and E_min and the later steps the
-# images their Laufer loops keep.  graph analyze multiplies for K and for
-# the chi(Z_E) it prints.  The counts when those three readers multiplied
-# Z_E again (3 more, 2 for graph analyze) come first in the comments, then
+def test_a_cold_sequence_holds_every_image_it_reads(monkeypatch, cold_caches):
+    # Z_t, C_t, C'_t and E_min of a cold sequence hold their images M D
+    # from construction, so reading them multiplies nothing; a cycle built
+    # from bare coefficients multiplies once, on its first read, and keeps
+    # the result
+    g = fig2312(4)
+    seq = elliptic_sequence(g)
+    emin = minimally_elliptic_cycle(g)
+    calls = _spy_mat_vec(monkeypatch)
+    held = [*seq.cycles, emin, *(seq.partial_sum(t) for t in range(-1, seq.m + 1)),
+            *(seq.tail_sum(t) for t in range(seq.m + 2))]
+    assert all(d._image is not None and d.image is d._image for d in held)
+    assert calls == []
+    d = Cycle(g, seq.partial_sum(2).coeffs)
+    assert d._image is None
+    assert d.image == seq.partial_sum(2).image and d.image is d.image
+    assert calls == [d.coeffs]
+
+
+# one product per command, K's check: is_elliptic, the chi sweep and the
+# build loop read chi(Z_E) and M Z_E off the image the graph's Z_E carries,
+# E_min and the later steps the images their Laufer loops' cycles carry,
+# the sequence's sums the sums of their terms' images, and graph analyze
+# the chi(Z_E) it prints.  The counts when the sequence multiplied each
+# Z_t again (m + 1 more, 1 for graph analyze) come first in the comments,
+# then those when the three readers multiplied Z_E again (3 more), then
 # those when E_min and each step multiplied again (n + 1 and m + 1 more),
 # then those when every reader multiplied the cycles again, the last two
 # from before the sweep read chi(Z_E) itself
-@pytest.mark.parametrize("argv, param, count", [
-    (["elliptic", "sequence", "-"], 8, 18),  # 21, 54, 157
-    (["elliptic", "sequence", "-"], 30, 62),  # 65, 186, 553
-    (["classify", "-", "--pg", "9"], 8, 18),  # 21, 54, 165
-    (["classify", "-", "--pg", "17"], 8, 18),  # 21, 54, 158
-    (["classify", "-", "--pg", "31"], 30, 62),  # 65, 186, 583
-    (["classify", "-", "--pg", "61"], 30, 62),  # 65, 186, 554
-    (["graph", "analyze", "-"], 8, 2),  # 4
+@pytest.mark.parametrize("argv, param", [
+    (["elliptic", "sequence", "-"], 8),  # 18, 21, 54, 157
+    (["elliptic", "sequence", "-"], 30),  # 62, 65, 186, 553
+    (["classify", "-", "--pg", "9"], 8),  # 18, 21, 54, 165
+    (["classify", "-", "--pg", "17"], 8),  # 18, 21, 54, 158
+    (["classify", "-", "--pg", "31"], 30),  # 62, 65, 186, 583
+    (["classify", "-", "--pg", "61"], 30),  # 62, 65, 186, 554
+    (["graph", "analyze", "-"], 8),  # 2, 4
 ], ids=["sequence-8", "sequence-30", "classify-8-pg9", "classify-8-pg17", "classify-30-pg31",
         "classify-30-pg61", "analyze-8"])
 def test_cold_cli_runs_multiply_each_sequence_cycle_once(monkeypatch, capsys, cold_caches,
-                                                        argv, param, count):
+                                                        argv, param):
     calls = _spy_mat_vec(monkeypatch)
     monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(fig2312(param))))
     assert cli.main([*argv, "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == count
+    assert len(calls) == 1
 
 
 def test_verify_paper_products_are_pinned(monkeypatch, capsys, cold_caches):
-    # 1345 when E_min and the sequence steps multiplied each Laufer cycle
-    # again and the Hilbert data multiplied each power n Z and Z twice;
-    # 2804 when the sequence's readers multiplied its cycles again; 599
-    # before the chi sweep read chi(Z_E) itself, once on each of 20 graphs;
-    # 619 before is_elliptic, the chi sweep and the sequence's build loop
-    # read chi(Z_E) and M Z_E off the image the graph keeps with Z_E, 3
-    # products fewer on each of those 20 graphs
+    # 559 when each finished sequence multiplied its Z_t again (104
+    # products over the 20 sequences) and the Hilbert data multiplied each
+    # classified C_t (40) whose image it held; 1345 when E_min and the
+    # sequence steps multiplied each Laufer cycle again and the Hilbert
+    # data multiplied each power n Z and Z twice; 2804 when the sequence's
+    # readers multiplied its cycles again; 599 before the chi sweep read
+    # chi(Z_E) itself, once on each of 20 graphs; 619 before is_elliptic,
+    # the chi sweep and the sequence's build loop read chi(Z_E) and M Z_E
+    # off the image the graph keeps with Z_E, 3 products fewer on each of
+    # those 20 graphs
     calls = _spy_mat_vec(monkeypatch)
     assert cli.main(["verify-paper", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 559
+    assert len(calls) == 415
 
 
 def test_check_minus_one_chains_vacuous_fig244():

@@ -5,7 +5,8 @@ turned into a binary Fraction; so is an argument of the wrong shape (a
 pair of weights, a bare int for a triple, a term or a list of terms),
 never met with a TypeError or ValueError.  A string where a cycle or an
 elliptic sequence is due is refused with InputError too, not met with an
-AttributeError."""
+AttributeError, and so is a sequence's support list that is not one tuple
+of the graph's vertex ids per cycle."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from singlab import InputError, corpus
 from singlab.artinian import DensePoly, MonomialIdeal
 from singlab.classify import classify_gorenstein_elliptic_ideals, normal_hilbert_data
 from singlab.cycles import riemann_roch_colength
-from singlab.elliptic import EllipticSequence, check_minus_one_chains, enumerate_antinef_upto
+from singlab.elliptic import (EllipticSequence, check_minus_one_chains, elliptic_sequence,
+                              enumerate_antinef_upto)
 from singlab.graph import Cycle
 from singlab.wh import WeightedPoly, a_invariant, graded_dim, pg_brieskorn
 
@@ -30,6 +32,10 @@ def _colength(p_g, q):
 def _hilbert(n_max):
     g = corpus.fig2312(1)
     return normal_hilbert_data(g, Cycle(g, (1, 2, 2)), 2, 0, n_max=n_max)
+
+
+def _sequence_read(name, t):
+    return getattr(elliptic_sequence(corpus.fig2312(1)), name)(t)
 
 
 def _kept_then(param):
@@ -61,6 +67,10 @@ CASES = {
     "corpus-bool-after-kept": lambda: _kept_then(True),
     "corpus-whole-float-after-kept": lambda: _kept_then(1.0),
     "genus-options-float": lambda: corpus.genus_options("fig244", 1.5),
+    # an index of the four sequence accessors: a bool is not read as 0 or 1
+    **{f"sequence-{name}-{label}": (lambda name=name, t=t: _sequence_read(name, t))
+       for name in ("partial_sum", "tail_sum", "self_intersection", "partial_image")
+       for label, t in (("bool", True), ("float", 1.0), ("str", "1"), ("none", None))},
     # wrongly shaped arguments: not a triple, not a term, not iterable
     "ideal-generator-int": lambda: MonomialIdeal([5]),
     "ideal-generators-int": lambda: MonomialIdeal(5),
@@ -83,6 +93,11 @@ def test_entry_points_refuse_what_is_not_an_integer(case):
         CASES[case]()
 
 
+def _sequence_with_supports(supports):
+    g = corpus.fig2312(1)
+    return EllipticSequence(g, supports, (Cycle(g, (1, 1, 1)),))
+
+
 OBJECT_CASES = {
     "antinef-bound-str": lambda: enumerate_antinef_upto(corpus.fig244(1), "x"),
     "chains-sequence-str": lambda: check_minus_one_chains(corpus.fig2312(1), "x"),
@@ -90,6 +105,12 @@ OBJECT_CASES = {
     "sequence-cycle-str": lambda: EllipticSequence(corpus.fig2312(1), (("E0",),), ("x",)),
     "sequence-cycle-other-graph": lambda: EllipticSequence(
         corpus.fig2312(1), (("E0",),), (Cycle(corpus.fig244(1), (1, 1, 1)),)),
+    # one support per cycle, each a tuple of the graph's vertex ids
+    "sequence-support-unknown-id": lambda: _sequence_with_supports((("E0", "E9"),)),
+    "sequence-supports-short": lambda: _sequence_with_supports(()),
+    "sequence-supports-str": lambda: _sequence_with_supports("abc"),
+    "sequence-support-str": lambda: _sequence_with_supports(("E0",)),
+    "sequence-support-id-int": lambda: _sequence_with_supports(((0,),)),
 }
 
 

@@ -1,7 +1,7 @@
 """What a graph keeps: the ``per_graph`` memo of ``singlab.graph``.
 
 Six invariants are kept on the graph object that computed them, each
-under its own key, Z_E as the pair of Z_E and its image M Z_E; a
+under its own key, Z_E holding its image M Z_E; a
 returned value is kept (a False verdict too), a raised error is not, and
 an equal graph built anew computes its own.
 Only graph.py touches the ``_cache`` dict, which an ``ast`` scan of the
@@ -60,13 +60,12 @@ def count_laufer_loops(monkeypatch) -> list:
 
 
 def kept(g: DualGraph, key: str):
-    """What the invariant under ``key`` returns, as ``g`` keeps it: Z_E is
-    kept as the pair of Z_E and its image M Z_E, a tuple."""
+    """What the invariant under ``key`` returns, as ``g`` keeps it: Z_E
+    holds its image M Z_E, a tuple, from its Laufer loop."""
     value = g._cache[key]
     if key == "fundamental":
-        ze, image = value
-        assert type(image) is tuple and image == tuple(mat_vec(g, ze.coeffs))
-        return ze
+        image = value._image
+        assert type(image) is tuple and image == tuple(mat_vec(g, value.coeffs))
     return value
 
 

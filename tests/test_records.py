@@ -1,9 +1,11 @@
-"""The nine immutable records: frozen fields, equality and hashing by
-field values, the prefix sums of ``EllipticSequence``, and an import of
+"""The eleven immutable records: frozen fields, equality and hashing by
+field values, copies and pickles equal to the record, the prefix sums of ``EllipticSequence``, and an import of
 the command line that loads neither ``dataclasses`` nor ``inspect``."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from singlab import (
     Cycle,
     InputError,
     Vertex,
+    canonical_cycle,
     check_minus_one_chains,
     chi_nonnegative_check,
     classify_gorenstein_elliptic_ideals,
@@ -37,6 +40,8 @@ def _report(g):
 # record type -> (its field names, the record computed on a graph)
 RECORDS = {
     "Vertex": (("id", "self_int", "genus"), lambda g: g.vertices[-1]),
+    "Cycle": (("graph", "coeffs"), lambda g: elliptic_sequence(g).partial_sum(1)),
+    "QCycle": (("graph", "coeffs"), canonical_cycle),
     "ChiSweep": (("exhaustive", "checked", "min_chi", "witness"), chi_nonnegative_check),
     "MinusOneChainReport": (("minus_one_indices", "chain"),
                             lambda g: check_minus_one_chains(g, elliptic_sequence(g))),
@@ -75,6 +80,15 @@ def test_equal_fields_give_equal_records_and_hashes(name):
     assert first == second and hash(first) == hash(second)
     rebuilt = type(first)(**{field: getattr(second, field) for field in fields})
     assert rebuilt == first and hash(rebuilt) == hash(first)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_copy_and_pickle_by_value(name):
+    # a kept record refers back to its graph, which keeps it: a frozen
+    # record is rebuilt from its slots without running its checks
+    record = RECORDS[name][1](_fresh_graph())
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
 
 
 def test_record_defaults_and_inequality():

@@ -111,9 +111,10 @@ def test_emin_sequence_and_loop_images_match_the_oracles(shape):
             idxs = sorted(support)
             expected = dense_fundamental_cycle(g, [g.vertices[i].id for i in idxs])
             for order in (None, rng):
-                z, image = _laufer_loop(g, idxs, order)
+                z = _laufer_loop(g, idxs, order)
                 assert z == expected, (g, idxs)
-                assert list(image) == dense_mat_vec(g.matrix, z.coeffs), (g, idxs)
+                # the image the loop's cycle holds, not one computed on reading
+                assert list(z._image) == dense_mat_vec(g.matrix, z.coeffs), (g, idxs)
 
         seen["double edge"] += any(m == 2 for *_, m in g.edges)
         seen["genus 1"] += any(v.genus for v in g.vertices)
