@@ -20,6 +20,11 @@ from ._engine import check_count, max_enum
 _STORE = "the elimination of the intersection form"
 
 
+def check_store(n_vertices: int, n_edges: int) -> int:
+    """The 2n + |E| entries the elimination stores before any fill, charged."""
+    return check_count(2 * n_vertices + n_edges, _STORE, "entries")
+
+
 def _exact_div(num: int, den: int) -> int:
     # Bareiss guarantees exact divisibility; a nonzero remainder means a bug.
     q, r = divmod(num, den)
@@ -101,10 +106,8 @@ def solve_negative_definite(rows, adj) -> tuple[int, list[int]] | None:
                 diag[i] = -m
             elif j > i:
                 off[i][j] = off[j][i] = [-m, 0]
-    stored = 2 * n + sum(map(len, off)) // 2
+    stored = check_store(n, sum(map(len, off)) // 2)
     cap = max_enum()
-    if stored > cap:
-        check_count(stored, _STORE, "entries")
     piv = [1]  # piv[k] is the pivot of step k
     done = [False] * n
     order = []

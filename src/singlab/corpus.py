@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._engine import check_count
-from ._linalg import _STORE
+from ._linalg import check_store
 from .errors import InputError, _is_int
 from .graph import DualGraph, Vertex
 
@@ -48,9 +47,9 @@ def _check_param(n) -> None:
 
 
 def _check_tree(n, per: int) -> None:
-    """``_check_param``, then the 3N - 1 entries the elimination of the tree stores."""
+    """``_check_param``, then the store of the elimination of the tree."""
     _check_param(n)
-    check_count(3 * (per * n + 1) - 1, _STORE, "entries")
+    check_store(per * n + 1, per * n)  # N curves, N - 1 edges
 
 
 @_family

@@ -101,26 +101,24 @@ class EllipticSequence(_Frozen):
     """The cycles Z_0, ..., Z_m, each carrying its image M Z_t (``images``),
     with their supports B_0 > ... > B_m, one tuple of vertex ids each.
 
-    Immutable and equal by its three fields.  The partial sums C_t and the
-    tail sums C'_t, with their images, are running sums taken by the
-    constructor, so an accessor costs one lookup; an index outside its
-    range, or not an integer, is refused with InputError.
+    Immutable and equal by its three fields.  The constructor takes the
+    partial sums C_t with their images as a running sum; C'_t = C_m - C_{t-1},
+    so no accessor multiplies.  A bad index is refused with InputError.
     """
 
-    __slots__ = ("graph", "supports", "cycles", "_prefix", "_suffix")
+    __slots__ = ("graph", "supports", "cycles", "_prefix")
     _fields = ("graph", "supports", "cycles")
 
     def __init__(self, graph: DualGraph, supports: tuple[tuple[str, ...], ...],
                  cycles: tuple[Cycle, ...]):
         # the running sums come first: they refuse a cycle of another graph
         prefix = tuple(accumulate(cycles, add, initial=Cycle.zero(graph)))
-        suffix = tuple(accumulate(reversed(cycles), add, initial=Cycle.zero(graph)))[::-1]
         if not (isinstance(supports, tuple) and len(supports) == len(cycles) and all(
                 isinstance(b, tuple) and all(isinstance(v, str) and v in graph._index for v in b)
                 for b in supports)):
             raise InputError(f"support list {_clip(repr(supports))} does not live on this "
                              "graph: it needs one tuple of the graph's vertex ids per cycle")
-        for name, value in zip(self.__slots__, (graph, supports, cycles, prefix, suffix)):
+        for name, value in zip(self.__slots__, (graph, supports, cycles, prefix)):
             _set(self, name, value)
 
     @property
@@ -146,7 +144,7 @@ class EllipticSequence(_Frozen):
 
     def tail_sum(self, t: int) -> Cycle:
         """C'_t = Z_t + ... + Z_m = C_m - C_{t-1}  (C'_{m+1} = 0)."""
-        return self._suffix[self._index(t, 0, self.m + 1, "tail sum")]
+        return self._prefix[-1] - self._prefix[self._index(t, 0, self.m + 1, "tail sum")]
 
     def self_intersection(self, t: int) -> int:
         """Z_t^2, read off M Z_t."""

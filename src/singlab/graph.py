@@ -212,11 +212,10 @@ class _Frozen:
         for name, value in state[1].items():
             _set(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__
 
 
 class _Divisor(_Frozen):

@@ -203,7 +203,8 @@ def check_hilbert_data() -> int:
     for (g, p_g), rep in _classification_runs().items():
         for ideal in rep.ideals:
             hd = normal_hilbert_data(g, ideal.cycle, p_g, ideal.q, n_max=8)
-            t.eq(hd.e0bar, -_dot(ideal.cycle, ideal.cycle.image), "e0bar = -Z^2")
+            z = Cycle(g, ideal.cycle.coeffs)  # multiplied apart from the image hd read
+            t.eq(hd.e0bar, -_dot(z, z.image), "e0bar = -Z^2")
             t.eq(
                 hd.e1bar - hd.e0bar + hd.colengths[0],
                 p_g - ideal.q,

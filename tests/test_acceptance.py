@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from singlab import verify
+from singlab import classify, verify
+from singlab.errors import InternalCheckError
+from singlab.graph import Cycle
 
 # assertions each check counts, pinned by name so that a count that moves
 # names its check instead of only changing verify-paper's golden digest
@@ -53,6 +55,20 @@ def test_criterion_5_gorenstein_cone_numerics():
 
 def test_criterion_6_hilbert_data_consistency():
     _run("hilbert-data-consistency")
+
+
+def test_hilbert_check_multiplies_z_apart_from_its_held_image(monkeypatch):
+    # e0bar reads the image Z carries, and "e0bar = -Z^2" multiplies Z
+    # afresh: with classify's own identities silenced, a held image one
+    # too small in every entry is caught by that check alone
+    (g, p_g), rep = next((k, r) for k, r in verify._classification_runs().items() if r.ideals)
+    ideal = rep.ideals[0]
+    bad = Cycle._of(g, ideal.cycle.coeffs, tuple(x - 1 for x in ideal.cycle.image))
+    rep = rep._replace(ideals=(ideal._replace(cycle=bad),))
+    monkeypatch.setattr(verify, "_classification_runs", lambda: {(g, p_g): rep})
+    monkeypatch.setattr(classify, "_hilbert_identities", lambda hd, p_g: iter(()))
+    with pytest.raises(InternalCheckError, match=r"e0bar = -Z\^2"):
+        verify.check_hilbert_data()
 
 
 def test_criterion_7_artinian_colength_oracle():

@@ -338,6 +338,9 @@ def test_cold_cli_runs_multiply_each_sequence_cycle_once(monkeypatch, capsys, co
 
 
 def test_verify_paper_products_are_pinned(monkeypatch, capsys, cold_caches):
+    # 40 of these are the hilbert-data check's "e0bar = -Z^2", which
+    # multiplies each classified C_t afresh, apart from the image the
+    # Hilbert data reads; 415 when that check read the same held image.
     # 559 when each finished sequence multiplied its Z_t again (104
     # products over the 20 sequences) and the Hilbert data multiplied each
     # classified C_t (40) whose image it held; 1345 when E_min and the
@@ -351,7 +354,7 @@ def test_verify_paper_products_are_pinned(monkeypatch, capsys, cold_caches):
     calls = _spy_mat_vec(monkeypatch)
     assert cli.main(["verify-paper", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 415
+    assert len(calls) == 455
 
 
 def test_check_minus_one_chains_vacuous_fig244():
